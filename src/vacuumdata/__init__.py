@@ -32,7 +32,6 @@ from .radial import (
 from .conformal import (
     ConformalSolution,
     InitialData,
-    SeedData,
     assemble_initial_data,
     build_solution,
     divergence_source,

@@ -239,6 +239,17 @@ def _decay_block(data: InitialData) -> dict:
     }
 
 
+_REPORT_KEYS = ("scenario", "n", "params", "mass", "residuals", "decay", "checks", "iterations")
+
+
+def _report(
+    config: ScenarioConfig, params: dict, mass=None, residuals=None, decay=None, checks=None, iterations=0
+) -> dict:
+    """The report skeleton of every command; blocks it does not produce are null."""
+    values = (config.command, config.n, params, mass, residuals, decay, checks, iterations)
+    return dict(zip(_REPORT_KEYS, values))
+
+
 def _solution_report(
     config: ScenarioConfig,
     params: dict,
@@ -247,16 +258,15 @@ def _solution_report(
     refined: ConformalSolution | None = None,
 ) -> dict:
     data = assemble_initial_data(sol)
-    report = {
-        "scenario": config.command,
-        "n": config.n,
-        "params": params,
-        "mass": _mass_block(config.dim, sol, data),
-        "residuals": _residuals_block(config, data, refined),
-        "decay": _decay_block(data),
-        "checks": _checks_block(sol),
-        "iterations": iterations,
-    }
+    report = _report(
+        config,
+        params,
+        mass=_mass_block(config.dim, sol, data),
+        residuals=_residuals_block(config, data, refined),
+        decay=_decay_block(data),
+        checks=_checks_block(sol),
+        iterations=iterations,
+    )
     if config.out_csv:
         write_solution_csv(sol, config.out_csv)
     return report
@@ -316,45 +326,30 @@ def _cmd_free_tau(config: ScenarioConfig) -> dict:
 
 def _cmd_verify(config: ScenarioConfig) -> dict:
     sol = read_solution_csv(config.csv_path, config.dim)
-    data = assemble_initial_data(sol)
-    return {
-        "scenario": "verify",
-        "n": config.n,
-        "params": {"csv": config.csv_path, **_sampling_params(config)},
-        "mass": None,
-        "residuals": _residuals_block(config, data),
-        "decay": None,
-        "checks": _checks_block(sol),
-        "iterations": 0,
-    }
+    return _report(
+        config,
+        {"csv": config.csv_path, **_sampling_params(config)},
+        residuals=_residuals_block(config, assemble_initial_data(sol)),
+        checks=_checks_block(sol),
+    )
 
 
 def _cmd_mass(config: ScenarioConfig) -> dict:
     sol = read_solution_csv(config.csv_path, config.dim)
-    return {
-        "scenario": "mass",
-        "n": config.n,
-        "params": {"csv": config.csv_path},
-        "mass": _mass_block(config.dim, sol, assemble_initial_data(sol)),
-        "residuals": None,
-        "decay": None,
-        "checks": None,
-        "iterations": 0,
-    }
+    return _report(
+        config,
+        {"csv": config.csv_path},
+        mass=_mass_block(config.dim, sol, assemble_initial_data(sol)),
+    )
 
 
 def _cmd_decay(config: ScenarioConfig) -> dict:
     sol = read_solution_csv(config.csv_path, config.dim)
-    return {
-        "scenario": "decay",
-        "n": config.n,
-        "params": {"csv": config.csv_path},
-        "mass": None,
-        "residuals": None,
-        "decay": _decay_block(assemble_initial_data(sol)),
-        "checks": None,
-        "iterations": 0,
-    }
+    return _report(
+        config,
+        {"csv": config.csv_path},
+        decay=_decay_block(assemble_initial_data(sol)),
+    )
 
 
 _HANDLERS = {
@@ -389,49 +384,50 @@ def _exit_status(report: dict) -> int:
     return 0
 
 
+# Option defaults are the ScenarioConfig and SolveControls field defaults.
+# Each option fills the field of its own name or the one _FIELDS gives;
+# the three grid options make up ScenarioConfig.grid.
+_FIELDS = {"max_iter": "max_outer", "continuation": "continuation_steps", "csv": "csv_path",
+           "out": "out_json", "profiles": "out_csv"}
+_GRID_OPTIONS = ("grid_points", "grid_max", "stretch")
+
+
+def _add_defaulted(parser: argparse.ArgumentParser, *options) -> None:
+    """Add (flag, type, default, help) options; --help shows the default."""
+    for flag, kind, default, text in options:
+        parser.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)g)")
+
+
 def _add_dimension(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=3, help="spatial dimension (default 3)")
+    _add_defaulted(parser, ("--n", int, ScenarioConfig.n, "spatial dimension"))
 
 
 def _add_grid(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--grid-points", type=int, default=4000, help="radial grid size (default 4000)"
-    )
-    parser.add_argument(
-        "--grid-max", type=float, default=1.0e4, help="outer radius (default 1e4)"
-    )
-    parser.add_argument(
-        "--stretch",
-        type=float,
-        default=1.01,
-        help="geometric node ratio in the far field (default 1.01)",
+    points, r_max, stretch = ScenarioConfig.grid
+    _add_defaulted(
+        parser,
+        ("--grid-points", int, points, "radial grid size"),
+        ("--grid-max", float, r_max, "outer radius"),
+        ("--stretch", float, stretch, "geometric node ratio in the far field"),
     )
 
 
 def _add_solver(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol", type=float, default=1e-10, help="solver tolerance (default 1e-10)"
-    )
-    parser.add_argument(
-        "--max-iter", type=int, default=200, help="outer iteration budget (default 200)"
-    )
-    parser.add_argument(
-        "--damping", type=float, default=0.7, help="Picard damping factor (default 0.7)"
-    )
-    parser.add_argument(
-        "--continuation",
-        type=int,
-        default=1,
-        help="continuation stages for hard profiles (default 1)",
+    controls = ScenarioConfig.controls
+    _add_defaulted(
+        parser,
+        ("--tol", float, controls.tol, "solver tolerance"),
+        ("--max-iter", int, controls.max_outer, "outer iteration budget"),
+        ("--damping", float, controls.damping, "Picard damping factor"),
+        ("--continuation", int, controls.continuation_steps, "continuation stages for hard profiles"),
     )
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--points", type=int, default=64, help="Cartesian sample points (default 64)"
-    )
-    parser.add_argument(
-        "--h", type=float, default=1e-3, help="stencil step for residuals (default 1e-3)"
+    _add_defaulted(
+        parser,
+        ("--points", int, ScenarioConfig.points, "Cartesian sample points"),
+        ("--h", float, ScenarioConfig.h, "stencil step for residuals"),
     )
 
 
@@ -494,30 +490,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    controls = SolveControls(
-        tol=getattr(args, "tol", 1e-10),
-        max_outer=getattr(args, "max_iter", 200),
-        damping=getattr(args, "damping", 0.7),
-        continuation_steps=getattr(args, "continuation", 1),
-    )
-    return ScenarioConfig(
-        command=args.command,
-        n=args.n,
-        m=getattr(args, "m", None),
-        c=getattr(args, "c", None),
-        q=getattr(args, "q", None),
-        grid=(
-            getattr(args, "grid_points", 4000),
-            getattr(args, "grid_max", 1.0e4),
-            getattr(args, "stretch", 1.01),
-        ),
-        controls=controls,
-        points=getattr(args, "points", 64),
-        h=getattr(args, "h", 1e-3),
-        csv_path=getattr(args, "csv", None),
-        out_json=getattr(args, "out", None),
-        out_csv=getattr(args, "profiles", None),
-    )
+    """Fields a subcommand has no option for keep their dataclass default."""
+    given = {_FIELDS.get(name, name): value for name, value in vars(args).items()}
+
+    def fields_of(cls) -> dict:
+        return {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
+
+    config = fields_of(ScenarioConfig)
+    if _GRID_OPTIONS[0] in given:
+        config["grid"] = tuple(given[name] for name in _GRID_OPTIONS)
+    return ScenarioConfig(controls=SolveControls(**fields_of(SolveControls)), **config)
 
 
 def _emit_failure(exc: Exception, out_path: str | None) -> int:

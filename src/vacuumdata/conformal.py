@@ -42,7 +42,6 @@ from .radial import (
 )
 
 __all__ = [
-    "SeedData",
     "ConformalSolution",
     "InitialData",
     "tau_from_phi",
@@ -61,19 +60,6 @@ __all__ = [
 _BRANCH_EPS = 1e-12
 
 _BUNDLE_HEADER = "r,phi,dphi,tau,A,w,lw"
-
-
-@dataclasses.dataclass(frozen=True)
-class SeedData:
-    """Conformal seed (tau, sigma) with sigma identically zero."""
-
-    dim: Dimension
-    tau: RadialProfile
-    sigma_is_zero: bool = True
-
-    def __post_init__(self):
-        if not self.sigma_is_zero:
-            raise InvalidArgumentError("only vanishing transverse-traceless seeds are supported")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -191,6 +177,23 @@ def tau_from_phi(dim: Dimension, phi: RadialProfile) -> RadialProfile:
         / np.sqrt(r[use] * radicand[use])
     )
     return RadialProfile(grid, out)
+
+
+def _monotonicity_margin(dim: Dimension, phi: RadialProfile) -> tuple[float, float]:
+    """Smallest value of the monotonicity condition phi' (2n phi + N r phi')
+    on the grid, and the tolerance: the condition holds when the smallest
+    value is at least minus the tolerance."""
+    dphi = differentiate(phi, 1).values
+    condition = dphi * (2.0 * dim.n * phi.values + float(dim.N) * phi.r * dphi)
+    return float(np.min(condition)), 1e-9 * max(1.0, float(np.max(np.abs(condition))))
+
+
+def _identity_residual(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -> float:
+    """Sup of |tau_from_phi(phi) - |tau|| on r <= min(100, r_max); raises
+    what tau_from_phi raises."""
+    recomputed = tau_from_phi(dim, phi)
+    window = phi.r <= min(100.0, phi.grid.r_max)
+    return float(np.max(np.abs(recomputed.values[window] - np.abs(tau.values[window]))))
 
 
 def momentum_potential(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -> RadialProfile:

@@ -7,6 +7,8 @@ shared grid.  This module owns that representation:
 * graded grids on [0, r_max] with a uniform head near the origin and a
   geometrically stretched tail,
 * high-order finite differences with even reflection across r = 0,
+  stored as windowed stencils (one row of weights per node, applied to
+  a window of neighbouring values),
 * composite polynomial quadrature, cumulative and improper,
 * power-law tail fits used for remainders and decay diagnostics,
 * a small CSV exchange format (``r,value``).
@@ -18,7 +20,6 @@ import dataclasses
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     DegenerateFitError,
@@ -71,7 +72,8 @@ class RadialGrid:
     """Strictly increasing nodes 0 = r_0 < r_1 < ... < r_max.
 
     Instances are immutable and cache their differentiation and
-    quadrature operators; profiles refer to grids by identity.
+    quadrature operators as windowed weights (row i weighs a short run of
+    consecutive values); profiles refer to grids by identity.
     """
 
     def __init__(self, nodes: np.ndarray, stretch: float | None = None):
@@ -108,10 +110,12 @@ class RadialGrid:
 
     # -- cached operators -------------------------------------------------
 
-    def derivative_matrix(self, order: int) -> scipy.sparse.csr_matrix:
+    def derivative_matrix(self, order: int) -> np.ndarray:
+        """Windowed stencil weights of d/dr (order 1) or d2/dr2 (order 2),
+        shape (nodes, 7), or (nodes, 5) below seven nodes."""
         key = ("deriv", order)
         if key not in self._cache:
-            d1, d2 = _build_derivative_matrices(self.nodes)
+            d1, d2 = _build_derivative_weights(self.nodes)
             self._cache[("deriv", 1)] = d1
             self._cache[("deriv", 2)] = d2
         return self._cache[key]
@@ -251,24 +255,26 @@ def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
 # finite differences
 
 
-def _fornberg_weights(x: np.ndarray, x0: float, max_order: int) -> np.ndarray:
-    """Weights for derivatives 0..max_order at x0 on arbitrary nodes x.
+def _fornberg_weights(x: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Weights for derivatives 0..2 at x0[i] on the nodes x[i, :], all rows at once.
 
-    Fornberg's recursion; returns an array of shape (len(x), max_order+1).
+    Fornberg's recursion (1988) with each scalar of the classic loop
+    replaced by a vector over the rows; the loops run over the stencil
+    slots only.  Returns an array of shape (rows, width, 3).
     """
-    npts = len(x)
-    c = np.zeros((npts, max_order + 1))
-    c1 = 1.0
-    c4 = x[0] - x0
+    rows, width = x.shape
+    c = np.zeros((width, 3, rows))
+    c1 = np.ones(rows)
+    c4 = x[:, 0] - x0
     c[0, 0] = 1.0
-    for i in range(1, npts):
-        mn = min(i, max_order)
-        c2 = 1.0
+    for i in range(1, width):
+        mn = min(i, 2)
+        c2 = np.ones(rows)
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[:, i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[:, i] - x[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
@@ -277,51 +283,58 @@ def _fornberg_weights(x: np.ndarray, x0: float, max_order: int) -> np.ndarray:
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c
+    return c.transpose(2, 0, 1)
 
 
-def _build_derivative_matrices(nodes: np.ndarray):
-    """First- and second-derivative matrices with even reflection at r=0.
+def _window_starts(npts: int, width: int) -> np.ndarray:
+    """First column of each node's window: centred, or pushed inside the grid."""
+    return np.clip(np.arange(npts) - width // 2, 0, npts - width)
 
-    Odd-order stencils near the origin use ghost nodes at -r_k carrying the
-    value at +r_k, so the row for d/dr at r=0 vanishes identically.  Rows
-    are re-normalized so derivatives of constants are exactly zero.
+
+def _build_derivative_weights(nodes: np.ndarray):
+    """First- and second-derivative stencils with even reflection at r=0.
+
+    Returns (d1, d2), each of shape (npts, width): row i acts on the
+    values in columns starts[i] .. starts[i] + width - 1 (see
+    ``_window_starts``).  Odd-order stencils near the origin use ghost
+    nodes at -r_k carrying the value at +r_k; each ghost weight is folded
+    onto column k, and the row for d/dr at r=0 is zero.  Rows are
+    re-normalized so derivatives of constants are exactly zero.
     """
     npts = nodes.size
-    width = _STENCIL if npts >= _STENCIL else 5
     if npts < 5:
         raise InvalidArgumentError("differentiation needs at least 5 nodes")
+    width = _STENCIL if npts >= _STENCIL else 5
     half = width // 2
 
-    rows, cols, vals1, vals2 = [], [], [], []
-    for i in range(npts):
-        if i < half:
-            offsets = np.arange(i - half, i + half + 1)
-            positions = np.where(offsets >= 0, nodes[np.abs(offsets)], -nodes[np.abs(offsets)])
-            columns = np.abs(offsets)
-            center = int(np.where(offsets == i)[0][0])
-        else:
-            start = min(max(i - half, 0), npts - width)
-            columns = np.arange(start, start + width)
-            positions = nodes[columns]
-            center = i - start
-        w = _fornberg_weights(positions, nodes[i], 2)
-        w1 = w[:, 1].copy()
-        w2 = w[:, 2].copy()
-        w1[center] -= w1.sum()
-        w2[center] -= w2.sum()
-        rows.extend([i] * len(columns))
-        cols.extend(columns.tolist())
-        vals1.extend(w1.tolist())
-        vals2.extend(w2.tolist())
+    rows = np.arange(npts)
+    starts = _window_starts(npts, width)
+    # the first rows centre their stencil on the node, reaching past r = 0
+    first = np.minimum(starts, rows - half)
+    offsets = first[:, None] + np.arange(width)
+    w = _fornberg_weights(np.copysign(nodes[np.abs(offsets)], offsets), nodes)
+    w[rows, rows - first] -= w.sum(axis=1)
+    w[0, :, 1] = 0.0  # d/dr of a smooth even profile vanishes at the origin
 
-    shape = (npts, npts)
-    d1 = scipy.sparse.coo_matrix((vals1, (rows, cols)), shape=shape).tocsr()
-    d2 = scipy.sparse.coo_matrix((vals2, (rows, cols)), shape=shape).tocsr()
-    # d/dr of a smooth even profile vanishes at the origin
-    d1 = scipy.sparse.lil_matrix(d1)
-    d1[0, :] = 0.0
-    return d1.tocsr(), d2
+    columns = np.abs(offsets) - starts[:, None]
+    d1 = np.zeros((npts, width))
+    d2 = np.zeros((npts, width))
+    for slot in range(width):
+        d1[rows, columns[:, slot]] += w[:, slot, 1]
+        d2[rows, columns[:, slot]] += w[:, slot, 2]
+    return d1, d2
+
+
+def _apply_window(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row i of the result is ``weights[i] @ values[starts[i]:starts[i]+width]``,
+    summed from zero slot by slot in column order; reports depend on this
+    order bitwise."""
+    npts, width = weights.shape
+    starts = _window_starts(npts, width)
+    out = np.zeros(npts)
+    for slot in range(width):
+        out += weights[:, slot] * values[starts + slot]
+    return out
 
 
 def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
@@ -332,8 +345,8 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
     """
     if order not in (1, 2):
         raise InvalidArgumentError(f"derivative order must be 1 or 2, got {order!r}")
-    d = profile.grid.derivative_matrix(order)
-    return RadialProfile(profile.grid, d @ (profile.values - profile.values[0]))
+    weights = profile.grid.derivative_matrix(order)
+    return RadialProfile(profile.grid, _apply_window(weights, profile.values - profile.values[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +363,7 @@ def _build_quadrature(nodes: np.ndarray):
     if npts < _QUAD_STENCIL:
         raise InvalidArgumentError("quadrature needs at least 5 nodes")
     n_int = npts - 1
-    starts = np.clip(np.arange(n_int) - 2, 0, npts - _QUAD_STENCIL)
+    starts = _window_starts(npts, _QUAD_STENCIL)[:-1]
     idx = starts[:, None] + np.arange(_QUAD_STENCIL)[None, :]
     x = nodes[idx]
     widths = np.diff(nodes)
@@ -366,11 +379,16 @@ def _build_quadrature(nodes: np.ndarray):
     return starts, weights
 
 
-def integrate_from_zero(profile: RadialProfile) -> RadialProfile:
-    """Cumulative integral I(r) = int_0^r p, sampled on the same grid."""
+def _interval_integrals(profile: RadialProfile) -> np.ndarray:
+    """Integral of the profile over each grid interval."""
     starts, weights = profile.grid._quadrature()
     idx = starts[:, None] + np.arange(_QUAD_STENCIL)[None, :]
-    increments = np.einsum("ij,ij->i", weights, profile.values[idx])
+    return np.einsum("ij,ij->i", weights, profile.values[idx])
+
+
+def integrate_from_zero(profile: RadialProfile) -> RadialProfile:
+    """Cumulative integral I(r) = int_0^r p, sampled on the same grid."""
+    increments = _interval_integrals(profile)
     out = np.empty(len(profile.grid))
     out[0] = 0.0
     np.cumsum(increments, out=out[1:])
@@ -389,9 +407,7 @@ def integrate_to_infinity(profile: RadialProfile) -> RadialProfile:
     p = profile.tail.exponent
     if not p > 1.0:
         raise TailTooSlowError(f"tail exponent {p:g} <= 1: integral to infinity diverges")
-    starts, weights = profile.grid._quadrature()
-    idx = starts[:, None] + np.arange(_QUAD_STENCIL)[None, :]
-    increments = np.einsum("ij,ij->i", weights, profile.values[idx])
+    increments = _interval_integrals(profile)
     r_max = profile.grid.r_max
     remainder = profile.tail.coefficient * r_max ** (1.0 - p) / (p - 1.0)
     # reverse accumulation: no cancellation against the near-origin bulk

@@ -11,6 +11,10 @@ at fixed (tau, |LW|); and a Picard loop that alternates the closed-form
 potential updates with Lichnerowicz solves until the conformal factor is
 self-consistent.  All operators act on u = phi - 1 so that the flat
 solution is reproduced bitwise.
+
+The Helmholtz operator is kept as the 7-point stencil rows of the grid's
+derivative weights.  Its matrix is banded (at most six diagonals on each
+side of the main one), so every linear solve is one banded LU.
 """
 
 from __future__ import annotations
@@ -18,10 +22,16 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg
 
-from .conformal import ConformalSolution, build_solution, lw_norm, momentum_potential, tau_from_phi
+from .conformal import (
+    ConformalSolution,
+    _identity_residual,
+    _monotonicity_margin,
+    build_solution,
+    lw_norm,
+    momentum_potential,
+)
 from .errors import (
     ConstructionFailedError,
     InvalidArgumentError,
@@ -30,7 +40,7 @@ from .errors import (
     NotMonotoneError,
     SingularSystemError,
 )
-from .radial import Dimension, RadialGrid, RadialProfile
+from .radial import Dimension, RadialGrid, RadialProfile, _apply_window, _window_starts
 
 __all__ = [
     "SolveControls",
@@ -78,39 +88,37 @@ class SolveTrace:
     bounded: bool = True
 
 
-def _laplacian_matrix(n: int, grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    """Rows of u'' + (n-1) u'/r, with the regular limit n u''(0) at r=0."""
+def _helmholtz_rows(n: int, grid: RadialGrid, v_values: np.ndarray) -> np.ndarray:
+    """Stencil rows of u'' + (n-1) u'/r - V u, in the windowed layout of
+    ``RadialGrid.derivative_matrix``.
+
+    Row 0 holds the regular limit n u''(0); the last row is replaced by
+    the Robin functional u' + (n-2) u / r at r_max (decaying far field).
+    """
     d1 = grid.derivative_matrix(1)
     d2 = grid.derivative_matrix(2)
-    scale = np.ones(len(grid))
+    npts, width = d1.shape
+    scale = np.ones(npts)
     scale[0] = float(n)
-    coupling = np.zeros(len(grid))
+    coupling = np.zeros(npts)
     coupling[1:] = (n - 1.0) / grid.nodes[1:]
-    return (
-        scipy.sparse.diags(scale) @ d2 + scipy.sparse.diags(coupling) @ d1
-    ).tocsr()
+    rows = scale[:, None] * d2 + coupling[:, None] * d1
+    rows[np.arange(npts), np.arange(npts) - _window_starts(npts, width)] -= v_values
+    rows[-1] = d1[-1]
+    rows[-1, -1] += float(n - 2) / grid.r_max
+    return rows
 
 
-def _robin_row(n: int, grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    """Last-row functional u' + (n-2) u / r at r_max (decaying far field)."""
-    last = len(grid) - 1
-    d1 = grid.derivative_matrix(1)
-    boundary = scipy.sparse.csr_matrix(
-        ([float(n - 2) / grid.r_max], ([0], [last])), shape=(1, len(grid))
-    )
-    return (d1[last, :] + boundary).tocsr()
-
-
-def _helmholtz_system(dim: Dimension, grid: RadialGrid, v_values: np.ndarray):
-    """(Delta - V) with the Robin row replacing the last equation."""
-    interior = _laplacian_matrix(dim.n, grid) - scipy.sparse.diags(v_values)
-    return scipy.sparse.vstack(
-        [interior.tocsr()[:-1, :], _robin_row(dim.n, grid)], format="csc"
-    )
-
-
-def _solve(system, rhs: np.ndarray) -> np.ndarray:
-    solution = scipy.sparse.linalg.spsolve(system, rhs)
+def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the system with the given stencil rows by one banded LU."""
+    npts, width = rows.shape
+    columns = _window_starts(npts, width)[:, None] + np.arange(width)
+    band = np.zeros((2 * width - 1, npts))
+    band[width - 1 + np.arange(npts)[:, None] - columns, columns] = rows
+    try:
+        solution = scipy.linalg.solve_banded((width - 1, width - 1), band, rhs, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("radial system is singular or ill-posed") from None
     if not np.all(np.isfinite(solution)):
         raise SingularSystemError("radial system is singular or ill-posed")
     return solution
@@ -127,7 +135,7 @@ def solve_radial_helmholtz(dim: Dimension, V: RadialProfile, rhs: RadialProfile)
     grid = V.grid
     b = rhs.values.copy()
     b[-1] = 0.0
-    return RadialProfile(grid, _solve(_helmholtz_system(dim, grid, V.values), b))
+    return RadialProfile(grid, _solve(_helmholtz_rows(dim.n, grid, V.values), b))
 
 
 def _lichnerowicz_newton(
@@ -143,8 +151,7 @@ def _lichnerowicz_newton(
     n = dim.n
     nf = float(dim.N)
     a = 4.0 * (n - 1.0) / (n - 2.0)
-    lap = _laplacian_matrix(n, grid)
-    robin = _robin_row(n, grid)
+    operator = _helmholtz_rows(n, grid, np.zeros(len(grid)))
     weight = (n - 1.0) / n
 
     phi = start.copy()
@@ -152,8 +159,9 @@ def _lichnerowicz_newton(
 
     def residual(p: np.ndarray) -> np.ndarray:
         u = p - 1.0
-        out = -a * (lap @ u) + weight * tau_sq * p ** (nf - 1.0) - lw_sq * p ** (-nf - 1.0)
-        out[-1] = (robin @ u)[0]
+        applied = _apply_window(operator, u)
+        out = -a * applied + weight * tau_sq * p ** (nf - 1.0) - lw_sq * p ** (-nf - 1.0)
+        out[-1] = applied[-1]
         return out
 
     for _ in range(controls.max_newton):
@@ -165,7 +173,7 @@ def _lichnerowicz_newton(
         ) * lw_sq * phi ** (-nf - 2.0)
         b = f / a
         b[-1] = -f[-1]
-        delta = _solve(_helmholtz_system(dim, grid, v_hat / a), b)
+        delta = _solve(_helmholtz_rows(n, grid, v_hat / a), b)
         step = 1.0
         for _ in range(60):
             if np.all(phi + step * delta > 0.0):
@@ -218,7 +226,6 @@ def fixed_point_solve(
     """
     controls = controls if controls is not None else SolveControls()
     grid = tau.grid
-    n = dim.n
     nf = float(dim.N)
     trace = SolveTrace()
     flat_tau = not np.any(tau.values)
@@ -251,17 +258,10 @@ def fixed_point_solve(
             )
     trace.converged = True
 
-    dphi = (grid.derivative_matrix(1) @ (phi.values - phi.values[0]))
-    condition = dphi * (2.0 * n * phi.values + nf * grid.nodes * dphi)
-    mono_tol = 1e-9 * max(1.0, float(np.max(np.abs(condition))))
-    if np.any(condition < -mono_tol):
+    mono_min, mono_tol = _monotonicity_margin(dim, phi)
+    if mono_min < -mono_tol:
         raise NotMonotoneError("converged factor violates the monotonicity condition")
-
-    recomputed = tau_from_phi(dim, phi)
-    window = grid.nodes <= min(100.0, grid.r_max)
-    trace.final_identity_residual = float(
-        np.max(np.abs(recomputed.values[window] - np.abs(tau.values[window])))
-    )
+    trace.final_identity_residual = _identity_residual(dim, phi, tau)
     return build_solution(dim, phi, tau), trace
 
 

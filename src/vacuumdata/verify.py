@@ -15,7 +15,14 @@ import math
 import numpy as np
 import scipy.special
 
-from .conformal import ConformalSolution, InitialData, divergence_source, lichnerowicz_residual, tau_from_phi
+from .conformal import (
+    ConformalSolution,
+    InitialData,
+    _identity_residual,
+    _monotonicity_margin,
+    divergence_source,
+    lichnerowicz_residual,
+)
 from .errors import (
     DegenerateFitError,
     InvalidArgumentError,
@@ -126,15 +133,13 @@ def _metric_trace_parts(data: InitialData, x: np.ndarray):
     return r, phi, psi, k, tr_k, k_sq
 
 
-def hamiltonian_residual(data: InitialData, points, h: float = 1e-3) -> np.ndarray:
+def hamiltonian_residual(data: InitialData, points) -> np.ndarray:
     """R_g - |k|^2_g + (tr_g k)^2 at each Cartesian point.
 
     The scalar curvature uses the conformally flat closed form
     R_g = -(4(n-1)/(n-2)) phi^{1-N} Delta phi with radial derivatives
-    taken from the stored profiles; h is accepted for signature symmetry
-    with the momentum check and is not needed on this route.
+    taken from the stored profiles.
     """
-    del h
     n = data.dim.n
     nf = float(data.dim.N)
     out = np.empty(len(points))
@@ -205,11 +210,11 @@ def constraint_report(
     """Assemble both residuals; with a refined evaluator, halve h as well
     and report the combined convergence order (the smaller of the two)."""
     points = np.asarray(points, dtype=float)
-    ham = hamiltonian_residual(data, points, h)
+    ham = hamiltonian_residual(data, points)
     mom = momentum_residual(data, points, h)
     order = None
     if refined is not None:
-        ham2 = hamiltonian_residual(refined, points, h / 2.0)
+        ham2 = hamiltonian_residual(refined, points)
         mom2 = momentum_residual(refined, points, h / 2.0)
         orders = []
         for coarse, fine in ((ham, ham2), (mom, mom2)):
@@ -415,23 +420,14 @@ def check_solution(sol: ConformalSolution) -> SolutionChecks:
     """Run the consistency battery on one solution; never raises."""
     dim = sol.dim
     n = dim.n
-    nf = float(dim.N)
     grid = sol.grid
     r = grid.nodes
     notes: list[str] = []
 
-    dphi = differentiate(sol.phi, 1).values
-    condition = dphi * (2.0 * n * sol.phi.values + nf * r * dphi)
-    mono_min = float(np.min(condition))
-    mono_tol = 1e-9 * max(1.0, float(np.max(np.abs(condition))))
+    mono_min, mono_tol = _monotonicity_margin(dim, sol.phi)
     monotone = mono_min >= -mono_tol
-
-    window = r <= min(100.0, grid.r_max)
     try:
-        recomputed = tau_from_phi(dim, sol.phi)
-        identity = float(
-            np.max(np.abs(recomputed.values[window] - np.abs(sol.tau.values[window])))
-        )
+        identity = _identity_residual(dim, sol.phi, sol.tau)
     except VacuumDataError as exc:
         identity = math.inf
         notes.append(f"mean-curvature identity unavailable: {exc}")

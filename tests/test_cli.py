@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from vacuumdata.cli import RESIDUAL_GATE, ScenarioConfig, main, render_report
+from vacuumdata.cli import (
+    RESIDUAL_GATE,
+    ScenarioConfig,
+    _build_parser,
+    _config_from_args,
+    main,
+    render_report,
+)
 from vacuumdata.conformal import build_solution, write_solution_csv
 from vacuumdata.errors import InvalidArgumentError
 from vacuumdata.radial import Dimension, RadialProfile, build_grid
@@ -89,6 +96,17 @@ class TestArgumentValidation:
         assert config.controls.tol == 1e-10
         assert config.controls.damping == 0.7
         assert config.points == 64
+
+    @pytest.mark.parametrize("argv,required", [
+        (["smooth-schwarzschild", "--m", "1"], {"m": 1.0}),
+        (["free-tau", "--c", "1", "--q", "1.5"], {"c": 1.0, "q": 1.5}),
+        (["verify", "bundle.csv"], {"csv_path": "bundle.csv"}),
+        (["mass", "bundle.csv"], {"csv_path": "bundle.csv"}),
+        (["decay", "bundle.csv"], {"csv_path": "bundle.csv"}),
+    ], ids=["smooth-schwarzschild", "free-tau", "verify", "mass", "decay"])
+    def test_parsed_options_default_to_dataclass_fields(self, argv, required):
+        args = _build_parser().parse_args(argv)
+        assert _config_from_args(args) == ScenarioConfig(command=argv[0], **required)
 
 
 class TestRenderReport:

@@ -25,7 +25,6 @@ from vacuumdata import (
     RadialGrid,
     RadialProfile,
     SchemaError,
-    SeedData,
     assemble_initial_data,
     build_grid,
     build_solution,
@@ -94,18 +93,6 @@ def rearranged_tau(n, r, v, dphi, d2phi):
     num = 2 * nf * (r * v) * radial_flux + n * nf * r ** (n - 1) * sq + nf**2 * r**n * dphi**2
     den = 2.0 * np.sqrt(r**n * v**nf * (n * nf * r ** (n - 1) * sq + nf**2 * r**n * dphi**2))
     return np.abs(num[1:]) / den[1:]
-
-
-class TestSeedData:
-    def test_rejects_nonzero_transverse_part(self, work_grid):
-        tau = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        with pytest.raises(InvalidArgumentError):
-            SeedData(DIM3, tau, sigma_is_zero=False)
-
-    def test_holds_profile(self, work_grid):
-        tau = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        seed = SeedData(DIM3, tau)
-        assert seed.tau is tau
 
 
 class TestConformalSolutionValidation:

@@ -1,9 +1,14 @@
 """Oracle and property tests for the radial calculus layer."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import vacuumdata
 
 from vacuumdata.errors import (
     DegenerateFitError,
@@ -27,6 +32,7 @@ from vacuumdata.radial import (
     read_profile_csv,
     write_profile_csv,
 )
+from vacuumdata.radial import _apply_window, _window_starts
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +135,105 @@ class TestDifferentiate:
     def test_rejects_bad_order(self, work_grid):
         with pytest.raises(InvalidArgumentError):
             differentiate(RadialProfile(work_grid, work_grid.nodes), 3)
+
+
+def scalar_fornberg_weights(x, x0, max_order):
+    """Fornberg's recursion for one node, one scalar at a time (reference)."""
+    npts = len(x)
+    c = np.zeros((npts, max_order + 1))
+    c1 = 1.0
+    c4 = x[0] - x0
+    c[0, 0] = 1.0
+    for i in range(1, npts):
+        mn = min(i, max_order)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+def reference_stencils(nodes):
+    """Node-by-node stencil construction with ghost nodes at -r_k, folded
+    onto the windowed layout (row i starts at its clamped window start)."""
+    npts = nodes.size
+    width = 7 if npts >= 7 else 5
+    half = width // 2
+    starts = [min(max(i - half, 0), npts - width) for i in range(npts)]
+    d1 = np.zeros((npts, width))
+    d2 = np.zeros((npts, width))
+    for i in range(npts):
+        if i < half:
+            offsets = np.arange(i - half, i + half + 1)
+            positions = np.where(offsets >= 0, nodes[np.abs(offsets)], -nodes[np.abs(offsets)])
+            columns = np.abs(offsets)
+            center = half
+        else:
+            columns = np.arange(starts[i], starts[i] + width)
+            positions = nodes[columns]
+            center = i - starts[i]
+        w = scalar_fornberg_weights(positions, nodes[i], 2)
+        w1 = w[:, 1].copy()
+        w2 = w[:, 2].copy()
+        w1[center] -= w1.sum()
+        w2[center] -= w2.sum()
+        if i == 0:
+            w1[:] = 0.0
+        for col, a, b in zip(columns, w1, w2):
+            d1[i, col - starts[i]] += a
+            d2[i, col - starts[i]] += b
+    return d1, d2
+
+
+class TestStencilWeights:
+    @pytest.mark.parametrize("nodes", [
+        build_grid(4000, 1e4, 1.01).nodes,
+        build_grid(300, 20.0, 1.0).nodes,
+        np.array([0.0, 0.5, 1.25, 2.0, 3.5]),
+        np.array([0.0, 0.5, 1.25, 2.0, 3.5, 6.0]),
+    ], ids=["graded-4000", "uniform-300", "five-nodes", "six-nodes"])
+    def test_match_scalar_recursion_bitwise(self, nodes):
+        grid = RadialGrid(nodes)
+        ref1, ref2 = reference_stencils(grid.nodes)
+        assert grid.derivative_matrix(1).shape == ref1.shape
+        assert np.array_equal(grid.derivative_matrix(1), ref1)
+        assert np.array_equal(grid.derivative_matrix(2), ref2)
+
+    def test_cached_per_grid(self):
+        grid = build_grid(64, 10.0, 1.0)
+        assert grid.derivative_matrix(1) is grid.derivative_matrix(1)
+        assert grid.derivative_matrix(2) is grid.derivative_matrix(2)
+
+    def test_window_sum_runs_in_column_order(self):
+        # each row is accumulated from zero, slot by slot, left to right
+        grid = build_grid(64, 10.0, 1.05)
+        weights = grid.derivative_matrix(2)
+        values = np.cos(grid.nodes)
+        starts = _window_starts(len(grid), weights.shape[1])
+        expected = np.empty(len(grid))
+        for i in range(len(grid)):
+            total = 0.0
+            for slot in range(weights.shape[1]):
+                total += weights[i, slot] * values[starts[i] + slot]
+            expected[i] = total
+        assert np.array_equal(_apply_window(weights, values), expected)
+
+    def test_import_loads_no_sparse_module(self):
+        code = "import sys, vacuumdata; print(any(m.startswith('scipy.sparse') for m in sys.modules))"
+        src = os.path.dirname(os.path.dirname(vacuumdata.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestIntegrateFromZero:

@@ -27,7 +27,9 @@ from vacuumdata import (
     solve_radial_helmholtz,
     tau_from_phi,
 )
-from vacuumdata.solver import _helmholtz_system
+from vacuumdata.errors import SingularSystemError
+from vacuumdata.radial import _apply_window, _window_starts
+from vacuumdata.solver import _helmholtz_rows, _solve
 
 DIM3 = Dimension(3)
 DIM4 = Dimension(4)
@@ -86,13 +88,32 @@ class TestHelmholtzSolve:
     def test_harmonic_function_in_operator_kernel(self, work_grid):
         # 1/r is harmonic away from the origin; apply the assembled
         # operator rows directly since the function is singular at r = 0
-        system = _helmholtz_system(DIM3, work_grid, np.zeros(len(work_grid)))
+        rows = _helmholtz_rows(3, work_grid, np.zeros(len(work_grid)))
         u = np.zeros(len(work_grid))
         u[1:] = 1.0 / work_grid.nodes[1:]
-        image = system @ u
+        image = _apply_window(rows, u)
         rows = work_grid.nodes[1:-1] >= 1.0
         assert float(np.max(np.abs(image[1:-1][rows]))) < 1e-9
         assert abs(image[-1]) < 1e-15
+
+
+class TestBandedSolve:
+    def test_matches_dense_solve(self):
+        grid = build_grid(200, 50.0, 1.05)
+        r = grid.nodes
+        rows = _helmholtz_rows(3, grid, 1.0 / (1.0 + r * r))
+        npts, width = rows.shape
+        dense = np.zeros((npts, npts))
+        columns = _window_starts(npts, width)[:, None] + np.arange(width)
+        dense[np.arange(npts)[:, None], columns] = rows
+        rhs = np.exp(-r)
+        expected = np.linalg.solve(dense, rhs)
+        got = _solve(rows, rhs)
+        assert float(np.max(np.abs(got - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
+
+    def test_zero_rows_raise_singular(self):
+        with pytest.raises(SingularSystemError):
+            _solve(np.zeros((64, 7)), np.ones(64))
 
 
 class TestLichnerowiczSolve:
