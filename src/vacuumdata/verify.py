@@ -1,10 +1,10 @@
 """Independent verification of assembled initial data.
 
 Everything here recomputes its target from a route different from the
-assembly path: constraint residuals contract the Cartesian tensors with
-finite-difference derivatives, the ADM mass is estimated both from the
-radial limit r^{n-1} phi' and from sphere quadrature of the surface
-integrand, and decay exponents come from log-log fits.
+assembly path: constraint residuals contract Cartesian tensors, evaluated
+on all sample points at once, with finite-difference derivatives; the ADM
+mass comes from the radial limit r^{n-1} phi' and from sphere quadrature
+of the surface integrand; decay exponents come from log-log fits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import scipy.special
 from .conformal import (
     ConformalSolution,
     InitialData,
+    _cartesian_points,
     _identity_residual,
+    _libm_pow,
     _monotonicity_margin,
     divergence_source,
     lichnerowicz_residual,
@@ -123,82 +125,63 @@ def default_sample_points(dim: Dimension, count: int = 64, r_lo: float = 0.1, r_
     return radii[:, None] * directions
 
 
-def _metric_trace_parts(data: InitialData, x: np.ndarray):
-    r = float(np.linalg.norm(x))
-    phi = float(data.conformal_factor_at(r))
-    psi = phi ** (float(data.dim.N) - 2.0)
-    k = data.extrinsic_curvature(x)
-    tr_k = np.trace(k) / psi
-    k_sq = float(np.sum(k * k)) / psi**2
-    return r, phi, psi, k, tr_k, k_sq
-
-
 def hamiltonian_residual(data: InitialData, points) -> np.ndarray:
     """R_g - |k|^2_g + (tr_g k)^2 at each Cartesian point.
 
-    The scalar curvature uses the conformally flat closed form
-    R_g = -(4(n-1)/(n-2)) phi^{1-N} Delta phi with radial derivatives
-    taken from the stored profiles.
+    ``points`` is (M, n) or one point (n,).  The scalar curvature uses the
+    conformally flat closed form R_g = -(4(n-1)/(n-2)) phi^{1-N} Delta phi
+    with radial derivatives taken from the stored profiles.
     """
     n = data.dim.n
     nf = float(data.dim.N)
-    out = np.empty(len(points))
-    for i, x in enumerate(np.asarray(points, dtype=float)):
-        r, phi, _, _, tr_k, k_sq = _metric_trace_parts(data, x)
-        d1 = float(data.conformal_factor_derivative_at(r, 1))
-        d2 = float(data.conformal_factor_derivative_at(r, 2))
-        lap = n * d2 if r == 0.0 else d2 + (n - 1) * d1 / r
-        scalar = -(4.0 * (n - 1.0) / (n - 2.0)) * phi ** (1.0 - nf) * lap
-        out[i] = scalar - k_sq + tr_k**2
-    return out
+    x, r = _cartesian_points(data.dim, points)
+    phi = data.conformal_factor_at(r)
+    psi = _libm_pow(phi, nf - 2.0)
+    k = data.extrinsic_curvature(x)
+    tr_k = np.trace(k, axis1=1, axis2=2) / psi
+    k_sq = np.sum(k * k, axis=(1, 2)) / _libm_pow(psi, 2.0)
+    d1, d2 = (data.conformal_factor_derivative_at(r, order) for order in (1, 2))
+    lap = np.where(r == 0.0, n * d2, d2 + (n - 1) * d1 / np.where(r == 0.0, 1.0, r))
+    scalar = -(4.0 * (n - 1.0) / (n - 2.0)) * _libm_pow(phi, 1.0 - nf) * lap
+    return (scalar - k_sq + _libm_pow(tr_k, 2.0)).reshape(np.shape(points)[:-1])
 
 
 def momentum_residual(data: InitialData, points, h: float = 1e-3) -> np.ndarray:
     """|div_g(k - (tr_g k) g)|_delta at each point.
 
-    Spatial derivatives of P = k - (tr_g k) g use 4th-order centered
-    differences with step h (1 + |x|); Christoffel symbols of the
-    conformally flat metric come from the radial closed form
-    Gamma^c_ab = (L_a d_cb + L_b d_ca - L_c d_ab)/2, L_a = (N-2) phi'/phi x_a/r.
+    ``points`` is (M, n) or one point (n,).  Spatial derivatives of
+    P = k - (tr_g k) g use 4th-order centered differences with step
+    h (1 + |x|), evaluated in one call on all 4n shifted copies of every
+    point; Christoffel symbols of the conformally flat metric come from the
+    closed form Gamma^c_ab = (L_a d_cb + L_b d_ca - L_c d_ab)/2,
+    L_a = (N-2) phi'/phi x_a/r.
     """
     n = data.dim.n
     nf = float(data.dim.N)
-
-    def p_tensor(x: np.ndarray) -> np.ndarray:
-        # (tr_g k) g = (trace(k)/psi) psi I: the conformal factors cancel
-        k = data.extrinsic_curvature(x)
-        return k - np.trace(k) * np.eye(n)
-
     eye = np.eye(n)
-    out = np.empty(len(points))
-    for i, x in enumerate(np.asarray(points, dtype=float)):
-        r = float(np.linalg.norm(x))
-        step = h * (1.0 + r)
-        grad_p = np.empty((n, n, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = step
-            grad_p[a] = (
-                8.0 * (p_tensor(x + e) - p_tensor(x - e))
-                - (p_tensor(x + 2 * e) - p_tensor(x - 2 * e))
-            ) / (12.0 * step)
-        phi = float(data.conformal_factor_at(r))
-        psi = phi ** (nf - 2.0)
-        if r > 0.0:
-            ell = (nf - 2.0) * float(data.conformal_factor_derivative_at(r, 1)) / phi * (x / r)
-        else:
-            ell = np.zeros(n)
-        gamma = 0.5 * (
-            np.einsum("a,cb->cab", ell, eye)
-            + np.einsum("b,ca->cab", ell, eye)
-            - np.einsum("c,ab->cab", ell, eye)
-        )
-        p = p_tensor(x)
-        div = np.einsum("aaj->j", grad_p)
-        div -= np.einsum("caa,cj->j", gamma, p)
-        div -= np.einsum("caj,ac->j", gamma, p)
-        out[i] = float(np.linalg.norm(div / psi))
-    return out
+    x, r = _cartesian_points(data.dim, points)
+    step = h * (1.0 + r)
+    # shifted[s, m, a] is point m moved by s * step along axis a
+    shifted = x[:, None] + np.array([1.0, -1.0, 2.0, -2.0])[:, None, None, None] * (step[:, None, None] * eye)
+    k = data.extrinsic_curvature(np.concatenate([x, shifted.reshape(-1, n)]))
+    # (tr_g k) g = (trace(k)/psi) psi I: the conformal factors cancel
+    p_all = k - np.trace(k, axis1=1, axis2=2)[:, None, None] * eye
+    p = p_all[: len(x)]
+    plus, minus, plus2, minus2 = p_all[len(x) :].reshape(4, len(x), n, n, n)
+    grad_p = (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * step)[:, None, None, None]
+
+    phi = data.conformal_factor_at(r)
+    psi = _libm_pow(phi, nf - 2.0)
+    off = (r > 0.0)[:, None]
+    slope = (nf - 2.0) * data.conformal_factor_derivative_at(r, 1) / phi
+    ell = np.where(off, slope[:, None] * (x / np.where(off, r[:, None], 1.0)), 0.0)
+    gamma = 0.5 * (np.einsum("ma,cb->mcab", ell, eye) + np.einsum("mb,ca->mcab", ell, eye)
+                   - np.einsum("mc,ab->mcab", ell, eye))
+    div = np.einsum("maaj->mj", grad_p)
+    div -= np.einsum("mcaa,mcj->mj", gamma, p)
+    div -= np.einsum("mcaj,mac->mj", gamma, p)
+    div /= psi[:, None]
+    return np.sqrt(np.vecdot(div, div)).reshape(np.shape(points)[:-1])
 
 
 def constraint_report(
@@ -385,12 +368,8 @@ def decay_exponents(data: InitialData, windows: dict[str, tuple[float, float]] |
 
     lo, hi = windows["k"]
     radii = np.logspace(math.log10(lo), math.log10(hi), 48)
-    ray = np.zeros(data.dim.n)
-    norms = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        ray[0] = r
-        k = data.extrinsic_curvature(ray)
-        norms[i] = math.sqrt(float(np.sum(k * k)))
+    k = data.extrinsic_curvature(radii[:, None] * np.eye(data.dim.n)[0])
+    norms = np.sqrt(np.sum(k * k, axis=(1, 2)))
     if np.any(norms <= 0):
         raise DegenerateFitError("extrinsic curvature vanishes on the fit window")
     slope = np.polyfit(np.log(radii), np.log(norms), 1)[0]

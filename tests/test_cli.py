@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vacuumdata
 from vacuumdata.cli import (
     RESIDUAL_GATE,
     ScenarioConfig,
@@ -296,3 +301,28 @@ class TestGeneralDimension:
         assert code == 1
         assert report["residuals"]["momentum_sup"] > RESIDUAL_GATE
         assert report["residuals"]["hamiltonian_sup"] < RESIDUAL_GATE
+
+
+class TestModuleEntryPoint:
+    """``python -m vacuumdata`` runs the CLI without runpy warnings."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(pathlib.Path(vacuumdata.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, "-m", "vacuumdata", *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_help_exits_zero(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "smooth-schwarzschild" in proc.stdout
+
+    def test_invalid_argument_record(self):
+        proc = self.run_module("free-tau", "--c", "1", "--q", "5")
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
