@@ -66,6 +66,17 @@ from .verify import (
     momentum_residual,
     tail_limit_check,
 )
-from .cli import ScenarioConfig, render_report, run
 
 __version__ = "0.1.0"
+
+# The CLI exports load on first use (PEP 562): importing ``cli`` here would
+# make ``python -m vacuumdata.cli`` warn that runpy found it in sys.modules.
+_CLI_EXPORTS = ("ScenarioConfig", "render_report", "run")
+
+
+def __getattr__(name):
+    if name in _CLI_EXPORTS:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -198,8 +198,13 @@ def _identity_residual(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -
 
 def momentum_potential(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -> RadialProfile:
     """A(r) = integral_0^r s^n phi^N tau' ds (vanishes when tau is constant)."""
-    grid = _require_same_grid(phi, tau)
-    dtau = differentiate(tau, 1).values
+    _require_same_grid(phi, tau)
+    return _momentum_integral(dim, phi, differentiate(tau, 1).values)
+
+
+def _momentum_integral(dim: Dimension, phi: RadialProfile, dtau: np.ndarray) -> RadialProfile:
+    """A(r) from phi and the sampled tau' on phi's grid."""
+    grid = phi.grid
     integrand = grid.nodes**dim.n * phi.values ** float(dim.N) * dtau
     return integrate_from_zero(RadialProfile(grid, integrand))
 

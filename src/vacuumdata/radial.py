@@ -112,18 +112,33 @@ class RadialGrid:
 
     def derivative_matrix(self, order: int) -> np.ndarray:
         """Windowed stencil weights of d/dr (order 1) or d2/dr2 (order 2),
-        shape (nodes, 7), or (nodes, 5) below seven nodes."""
+        shape (nodes, 7), or (nodes, 5) below seven nodes; read-only."""
         key = ("deriv", order)
         if key not in self._cache:
             d1, d2 = _build_derivative_weights(self.nodes)
-            self._cache[("deriv", 1)] = d1
-            self._cache[("deriv", 2)] = d2
+            self._cache[("deriv", 1)] = _slot_major(d1)
+            self._cache[("deriv", 2)] = _slot_major(d2)
         return self._cache[key]
 
+    def _cached(self, key, build):
+        """The operator cached under ``key``, built by ``build()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def _window_index(self, width: int) -> np.ndarray:
+        """Gather index of the windowed layout, slot-major: row ``slot`` holds
+        ``starts + slot`` (see ``_window_starts``); read-only."""
+
+        def build():
+            index = _window_starts(len(self), width) + np.arange(width)[:, None]
+            index.setflags(write=False)
+            return index
+
+        return self._cached(("window", width), build)
+
     def _quadrature(self):
-        if "quad" not in self._cache:
-            self._cache["quad"] = _build_quadrature(self.nodes)
-        return self._cache["quad"]
+        return self._cached("quad", lambda: _build_quadrature(self.nodes))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,15 +340,23 @@ def _build_derivative_weights(nodes: np.ndarray):
     return d1, d2
 
 
-def _apply_window(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _slot_major(weights: np.ndarray) -> np.ndarray:
+    """Read-only (npts, width) view of a slot-major copy of the weights, so
+    that ``weights.T`` is contiguous for ``_apply_window``."""
+    store = np.ascontiguousarray(weights.T)
+    store.setflags(write=False)
+    return store.T
+
+
+def _apply_window(grid: RadialGrid, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row i of the result is ``weights[i] @ values[starts[i]:starts[i]+width]``,
     summed from zero slot by slot in column order; reports depend on this
-    order bitwise."""
-    npts, width = weights.shape
-    starts = _window_starts(npts, width)
-    out = np.zeros(npts)
-    for slot in range(width):
-        out += weights[:, slot] * values[starts + slot]
+    order bitwise.  Fastest for weights laid out by ``_slot_major``."""
+    terms = values[grid._window_index(weights.shape[1])]
+    terms *= weights.T
+    out = np.zeros(len(grid))
+    for term in terms:
+        out += term
     return out
 
 
@@ -346,7 +369,8 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
     if order not in (1, 2):
         raise InvalidArgumentError(f"derivative order must be 1 or 2, got {order!r}")
     weights = profile.grid.derivative_matrix(order)
-    return RadialProfile(profile.grid, _apply_window(weights, profile.values - profile.values[0]))
+    values = profile.values - profile.values[0]
+    return RadialProfile(profile.grid, _apply_window(profile.grid, weights, values))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +380,8 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
 def _build_quadrature(nodes: np.ndarray):
     """Per-interval weights integrating the local degree-4 interpolant.
 
-    Returns (starts, weights) where interval i integrates
-    ``weights[i] @ values[starts[i]:starts[i]+5]``.
+    Returns (index, weights) where interval i integrates
+    ``weights[i] @ values[index[i]]``, a run of five consecutive nodes.
     """
     npts = nodes.size
     if npts < _QUAD_STENCIL:
@@ -376,13 +400,12 @@ def _build_quadrature(nodes: np.ndarray):
     rhs = np.broadcast_to(moments[:, None], (n_int, _QUAD_STENCIL, 1)).copy()
     weights = np.linalg.solve(np.swapaxes(vander, 1, 2), rhs)[:, :, 0]
     weights *= widths[:, None]
-    return starts, weights
+    return idx, weights
 
 
 def _interval_integrals(profile: RadialProfile) -> np.ndarray:
     """Integral of the profile over each grid interval."""
-    starts, weights = profile.grid._quadrature()
-    idx = starts[:, None] + np.arange(_QUAD_STENCIL)[None, :]
+    idx, weights = profile.grid._quadrature()
     return np.einsum("ij,ij->i", weights, profile.values[idx])
 
 

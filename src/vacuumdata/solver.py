@@ -14,7 +14,10 @@ solution is reproduced bitwise.
 
 The Helmholtz operator is kept as the 7-point stencil rows of the grid's
 derivative weights.  Its matrix is banded (at most six diagonals on each
-side of the main one), so every linear solve is one banded LU.
+side of the main one), so every linear solve is one banded LU.  The
+zero-potential rows and their band are assembled once per grid and
+dimension and cached on the grid; a solve copies the band and rewrites
+only its diagonal.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import scipy.linalg
 from .conformal import (
     ConformalSolution,
     _identity_residual,
+    _momentum_integral,
     _monotonicity_margin,
     build_solution,
     lw_norm,
-    momentum_potential,
 )
 from .errors import (
     ConstructionFailedError,
@@ -40,7 +43,7 @@ from .errors import (
     NotMonotoneError,
     SingularSystemError,
 )
-from .radial import Dimension, RadialGrid, RadialProfile, _apply_window, _window_starts
+from .radial import Dimension, RadialGrid, RadialProfile, _apply_window, _slot_major, differentiate
 
 __all__ = [
     "SolveControls",
@@ -88,35 +91,61 @@ class SolveTrace:
     bounded: bool = True
 
 
-def _helmholtz_rows(n: int, grid: RadialGrid, v_values: np.ndarray) -> np.ndarray:
-    """Stencil rows of u'' + (n-1) u'/r - V u, in the windowed layout of
-    ``RadialGrid.derivative_matrix``.
+@dataclasses.dataclass(frozen=True)
+class _HelmholtzOperator:
+    """Zero-potential system of u'' + (n-1) u'/r - V u on one grid, read-only.
 
-    Row 0 holds the regular limit n u''(0); the last row is replaced by
-    the Robin functional u' + (n-2) u / r at r_max (decaying far field).
+    ``rows`` are stencil rows in the windowed layout of
+    ``RadialGrid.derivative_matrix``: row 0 holds the regular limit
+    n u''(0) and the last row the Robin functional u' + (n-2) u / r at
+    r_max (decaying far field).  ``band`` holds the same matrix in the
+    diagonal-ordered form of ``scipy.linalg.solve_banded``, main diagonal
+    in its middle row.
     """
-    d1 = grid.derivative_matrix(1)
-    d2 = grid.derivative_matrix(2)
-    npts, width = d1.shape
-    scale = np.ones(npts)
-    scale[0] = float(n)
-    coupling = np.zeros(npts)
-    coupling[1:] = (n - 1.0) / grid.nodes[1:]
-    rows = scale[:, None] * d2 + coupling[:, None] * d1
-    rows[np.arange(npts), np.arange(npts) - _window_starts(npts, width)] -= v_values
-    rows[-1] = d1[-1]
-    rows[-1, -1] += float(n - 2) / grid.r_max
-    return rows
+
+    rows: np.ndarray
+    band: np.ndarray
+
+    def band_with_potential(self, v_values: np.ndarray, band: np.ndarray | None = None):
+        """The band minus V on the diagonal, written into ``band`` (a fresh
+        copy when None).  Only the diagonal row is written; the Robin
+        entry stays fixed."""
+        if band is None:
+            band = self.band.copy()
+        diag = band.shape[0] // 2
+        np.subtract(self.band[diag, :-1], v_values[:-1], out=band[diag, :-1])
+        return band
 
 
-def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the system with the given stencil rows by one banded LU."""
-    npts, width = rows.shape
-    columns = _window_starts(npts, width)[:, None] + np.arange(width)
-    band = np.zeros((2 * width - 1, npts))
-    band[width - 1 + np.arange(npts)[:, None] - columns, columns] = rows
+def _helmholtz_operator(n: int, grid: RadialGrid) -> _HelmholtzOperator:
+    """The grid's cached Helmholtz operator for dimension n."""
+
+    def build():
+        d1 = grid.derivative_matrix(1)
+        d2 = grid.derivative_matrix(2)
+        npts, width = d1.shape
+        scale = np.ones(npts)
+        scale[0] = float(n)
+        coupling = np.zeros(npts)
+        coupling[1:] = (n - 1.0) / grid.nodes[1:]
+        rows = scale[:, None] * d2 + coupling[:, None] * d1
+        rows[-1] = d1[-1]
+        rows[-1, -1] += float(n - 2) / grid.r_max
+        columns = grid._window_index(width)
+        band = np.zeros((2 * width - 1, npts))
+        band[width - 1 + np.arange(npts) - columns, columns] = rows.T
+        band.setflags(write=False)
+        return _HelmholtzOperator(_slot_major(rows), band)
+
+    return grid._cached(("helmholtz", n), build)
+
+
+def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the banded system (diagonal-ordered, as many diagonals below
+    the main one as above) by one banded LU."""
+    half = band.shape[0] // 2
     try:
-        solution = scipy.linalg.solve_banded((width - 1, width - 1), band, rhs, check_finite=False)
+        solution = scipy.linalg.solve_banded((half, half), band, rhs, check_finite=False)
     except np.linalg.LinAlgError:
         raise SingularSystemError("radial system is singular or ill-posed") from None
     if not np.all(np.isfinite(solution)):
@@ -135,7 +164,8 @@ def solve_radial_helmholtz(dim: Dimension, V: RadialProfile, rhs: RadialProfile)
     grid = V.grid
     b = rhs.values.copy()
     b[-1] = 0.0
-    return RadialProfile(grid, _solve(_helmholtz_rows(dim.n, grid, V.values), b))
+    band = _helmholtz_operator(dim.n, grid).band_with_potential(V.values)
+    return RadialProfile(grid, _solve(band, b))
 
 
 def _lichnerowicz_newton(
@@ -151,7 +181,8 @@ def _lichnerowicz_newton(
     n = dim.n
     nf = float(dim.N)
     a = 4.0 * (n - 1.0) / (n - 2.0)
-    operator = _helmholtz_rows(n, grid, np.zeros(len(grid)))
+    operator = _helmholtz_operator(n, grid)
+    band = operator.band.copy()
     weight = (n - 1.0) / n
 
     phi = start.copy()
@@ -159,7 +190,7 @@ def _lichnerowicz_newton(
 
     def residual(p: np.ndarray) -> np.ndarray:
         u = p - 1.0
-        applied = _apply_window(operator, u)
+        applied = _apply_window(grid, operator.rows, u)
         out = -a * applied + weight * tau_sq * p ** (nf - 1.0) - lw_sq * p ** (-nf - 1.0)
         out[-1] = applied[-1]
         return out
@@ -173,7 +204,7 @@ def _lichnerowicz_newton(
         ) * lw_sq * phi ** (-nf - 2.0)
         b = f / a
         b[-1] = -f[-1]
-        delta = _solve(_helmholtz_rows(n, grid, v_hat / a), b)
+        delta = _solve(operator.band_with_potential(v_hat / a, band), b)
         step = 1.0
         for _ in range(60):
             if np.all(phi + step * delta > 0.0):
@@ -235,9 +266,10 @@ def fixed_point_solve(
         t = stage / controls.continuation_steps
         stage_tau = tau if t == 1.0 else RadialProfile(grid, t**nf * tau.values)
         stage_tau_sq = stage_tau.values**2
+        stage_dtau = differentiate(stage_tau, 1).values
         converged = False
         for _ in range(controls.max_outer):
-            lw = lw_norm(dim, momentum_potential(dim, phi, stage_tau))
+            lw = lw_norm(dim, _momentum_integral(dim, phi, stage_dtau))
             phi_new, newton_res = _lichnerowicz_newton(
                 dim, grid, stage_tau_sq, lw.values**2, controls, phi.values
             )

@@ -304,19 +304,26 @@ class TestGeneralDimension:
 
 
 class TestModuleEntryPoint:
-    """``python -m vacuumdata`` runs the CLI without runpy warnings."""
+    """``python -m vacuumdata`` and ``python -m vacuumdata.cli`` run the CLI
+    without runpy warnings."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, module="vacuumdata"):
         src = str(pathlib.Path(vacuumdata.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         return subprocess.run(
-            [sys.executable, "-m", "vacuumdata", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
         )
 
     def test_help_exits_zero(self):
         proc = self.run_module("--help")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "smooth-schwarzschild" in proc.stdout
+
+    def test_cli_module_help_exits_zero(self):
+        proc = self.run_module("--help", module="vacuumdata.cli")
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "smooth-schwarzschild" in proc.stdout

@@ -226,7 +226,17 @@ class TestStencilWeights:
             for slot in range(weights.shape[1]):
                 total += weights[i, slot] * values[starts[i] + slot]
             expected[i] = total
-        assert np.array_equal(_apply_window(weights, values), expected)
+        assert np.array_equal(_apply_window(grid, weights, values), expected)
+        # any weight layout gives the same sums
+        assert np.array_equal(_apply_window(grid, np.ascontiguousarray(weights), values), expected)
+
+    def test_window_index_cached_and_read_only(self):
+        grid = build_grid(64, 10.0, 1.05)
+        index = grid._window_index(7)
+        assert index is grid._window_index(7)
+        assert np.array_equal(index, _window_starts(64, 7) + np.arange(7)[:, None])
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
 
     def test_import_loads_no_sparse_module(self):
         code = "import sys, vacuumdata; print(any(m.startswith('scipy.sparse') for m in sys.modules))"

@@ -5,7 +5,8 @@ right-hand sides are exact, so the measured error is pure scheme error.
 Convergence rates are asserted between two uniform grids.  The
 Schwarzschild construction is checked against its closed-form exterior
 bitwise, and the fixed-point driver against the mean-curvature identity
-it is required to restore.
+it is required to restore.  The cached Helmholtz operator is checked
+bitwise against per-step assembly, the reference kept below.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vacuumdata import (
     Dimension,
     InvalidArgumentError,
+    RadialGrid,
     RadialProfile,
     SolveControls,
     build_grid,
@@ -27,9 +30,10 @@ from vacuumdata import (
     solve_radial_helmholtz,
     tau_from_phi,
 )
+from vacuumdata.conformal import build_solution, lw_norm, momentum_potential
 from vacuumdata.errors import SingularSystemError
 from vacuumdata.radial import _apply_window, _window_starts
-from vacuumdata.solver import _helmholtz_rows, _solve
+from vacuumdata.solver import _helmholtz_operator, _solve
 
 DIM3 = Dimension(3)
 DIM4 = Dimension(4)
@@ -88,10 +92,10 @@ class TestHelmholtzSolve:
     def test_harmonic_function_in_operator_kernel(self, work_grid):
         # 1/r is harmonic away from the origin; apply the assembled
         # operator rows directly since the function is singular at r = 0
-        rows = _helmholtz_rows(3, work_grid, np.zeros(len(work_grid)))
+        rows = _helmholtz_operator(3, work_grid).rows
         u = np.zeros(len(work_grid))
         u[1:] = 1.0 / work_grid.nodes[1:]
-        image = _apply_window(rows, u)
+        image = _apply_window(work_grid, rows, u)
         rows = work_grid.nodes[1:-1] >= 1.0
         assert float(np.max(np.abs(image[1:-1][rows]))) < 1e-9
         assert abs(image[-1]) < 1e-15
@@ -101,19 +105,185 @@ class TestBandedSolve:
     def test_matches_dense_solve(self):
         grid = build_grid(200, 50.0, 1.05)
         r = grid.nodes
-        rows = _helmholtz_rows(3, grid, 1.0 / (1.0 + r * r))
-        npts, width = rows.shape
+        potential = 1.0 / (1.0 + r * r)
+        operator = _helmholtz_operator(3, grid)
+        npts, width = operator.rows.shape
         dense = np.zeros((npts, npts))
         columns = _window_starts(npts, width)[:, None] + np.arange(width)
-        dense[np.arange(npts)[:, None], columns] = rows
+        dense[np.arange(npts)[:, None], columns] = operator.rows
+        dense[np.arange(npts - 1), np.arange(npts - 1)] -= potential[:-1]
         rhs = np.exp(-r)
         expected = np.linalg.solve(dense, rhs)
-        got = _solve(rows, rhs)
+        got = _solve(operator.band_with_potential(potential), rhs)
         assert float(np.max(np.abs(got - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
 
     def test_zero_rows_raise_singular(self):
         with pytest.raises(SingularSystemError):
-            _solve(np.zeros((64, 7)), np.ones(64))
+            _solve(np.zeros((13, 64)), np.ones(64))
+
+
+# -- reference: per-step assembly, as before the operator was cached ---------
+
+
+def reference_rows(n, grid, v_values):
+    """Stencil rows of u'' + (n-1) u'/r - V u with V on the diagonal slot
+    and the Robin row last, assembled from the derivative weights."""
+    d1 = grid.derivative_matrix(1)
+    d2 = grid.derivative_matrix(2)
+    npts, width = d1.shape
+    scale = np.ones(npts)
+    scale[0] = float(n)
+    coupling = np.zeros(npts)
+    coupling[1:] = (n - 1.0) / grid.nodes[1:]
+    rows = scale[:, None] * d2 + coupling[:, None] * d1
+    rows[np.arange(npts), np.arange(npts) - _window_starts(npts, width)] -= v_values
+    rows[-1] = d1[-1]
+    rows[-1, -1] += float(n - 2) / grid.r_max
+    return rows
+
+
+def reference_apply(rows, values):
+    npts, width = rows.shape
+    starts = _window_starts(npts, width)
+    out = np.zeros(npts)
+    for slot in range(width):
+        out += rows[:, slot] * values[starts + slot]
+    return out
+
+
+def reference_solve(rows, rhs):
+    """Scatter the rows into band storage and solve by one banded LU."""
+    npts, width = rows.shape
+    columns = _window_starts(npts, width)[:, None] + np.arange(width)
+    band = np.zeros((2 * width - 1, npts))
+    band[width - 1 + np.arange(npts)[:, None] - columns, columns] = rows
+    return scipy.linalg.solve_banded((width - 1, width - 1), band, rhs, check_finite=False)
+
+
+def reference_newton(dim, grid, tau_sq, lw_sq, controls, start):
+    n = dim.n
+    nf = float(dim.N)
+    a = 4.0 * (n - 1.0) / (n - 2.0)
+    operator = reference_rows(n, grid, np.zeros(len(grid)))
+    weight = (n - 1.0) / n
+    phi = start.copy()
+    residuals = []
+
+    def residual(p):
+        applied = reference_apply(operator, p - 1.0)
+        out = -a * applied + weight * tau_sq * p ** (nf - 1.0) - lw_sq * p ** (-nf - 1.0)
+        out[-1] = applied[-1]
+        return out
+
+    for _ in range(controls.max_newton):
+        f = residual(phi)
+        residuals.append(float(np.max(np.abs(f))))
+        v_hat = (nf - 1.0) * weight * tau_sq * phi ** (nf - 2.0) + (
+            nf + 1.0
+        ) * lw_sq * phi ** (-nf - 2.0)
+        b = f / a
+        b[-1] = -f[-1]
+        delta = reference_solve(reference_rows(n, grid, v_hat / a), b)
+        step = 1.0
+        while not np.all(phi + step * delta > 0.0):
+            step *= 0.5
+        phi = phi + step * delta
+        if np.max(np.abs(step * delta)) <= controls.tol * max(1.0, np.max(np.abs(phi))):
+            residuals.append(float(np.max(np.abs(residual(phi)))))
+            return phi, residuals
+    raise AssertionError("reference Newton did not converge")
+
+
+def reference_fixed_point(dim, tau, controls):
+    """The damped Picard loop with tau' taken afresh in every update."""
+    grid = tau.grid
+    outer, newton = [], []
+    tau_sq = tau.values**2
+    phi = RadialProfile(grid, np.ones(len(grid)))
+    for _ in range(controls.max_outer):
+        lw = lw_norm(dim, momentum_potential(dim, phi, tau))
+        phi_new, res = reference_newton(dim, grid, tau_sq, lw.values**2, controls, phi.values)
+        newton.extend(res)
+        update = controls.damping * (phi_new - phi.values)
+        phi = RadialProfile(grid, phi.values + update)
+        rel = float(np.max(np.abs(update)) / np.max(np.abs(phi.values)))
+        outer.append(rel)
+        if rel < controls.tol:
+            return build_solution(dim, phi, tau), outer, newton
+    raise AssertionError("reference Picard loop did not converge")
+
+
+class TestBitwiseAgainstPerStepAssembly:
+    def test_helmholtz_solve(self, work_grid):
+        r = work_grid.nodes
+        pot = RadialProfile(work_grid, 1.0 / (1.0 + r * r))
+        rhs = RadialProfile(work_grid, np.exp(-r))
+        got = solve_radial_helmholtz(DIM3, pot, rhs)
+        b = rhs.values.copy()
+        b[-1] = 0.0
+        assert np.array_equal(got.values, reference_solve(reference_rows(3, work_grid, pot.values), b))
+
+    @pytest.mark.parametrize("dim", [DIM3, DIM4], ids=["n3", "n4"])
+    def test_lichnerowicz(self, dim):
+        grid = build_grid(2000, 1e3, 1.01)
+        tau = conformal_seed(grid, 1.0, 1.5)
+        lw = RadialProfile(grid, 0.1 * (1.0 + grid.nodes**2) ** -1.0)
+        got = solve_lichnerowicz(dim, tau, lw)
+        expected, _ = reference_newton(
+            dim, grid, tau.values**2, lw.values**2, SolveControls(), np.ones(len(grid))
+        )
+        assert np.array_equal(got.values, expected)
+
+    @pytest.mark.parametrize(
+        "dim, q, r_max", [(DIM3, 1.5, 1e4), (DIM4, 2.2, 1e3)], ids=["n3", "n4"]
+    )
+    def test_fixed_point_solve(self, dim, q, r_max):
+        grid = build_grid(2000, r_max, 1.01)
+        tau = conformal_seed(grid, 1.0, q)
+        sol, trace = fixed_point_solve(dim, tau)
+        expected, outer, newton = reference_fixed_point(dim, tau, SolveControls())
+        for name in ("phi", "tau", "A", "w", "lw_norm"):
+            assert np.array_equal(getattr(sol, name).values, getattr(expected, name).values), name
+        assert trace.outer_iterates == outer
+        assert trace.newton_residuals == newton
+
+
+class TestOperatorCache:
+    def test_cached_arrays_are_read_only(self, work_grid):
+        operator = _helmholtz_operator(3, work_grid)
+        assert _helmholtz_operator(3, work_grid) is operator
+        for array in (operator.rows, operator.band, work_grid.derivative_matrix(1)):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_dimension_switches_match_fresh_grids(self):
+        shared = build_grid(2000, 1e3, 1.01)
+        r = shared.nodes
+        for dim in (DIM3, DIM4, DIM3):
+            results = []
+            for grid in (shared, RadialGrid(shared.nodes)):
+                tau = conformal_seed(grid, 1.0, 1.5)
+                lw = RadialProfile(grid, 0.1 * (1.0 + r * r) ** -1.0)
+                pot = RadialProfile(grid, 1.0 / (1.0 + r * r))
+                rhs = RadialProfile(grid, np.exp(-r))
+                results.append(
+                    (
+                        solve_lichnerowicz(dim, tau, lw).values,
+                        solve_radial_helmholtz(dim, pot, rhs).values,
+                        _helmholtz_operator(dim.n, grid).band,
+                    )
+                )
+            for got, fresh in zip(*results):
+                assert np.array_equal(got, fresh)
+
+    def test_singular_diagonal_raises_and_leaves_cache(self, work_grid):
+        operator = _helmholtz_operator(3, work_grid)
+        before = operator.band.copy()
+        potential = np.zeros(len(work_grid))
+        potential[len(work_grid) // 2] = np.inf
+        with pytest.raises(SingularSystemError):
+            _solve(operator.band_with_potential(potential), np.ones(len(work_grid)))
+        assert np.array_equal(operator.band, before)
 
 
 class TestLichnerowiczSolve:
