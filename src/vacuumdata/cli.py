@@ -312,8 +312,7 @@ def _cmd_free_tau(config: ScenarioConfig) -> dict:
         "q": config.q,
         "grid": _grid_params(config),
         "tol": config.controls.tol,
-        "max_iter": config.controls.max_outer,
-        "damping": config.controls.damping,
+        "max_iter": config.controls.max_newton,
         "continuation": config.controls.continuation_steps,
         **_sampling_params(config),
     }
@@ -387,7 +386,7 @@ def _exit_status(report: dict) -> int:
 # Option defaults are the ScenarioConfig and SolveControls field defaults.
 # Each option fills the field of its own name or the one _FIELDS gives;
 # the three grid options make up ScenarioConfig.grid.
-_FIELDS = {"max_iter": "max_outer", "continuation": "continuation_steps", "csv": "csv_path",
+_FIELDS = {"max_iter": "max_newton", "continuation": "continuation_steps", "csv": "csv_path",
            "out": "out_json", "profiles": "out_csv"}
 _GRID_OPTIONS = ("grid_points", "grid_max", "stretch")
 
@@ -417,8 +416,7 @@ def _add_solver(parser: argparse.ArgumentParser) -> None:
     _add_defaulted(
         parser,
         ("--tol", float, controls.tol, "solver tolerance"),
-        ("--max-iter", int, controls.max_outer, "outer iteration budget"),
-        ("--damping", float, controls.damping, "Picard damping factor"),
+        ("--max-iter", int, controls.max_newton, "Newton step budget per continuation stage"),
         ("--continuation", int, controls.continuation_steps, "continuation stages for hard profiles"),
     )
 
@@ -439,8 +437,16 @@ def _add_csv_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("csv", help="solution bundle written by --profiles")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidArgumentError instead of exiting, so they
+    end in the same failure record as every other invalid argument."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vacuumdata",
         description="Build, solve, and verify conformally flat vacuum initial data.",
         allow_abbrev=False,
@@ -515,8 +521,9 @@ def _emit_failure(exc: Exception, out_path: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         config = _config_from_args(args)
     except VacuumDataError as exc:
         return _emit_failure(exc, getattr(args, "out", None))

@@ -69,7 +69,7 @@ class NoConvergenceError(VacuumDataError, RuntimeError):
 
 
 class NonpositiveIterateError(VacuumDataError, RuntimeError):
-    """Newton step drove the conformal factor nonpositive and damping failed."""
+    """Newton step drove the conformal factor nonpositive even after 60 halvings."""
 
     code = "nonpositive-iterate"
 

@@ -1,23 +1,22 @@
-"""Radial elliptic solvers and the fixed-point construction.
+"""Radial elliptic solvers and the free-tau construction.
 
-Three layers: a linear Helmholtz solve on [0, r_max] with a regularity
-row at the origin and an asymptotic Robin row at r_max; a damped Newton
-iteration for the radial Lichnerowicz equation
+Three layers, all acting on u = phi - 1 so that the flat solution is
+reproduced bitwise: a linear Helmholtz solve on [0, r_max] with a
+regularity row at the origin and a Robin row at r_max; Newton for the
+radial Lichnerowicz equation at fixed (tau, |LW|),
 
     -(4(n-1)/(n-2)) (phi'' + (n-1) phi'/r)
-        + ((n-1)/n) tau^2 phi^{N-1} - |LW|^2 phi^{-N-1} = 0
+        + ((n-1)/n) tau^2 phi^{N-1} - |LW|^2 phi^{-N-1} = 0;
 
-at fixed (tau, |LW|); and a Picard loop that alternates the closed-form
-potential updates with Lichnerowicz solves until the conformal factor is
-self-consistent.  All operators act on u = phi - 1 so that the flat
-solution is reproduced bitwise.
+and the free-tau solve, Newton on those rows with |LW|^2 = ((n-1)/n)
+A^2 / r^{2n}, coupled to the first differences of the quadrature of
+A(r) = int_0^r s^n phi^N tau' ds with the grid's interval weights w:
 
-The Helmholtz operator is kept as the 7-point stencil rows of the grid's
-derivative weights.  Its matrix is banded (at most six diagonals on each
-side of the main one), so every linear solve is one banded LU.  The
-zero-potential rows and their band are assembled once per grid and
-dimension and cached on the grid; a solve copies the band and rewrites
-only its diagonal.
+    A_0 = 0,    A_i - A_{i-1} = sum_k w[i-1, k] (r^n phi^N tau')[idx[i-1, k]].
+
+Every matrix is banded (the unknowns (phi_i, A_i) are interleaved) and
+solved by one LAPACK gbsv.  Fixed band entries are cached on the grid per
+dimension; a Newton step copies them and writes the iterate-dependent ones.
 """
 
 from __future__ import annotations
@@ -25,16 +24,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbsv
 
-from .conformal import (
-    ConformalSolution,
-    _identity_residual,
-    _momentum_integral,
-    _monotonicity_margin,
-    build_solution,
-    lw_norm,
-)
+from .conformal import ConformalSolution, _identity_residual, _monotonicity_margin, build_solution
 from .errors import (
     ConstructionFailedError,
     InvalidArgumentError,
@@ -57,21 +49,18 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class SolveControls:
-    """Iteration budget and damping for the nonlinear solvers."""
+    """Tolerance, Newton step budget per continuation stage, and the
+    number of continuation stages of the nonlinear solvers."""
 
     tol: float = 1e-10
-    max_outer: int = 200
     max_newton: int = 40
-    damping: float = 0.7
     continuation_steps: int = 1
 
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidArgumentError(f"tol must be positive, got {self.tol!r}")
-        if self.max_outer < 1 or self.max_newton < 1:
+        if self.max_newton < 1:
             raise InvalidArgumentError("iteration limits must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise InvalidArgumentError(f"damping must lie in (0, 1], got {self.damping!r}")
         if self.continuation_steps < 1:
             raise InvalidArgumentError("continuation_steps must be at least 1")
 
@@ -80,15 +69,15 @@ class SolveControls:
 class SolveTrace:
     """Convergence history of one fixed_point_solve run.
 
-    ``bounded`` records whether every Picard iterate stayed below
-    1 + tol in sup norm, as fixed points with phi increasing to 1 must.
+    ``outer_iterates`` holds the relative phi step of every Newton step;
+    ``newton_residuals`` the residual sup norm before every step and at
+    the converged iterate of each continuation stage.
     """
 
     outer_iterates: list[float] = dataclasses.field(default_factory=list)
     newton_residuals: list[float] = dataclasses.field(default_factory=list)
     converged: bool = False
     final_identity_residual: float = float("nan")
-    bounded: bool = True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,23 +87,54 @@ class _HelmholtzOperator:
     ``rows`` are stencil rows in the windowed layout of
     ``RadialGrid.derivative_matrix``: row 0 holds the regular limit
     n u''(0) and the last row the Robin functional u' + (n-2) u / r at
-    r_max (decaying far field).  ``band`` holds the same matrix in the
-    diagonal-ordered form of ``scipy.linalg.solve_banded``, main diagonal
-    in its middle row.
+    r_max (decaying far field).  ``band`` is the same matrix as a gbsv
+    layout (see ``_solve``).
     """
 
     rows: np.ndarray
     band: np.ndarray
 
-    def band_with_potential(self, v_values: np.ndarray, band: np.ndarray | None = None):
-        """The band minus V on the diagonal, written into ``band`` (a fresh
-        copy when None).  Only the diagonal row is written; the Robin
-        entry stays fixed."""
-        if band is None:
-            band = self.band.copy()
-        diag = band.shape[0] // 2
-        np.subtract(self.band[diag, :-1], v_values[:-1], out=band[diag, :-1])
-        return band
+    def band_with_potential(self, v_values: np.ndarray, work: np.ndarray | None = None):
+        """The band minus V on the diagonal, written into the gbsv layout
+        ``work`` (a fresh one when None).  The Robin entry stays fixed."""
+        work = np.empty_like(self.band) if work is None else work
+        np.copyto(work, self.band)
+        diag = 2 * _half_width(work)
+        np.subtract(self.band[diag, :-1], v_values[:-1], out=work[diag, :-1])
+        return work
+
+
+@dataclasses.dataclass(frozen=True)
+class _CoupledOperator:
+    """Fixed entries of the free-tau Jacobian on one grid.
+
+    Unknown 2i is phi_i and 2i + 1 is A_i.  ``band`` (a read-only gbsv
+    layout) holds the -4(n-1)/(n-2) Helmholtz stencil rows of phi, the
+    Robin row unscaled, and the +-1 of the A rows.  The other fields
+    index what a Newton step writes: ``diag`` the phi diagonal but the
+    Robin entry, ``coupling`` d(phi row i)/dA_i for 0 < i < npts - 1,
+    and ``quad`` d(A row i)/d(phi at idx[i-1]) for i >= 1.
+    """
+
+    band: np.ndarray
+    diag: tuple
+    coupling: tuple
+    quad: tuple
+
+
+def _half_width(layout: np.ndarray) -> int:
+    """Diagonals on each side of the main one in a gbsv layout."""
+    return (layout.shape[0] - 1) // 3
+
+
+def _band_layout(half: int, size: int, *entries) -> np.ndarray:
+    """Read-only gbsv layout of ``half`` diagonals on each side, holding
+    the (rows, columns, values) of ``entries``."""
+    band = np.zeros((3 * half + 1, size), order="F")
+    for rows, columns, values in entries:
+        band[2 * half + rows - columns, columns] = values
+    band.setflags(write=False)
+    return band
 
 
 def _helmholtz_operator(n: int, grid: RadialGrid) -> _HelmholtzOperator:
@@ -131,24 +151,48 @@ def _helmholtz_operator(n: int, grid: RadialGrid) -> _HelmholtzOperator:
         rows = scale[:, None] * d2 + coupling[:, None] * d1
         rows[-1] = d1[-1]
         rows[-1, -1] += float(n - 2) / grid.r_max
-        columns = grid._window_index(width)
-        band = np.zeros((2 * width - 1, npts))
-        band[width - 1 + np.arange(npts) - columns, columns] = rows.T
-        band.setflags(write=False)
+        columns = grid._window_index(width).T
+        band = _band_layout(width - 1, npts, (np.arange(npts)[:, None], columns, rows))
         return _HelmholtzOperator(_slot_major(rows), band)
 
     return grid._cached(("helmholtz", n), build)
 
 
-def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the banded system (diagonal-ordered, as many diagonals below
-    the main one as above) by one banded LU."""
-    half = band.shape[0] // 2
-    try:
-        solution = scipy.linalg.solve_banded((half, half), band, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError("radial system is singular or ill-posed") from None
-    if not np.all(np.isfinite(solution)):
+def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
+    """The grid's cached free-tau Jacobian entries for dimension n."""
+
+    def build():
+        rows = _helmholtz_operator(n, grid).rows
+        npts, width = rows.shape
+        phi = 2 * np.arange(npts)
+        stencil = 2 * grid._window_index(width).T
+        quad = (phi[1:, None] + 1, 2 * grid._quadrature()[0])
+        half = int(max(np.max(np.abs(stencil - phi[:, None])), np.max(np.abs(quad[1] - quad[0]))))
+        scale = np.full((npts, 1), -_laplacian_weight(n))
+        scale[-1] = 1.0
+        band = _band_layout(half, 2 * npts, (phi[:, None], stencil, scale * rows),
+                            (phi + 1, phi + 1, 1.0), (phi[1:] + 1, phi[:-1] + 1, -1.0))
+
+        def at(rows, columns):
+            return 2 * half + rows - columns, columns
+
+        return _CoupledOperator(band, at(phi[:-1], phi[:-1]), at(phi[1:-1], phi[1:-1] + 1), at(*quad))
+
+    return grid._cached(("coupled", n), build)
+
+
+def _solve(layout: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a banded system by one LAPACK gbsv.
+
+    ``layout`` is gbsv's band storage with k diagonals on each side of
+    the main one: 3k + 1 rows, the matrix in the last 2k + 1 in the
+    diagonal-ordered form of ``scipy.linalg.solve_banded``, which gives
+    bitwise the same solution.  A Fortran-ordered layout is overwritten
+    by the LU factors.
+    """
+    half = _half_width(layout)
+    _, _, solution, info = dgbsv(half, half, layout, rhs, overwrite_ab=True)
+    if info != 0 or not np.all(np.isfinite(solution)):
         raise SingularSystemError("radial system is singular or ill-posed")
     return solution
 
@@ -168,56 +212,57 @@ def solve_radial_helmholtz(dim: Dimension, V: RadialProfile, rhs: RadialProfile)
     return RadialProfile(grid, _solve(band, b))
 
 
-def _lichnerowicz_newton(
-    dim: Dimension,
-    grid: RadialGrid,
-    tau_sq: np.ndarray,
-    lw_sq: np.ndarray,
-    controls: SolveControls,
-    start: np.ndarray,
-):
-    """Newton iteration on u = phi - 1 for the full discrete residual,
-    including the Robin row.  Returns (phi values, residual history)."""
+def _laplacian_weight(n: int) -> float:
+    """The factor 4(n-1)/(n-2) of the radial Laplacian in the Lichnerowicz rows."""
+    return 4.0 * (n - 1.0) / (n - 2.0)
+
+
+def _lichnerowicz_rows(dim: Dimension, grid: RadialGrid, phi, tau_sq, lw_sq):
+    """Residual of the discrete Lichnerowicz equation (the Robin row
+    last) and its Frechet diagonal, which is nonnegative for phi > 0."""
     n = dim.n
     nf = float(dim.N)
-    a = 4.0 * (n - 1.0) / (n - 2.0)
-    operator = _helmholtz_operator(n, grid)
-    band = operator.band.copy()
     weight = (n - 1.0) / n
+    applied = _apply_window(grid, _helmholtz_operator(n, grid).rows, phi - 1.0)
+    out = -_laplacian_weight(n) * applied + weight * tau_sq * phi ** (nf - 1.0) - lw_sq * phi ** (
+        -nf - 1.0
+    )
+    out[-1] = applied[-1]
+    v_hat = (nf - 1.0) * weight * tau_sq * phi ** (nf - 2.0) + (
+        nf + 1.0
+    ) * lw_sq * phi ** (-nf - 2.0)
+    return out, v_hat
 
-    phi = start.copy()
-    residuals: list[float] = []
 
-    def residual(p: np.ndarray) -> np.ndarray:
-        u = p - 1.0
-        applied = _apply_window(grid, operator.rows, u)
-        out = -a * applied + weight * tau_sq * p ** (nf - 1.0) - lw_sq * p ** (-nf - 1.0)
-        out[-1] = applied[-1]
-        return out
+def _newton(x, stride, linearize, controls, trace):
+    """Newton iteration on the unknowns x, of which x[::stride] is phi.
 
+    ``linearize(x)`` returns the residual sup norm and the step's banded
+    system (gbsv layout, right-hand side).  A step is halved until phi
+    stays positive; the iteration stops once the phi step is at most
+    tol * max(1, sup |phi|).  ``trace`` records each step.
+    """
     for _ in range(controls.max_newton):
-        f = residual(phi)
-        residuals.append(float(np.max(np.abs(f))))
-        # Frechet diagonal; nonnegative for phi > 0
-        v_hat = (nf - 1.0) * weight * tau_sq * phi ** (nf - 2.0) + (
-            nf + 1.0
-        ) * lw_sq * phi ** (-nf - 2.0)
-        b = f / a
-        b[-1] = -f[-1]
-        delta = _solve(operator.band_with_potential(v_hat / a, band), b)
+        norm, layout, rhs = linearize(x)
+        trace.newton_residuals.append(norm)
+        delta = _solve(layout, rhs)
         step = 1.0
         for _ in range(60):
-            if np.all(phi + step * delta > 0.0):
+            if np.all(x[::stride] + step * delta[::stride] > 0.0):
                 break
             step *= 0.5
         else:
             raise NonpositiveIterateError("Newton step cannot keep the factor positive")
-        phi = phi + step * delta
-        if np.max(np.abs(step * delta)) <= controls.tol * max(1.0, np.max(np.abs(phi))):
-            residuals.append(float(np.max(np.abs(residual(phi)))))
-            return phi, residuals
+        x = x + step * delta
+        change = np.max(np.abs(step * delta[::stride]))
+        scale = max(1.0, np.max(np.abs(x[::stride])))
+        trace.outer_iterates.append(float(change / scale))
+        if change <= controls.tol * scale:
+            trace.newton_residuals.append(linearize(x)[0])
+            return x
     raise NoConvergenceError(
-        f"Newton stalled after {controls.max_newton} steps (last residual {residuals[-1]:.3e})"
+        f"Newton stalled after {controls.max_newton} steps"
+        f" (last residual {trace.newton_residuals[-1]:.3e})"
     )
 
 
@@ -230,66 +275,84 @@ def solve_lichnerowicz(
 ) -> RadialProfile:
     """Solve the radial Lichnerowicz equation for phi at fixed (tau, |LW|).
 
-    Newton steps solve radial Helmholtz problems whose potential is the
-    Frechet diagonal (N-1)(n-1)/n tau^2 phi^{N-2} + (N+1)|LW|^2 phi^{-N-2};
-    the default initial guess is phi == 1.
+    Newton on the full discrete residual, including the Robin row.  Each
+    step solves a radial Helmholtz problem whose potential is the Frechet
+    diagonal (N-1)(n-1)/n tau^2 phi^{N-2} + (N+1)|LW|^2 phi^{-N-2}; the
+    default initial guess is phi == 1.
     """
     if tau.grid is not lw.grid:
         raise InvalidArgumentError("tau and lw must share one grid")
-    controls = controls if controls is not None else SolveControls()
     grid = tau.grid
     start = np.ones(len(grid)) if phi0 is None else phi0.values.copy()
     if np.any(start <= 0):
         raise InvalidArgumentError("initial guess must be positive")
-    phi, _ = _lichnerowicz_newton(dim, grid, tau.values**2, lw.values**2, controls, start)
-    return RadialProfile(grid, phi)
+    tau_sq, lw_sq = tau.values**2, lw.values**2
+    a = _laplacian_weight(dim.n)
+    operator = _helmholtz_operator(dim.n, grid)
+    work = np.empty_like(operator.band)
+
+    def linearize(phi):
+        f, v_hat = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
+        b = f / a
+        b[-1] = -f[-1]
+        return float(np.max(np.abs(f))), operator.band_with_potential(v_hat / a, work), b
+
+    controls = controls if controls is not None else SolveControls()
+    return RadialProfile(grid, _newton(start, 1, linearize, controls, SolveTrace()))
+
+
+def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A, work):
+    """Residual of the coupled (phi, A) system, interleaved; its Jacobian
+    is written into the gbsv layout ``work``."""
+    n = dim.n
+    nf = float(dim.N)
+    operator = _coupled_operator(n, grid)
+    idx, weights = grid._quadrature()
+    r = grid.nodes
+    r_n = r**n
+    lw_scale = np.zeros(len(grid))
+    lw_scale[1:] = (n - 1.0) / n / r[1:] ** (2 * n)
+    residual = np.empty(2 * len(grid))
+    residual[0::2], v_hat = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_scale * A**2)
+    residual[1] = A[0]
+    residual[3::2] = A[1:] - A[:-1] - np.einsum("ij,ij->i", weights, (r_n * phi**nf * dtau)[idx])
+    np.copyto(work, operator.band)
+    work[operator.diag] += v_hat[:-1]
+    work[operator.coupling] = (-2.0 * lw_scale * A * phi ** (-nf - 1.0))[1:-1]
+    work[operator.quad] = -weights * (nf * r_n * phi ** (nf - 1.0) * dtau)[idx]
+    return residual
 
 
 def fixed_point_solve(
     dim: Dimension, tau: RadialProfile, controls: SolveControls | None = None
 ) -> tuple[ConformalSolution, SolveTrace]:
-    """Picard iteration for a freely specified mean curvature profile.
+    """Solve the constraints for a freely specified mean curvature profile.
 
-    Starting from phi == 1, alternate the closed-form potential update
-    (A, |LW|) with a Lichnerowicz solve, applying the damped update
-    phi <- phi + d (phi_new - phi).  With continuation, earlier stages
-    solve for the scaled field t^N tau, warm-starting the next stage.
+    Newton on the coupled (phi, A) system of the module docstring, from
+    phi == 1, A == 0; its solution is the discrete fixed point of the
+    Lichnerowicz solve at |LW|(A) and the quadrature of A at phi.  With
+    continuation, earlier stages solve for the scaled field t^N tau and
+    warm-start the next stage with their (phi, A).
     """
     controls = controls if controls is not None else SolveControls()
     grid = tau.grid
-    nf = float(dim.N)
     trace = SolveTrace()
-    flat_tau = not np.any(tau.values)
-
-    phi = RadialProfile(grid, np.ones(len(grid)))
+    work = np.empty_like(_coupled_operator(dim.n, grid).band)
+    x = np.zeros(2 * len(grid))
+    x[0::2] = 1.0
     for stage in range(1, controls.continuation_steps + 1):
         t = stage / controls.continuation_steps
-        stage_tau = tau if t == 1.0 else RadialProfile(grid, t**nf * tau.values)
-        stage_tau_sq = stage_tau.values**2
-        stage_dtau = differentiate(stage_tau, 1).values
-        converged = False
-        for _ in range(controls.max_outer):
-            lw = lw_norm(dim, _momentum_integral(dim, phi, stage_dtau))
-            phi_new, newton_res = _lichnerowicz_newton(
-                dim, grid, stage_tau_sq, lw.values**2, controls, phi.values
-            )
-            trace.newton_residuals.extend(newton_res)
-            update = controls.damping * (phi_new - phi.values)
-            phi = RadialProfile(grid, phi.values + update)
-            rel = float(np.max(np.abs(update)) / np.max(np.abs(phi.values)))
-            trace.outer_iterates.append(rel)
-            if not flat_tau and np.max(phi.values) > 1.0 + controls.tol:
-                trace.bounded = False
-            if rel < controls.tol:
-                converged = True
-                break
-        if not converged:
-            raise NoConvergenceError(
-                f"Picard iteration exhausted {controls.max_outer} updates at t={t:g} "
-                f"(last relative update {trace.outer_iterates[-1]:.3e})"
-            )
+        stage_tau = tau if t == 1.0 else RadialProfile(grid, t ** float(dim.N) * tau.values)
+        tau_sq, dtau = stage_tau.values**2, differentiate(stage_tau, 1).values
+
+        def linearize(x):
+            residual = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2], work)
+            return float(np.max(np.abs(residual))), work, -residual
+
+        x = _newton(x, 2, linearize, controls, trace)
     trace.converged = True
 
+    phi = RadialProfile(grid, x[0::2])
     mono_min, mono_tol = _monotonicity_margin(dim, phi)
     if mono_min < -mono_tol:
         raise NotMonotoneError("converged factor violates the monotonicity condition")

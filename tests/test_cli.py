@@ -99,7 +99,6 @@ class TestArgumentValidation:
         config = ScenarioConfig(command="free-tau", c=1.0, q=1.5)
         assert config.grid == (4000, 1.0e4, 1.01)
         assert config.controls.tol == 1e-10
-        assert config.controls.damping == 0.7
         assert config.points == 64
 
     @pytest.mark.parametrize("argv,required", [
@@ -330,6 +329,19 @@ class TestModuleEntryPoint:
 
     def test_invalid_argument_record(self):
         proc = self.run_module("free-tau", "--c", "1", "--q", "5")
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
+
+    @pytest.mark.parametrize("argv", [
+        ("free-tau", "--c", "1", "--q", "1.5", "--damping", "0.7"),
+        ("free-tau", "--c", "1", "--q", "abc"),
+        ("smooth-schwarzschild", "--m", "1", "--unknown"),
+        ("plot",),
+        (),
+    ], ids=["removed-damping", "non-numeric", "unknown-flag", "unknown-command", "no-command"])
+    def test_usage_errors_give_invalid_argument_record(self, argv):
+        proc = self.run_module(*argv)
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
