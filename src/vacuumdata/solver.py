@@ -14,9 +14,15 @@ A(r) = int_0^r s^n phi^N tau' ds with the grid's interval weights w:
 
     A_0 = 0,    A_i - A_{i-1} = sum_k w[i-1, k] (r^n phi^N tau')[idx[i-1, k]].
 
-Every matrix is banded (the unknowns (phi_i, A_i) are interleaved) and
-solved by one LAPACK gbsv.  Fixed band entries are cached on the grid per
-dimension; a Newton step copies them and writes the iterate-dependent ones.
+Every matrix is banded and solved by one LAPACK gbsv.  The free-tau
+unknowns (phi_i, A_i) are interleaved, and so are their equations but for
+the last three node pairs: their three phi rows (the Robin row last) come
+before their three A rows.  Those phi rows reach six, five and four nodes
+inward; placed earlier, they fit a band of kl = 10 diagonals below the
+main one, and the interior rows need ku = 6 above it (the band is read
+off the stencils' nonzero pattern).  The Helmholtz band is (6, 6).  Fixed
+band entries are cached on the grid per dimension; a Newton step copies
+them and writes the iterate-dependent ones.
 """
 
 from __future__ import annotations
@@ -88,18 +94,19 @@ class _HelmholtzOperator:
     ``RadialGrid.derivative_matrix``: row 0 holds the regular limit
     n u''(0) and the last row the Robin functional u' + (n-2) u / r at
     r_max (decaying far field).  ``band`` is the same matrix as a gbsv
-    layout (see ``_solve``).
+    layout with ``kl`` diagonals on each side (see ``_solve``).
     """
 
     rows: np.ndarray
     band: np.ndarray
+    kl: int
 
     def band_with_potential(self, v_values: np.ndarray, work: np.ndarray | None = None):
         """The band minus V on the diagonal, written into the gbsv layout
         ``work`` (a fresh one when None).  The Robin entry stays fixed."""
         work = np.empty_like(self.band) if work is None else work
         np.copyto(work, self.band)
-        diag = 2 * _half_width(work)
+        diag = 2 * self.kl
         np.subtract(self.band[diag, :-1], v_values[:-1], out=work[diag, :-1])
         return work
 
@@ -108,31 +115,33 @@ class _HelmholtzOperator:
 class _CoupledOperator:
     """Fixed entries of the free-tau Jacobian on one grid.
 
-    Unknown 2i is phi_i and 2i + 1 is A_i.  ``band`` (a read-only gbsv
-    layout) holds the -4(n-1)/(n-2) Helmholtz stencil rows of phi, the
-    Robin row unscaled, and the +-1 of the A rows.  The other fields
-    index what a Newton step writes: ``diag`` the phi diagonal but the
-    Robin entry, ``coupling`` d(phi row i)/dA_i for 0 < i < npts - 1,
-    and ``quad`` d(A row i)/d(phi at idx[i-1]) for i >= 1.
+    Unknown 2i is phi_i and 2i + 1 is A_i.  Equation rows follow the same
+    order but for the last three node pairs, whose phi rows come first:
+    ``phi_rows[i]`` and ``a_rows[i]`` are the layout rows of the phi and A
+    equations of node i.  ``band`` (a read-only gbsv layout with ``kl``
+    diagonals below the main one) holds the -4(n-1)/(n-2) Helmholtz
+    stencil rows of phi, the Robin row unscaled, and the +-1 of the A
+    rows.  The other fields index what a Newton step writes: ``diag`` the
+    phi diagonal but the Robin entry, ``coupling`` d(phi row i)/dA_i for
+    0 < i < npts - 1, and ``quad`` d(A row i)/d(phi at idx[i-1]) for
+    i >= 1.
     """
 
     band: np.ndarray
+    kl: int
+    phi_rows: np.ndarray
+    a_rows: np.ndarray
     diag: tuple
     coupling: tuple
     quad: tuple
 
 
-def _half_width(layout: np.ndarray) -> int:
-    """Diagonals on each side of the main one in a gbsv layout."""
-    return (layout.shape[0] - 1) // 3
-
-
-def _band_layout(half: int, size: int, *entries) -> np.ndarray:
-    """Read-only gbsv layout of ``half`` diagonals on each side, holding
-    the (rows, columns, values) of ``entries``."""
-    band = np.zeros((3 * half + 1, size), order="F")
+def _band_layout(kl: int, ku: int, size: int, *entries) -> np.ndarray:
+    """Read-only gbsv layout of ``kl`` diagonals below the main one and
+    ``ku`` above, holding the (rows, columns, values) of ``entries``."""
+    band = np.zeros((2 * kl + ku + 1, size), order="F")
     for rows, columns, values in entries:
-        band[2 * half + rows - columns, columns] = values
+        band[kl + ku + rows - columns, columns] = values
     band.setflags(write=False)
     return band
 
@@ -152,8 +161,8 @@ def _helmholtz_operator(n: int, grid: RadialGrid) -> _HelmholtzOperator:
         rows[-1] = d1[-1]
         rows[-1, -1] += float(n - 2) / grid.r_max
         columns = grid._window_index(width).T
-        band = _band_layout(width - 1, npts, (np.arange(npts)[:, None], columns, rows))
-        return _HelmholtzOperator(_slot_major(rows), band)
+        band = _band_layout(width - 1, width - 1, npts, (np.arange(npts)[:, None], columns, rows))
+        return _HelmholtzOperator(_slot_major(rows), band, width - 1)
 
     return grid._cached(("helmholtz", n), build)
 
@@ -165,33 +174,47 @@ def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
         rows = _helmholtz_operator(n, grid).rows
         npts, width = rows.shape
         phi = 2 * np.arange(npts)
-        stencil = 2 * grid._window_index(width).T
-        quad = (phi[1:, None] + 1, 2 * grid._quadrature()[0])
-        half = int(max(np.max(np.abs(stencil - phi[:, None])), np.max(np.abs(quad[1] - quad[0]))))
+        # layout row of each equation (see the module docstring)
+        place = np.arange(2 * npts)
+        place[-6:] = 2 * npts + np.array([-6, -3, -5, -2, -4, -1])
+        place.setflags(write=False)
+        phi_rows, a_rows = place[0::2], place[1::2]
         scale = np.full((npts, 1), -_laplacian_weight(n))
         scale[-1] = 1.0
-        band = _band_layout(half, 2 * npts, (phi[:, None], stencil, scale * rows),
-                            (phi + 1, phi + 1, 1.0), (phi[1:] + 1, phi[:-1] + 1, -1.0))
+        values = scale * rows
+        node, slot = np.nonzero(values)
+        stencil = (phi_rows[node], 2 * grid._window_index(width)[slot, node], values[node, slot])
+        ones = (a_rows, phi + 1, 1.0)
+        minus_ones = (a_rows[1:], phi[:-1] + 1, -1.0)
+        diag = (phi_rows[:-1], phi[:-1])
+        coupling = (phi_rows[1:-1], phi[1:-1] + 1)
+        quad = (a_rows[1:, None], 2 * grid._quadrature()[0])
+        offsets = np.concatenate(
+            [np.ravel(r - c) for r, c, *_ in (stencil, ones, minus_ones, diag, coupling, quad)]
+        )
+        kl, ku = int(offsets.max()), int(-offsets.min())
+        band = _band_layout(kl, ku, 2 * npts, stencil, ones, minus_ones)
 
         def at(rows, columns):
-            return 2 * half + rows - columns, columns
+            return kl + ku + rows - columns, columns
 
-        return _CoupledOperator(band, at(phi[:-1], phi[:-1]), at(phi[1:-1], phi[1:-1] + 1), at(*quad))
+        return _CoupledOperator(band, kl, phi_rows, a_rows, at(*diag), at(*coupling), at(*quad))
 
     return grid._cached(("coupled", n), build)
 
 
-def _solve(layout: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
     """Solve a banded system by one LAPACK gbsv.
 
-    ``layout`` is gbsv's band storage with k diagonals on each side of
-    the main one: 3k + 1 rows, the matrix in the last 2k + 1 in the
-    diagonal-ordered form of ``scipy.linalg.solve_banded``, which gives
-    bitwise the same solution.  A Fortran-ordered layout is overwritten
-    by the LU factors.
+    ``layout`` is gbsv's band storage with ``kl`` diagonals below the main
+    one and ku above: 2 kl + ku + 1 rows, the matrix in the last
+    kl + ku + 1 in the diagonal-ordered form of ``scipy.linalg.solve_banded``
+    with (l, u) = (kl, ku), which gives bitwise the same solution; the
+    first kl rows are workspace for the LU fill.  A Fortran-ordered layout
+    is overwritten by the LU factors.
     """
-    half = _half_width(layout)
-    _, _, solution, info = dgbsv(half, half, layout, rhs, overwrite_ab=True)
+    ku = layout.shape[0] - 1 - 2 * kl
+    _, _, solution, info = dgbsv(kl, ku, layout, rhs, overwrite_ab=True)
     if info != 0 or not np.all(np.isfinite(solution)):
         raise SingularSystemError("radial system is singular or ill-posed")
     return solution
@@ -208,8 +231,8 @@ def solve_radial_helmholtz(dim: Dimension, V: RadialProfile, rhs: RadialProfile)
     grid = V.grid
     b = rhs.values.copy()
     b[-1] = 0.0
-    band = _helmholtz_operator(dim.n, grid).band_with_potential(V.values)
-    return RadialProfile(grid, _solve(band, b))
+    operator = _helmholtz_operator(dim.n, grid)
+    return RadialProfile(grid, _solve(operator.band_with_potential(V.values), b, operator.kl))
 
 
 def _laplacian_weight(n: int) -> float:
@@ -237,15 +260,16 @@ def _lichnerowicz_rows(dim: Dimension, grid: RadialGrid, phi, tau_sq, lw_sq):
 def _newton(x, stride, linearize, controls, trace):
     """Newton iteration on the unknowns x, of which x[::stride] is phi.
 
-    ``linearize(x)`` returns the residual sup norm and the step's banded
-    system (gbsv layout, right-hand side).  A step is halved until phi
-    stays positive; the iteration stops once the phi step is at most
+    ``linearize(x)`` returns the residual sup norm and a function that
+    assembles and solves the step's banded system; it is not called at
+    the converged iterate.  A step is halved until phi stays positive;
+    the iteration stops once the phi step is at most
     tol * max(1, sup |phi|).  ``trace`` records each step.
     """
     for _ in range(controls.max_newton):
-        norm, layout, rhs = linearize(x)
+        norm, solve_step = linearize(x)
         trace.newton_residuals.append(norm)
-        delta = _solve(layout, rhs)
+        delta = solve_step()
         step = 1.0
         for _ in range(60):
             if np.all(x[::stride] + step * delta[::stride] > 0.0):
@@ -293,17 +317,22 @@ def solve_lichnerowicz(
 
     def linearize(phi):
         f, v_hat = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
-        b = f / a
-        b[-1] = -f[-1]
-        return float(np.max(np.abs(f))), operator.band_with_potential(v_hat / a, work), b
+
+        def solve_step():
+            b = f / a
+            b[-1] = -f[-1]
+            return _solve(operator.band_with_potential(v_hat / a, work), b, operator.kl)
+
+        return float(np.max(np.abs(f))), solve_step
 
     controls = controls if controls is not None else SolveControls()
     return RadialProfile(grid, _newton(start, 1, linearize, controls, SolveTrace()))
 
 
-def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A, work):
-    """Residual of the coupled (phi, A) system, interleaved; its Jacobian
-    is written into the gbsv layout ``work``."""
+def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):
+    """Residual of the coupled (phi, A) system in the equation order of
+    ``_CoupledOperator``, and a function that writes its Jacobian into a
+    gbsv layout ``work`` and returns it."""
     n = dim.n
     nf = float(dim.N)
     operator = _coupled_operator(n, grid)
@@ -313,14 +342,20 @@ def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A, work
     lw_scale = np.zeros(len(grid))
     lw_scale[1:] = (n - 1.0) / n / r[1:] ** (2 * n)
     residual = np.empty(2 * len(grid))
-    residual[0::2], v_hat = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_scale * A**2)
-    residual[1] = A[0]
-    residual[3::2] = A[1:] - A[:-1] - np.einsum("ij,ij->i", weights, (r_n * phi**nf * dtau)[idx])
-    np.copyto(work, operator.band)
-    work[operator.diag] += v_hat[:-1]
-    work[operator.coupling] = (-2.0 * lw_scale * A * phi ** (-nf - 1.0))[1:-1]
-    work[operator.quad] = -weights * (nf * r_n * phi ** (nf - 1.0) * dtau)[idx]
-    return residual
+    residual[operator.phi_rows], v_hat = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_scale * A**2)
+    residual[operator.a_rows[0]] = A[0]
+    residual[operator.a_rows[1:]] = A[1:] - A[:-1] - np.einsum(
+        "ij,ij->i", weights, (r_n * phi**nf * dtau)[idx]
+    )
+
+    def jacobian(work):
+        np.copyto(work, operator.band)
+        work[operator.diag] += v_hat[:-1]
+        work[operator.coupling] = (-2.0 * lw_scale * A * phi ** (-nf - 1.0))[1:-1]
+        work[operator.quad] = -weights * (nf * r_n * phi ** (nf - 1.0) * dtau)[idx]
+        return work
+
+    return residual, jacobian
 
 
 def fixed_point_solve(
@@ -337,7 +372,8 @@ def fixed_point_solve(
     controls = controls if controls is not None else SolveControls()
     grid = tau.grid
     trace = SolveTrace()
-    work = np.empty_like(_coupled_operator(dim.n, grid).band)
+    operator = _coupled_operator(dim.n, grid)
+    work = np.empty_like(operator.band)
     x = np.zeros(2 * len(grid))
     x[0::2] = 1.0
     for stage in range(1, controls.continuation_steps + 1):
@@ -346,8 +382,12 @@ def fixed_point_solve(
         tau_sq, dtau = stage_tau.values**2, differentiate(stage_tau, 1).values
 
         def linearize(x):
-            residual = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2], work)
-            return float(np.max(np.abs(residual))), work, -residual
+            residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])
+
+            def solve_step():
+                return _solve(jacobian(work), -residual, operator.kl)
+
+            return float(np.max(np.abs(residual))), solve_step
 
         x = _newton(x, 2, linearize, controls, trace)
     trace.converged = True

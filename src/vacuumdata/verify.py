@@ -191,7 +191,10 @@ def constraint_report(
     refined: InitialData | None = None,
 ) -> ResidualReport:
     """Assemble both residuals; with a refined evaluator, halve h as well
-    and report the combined convergence order (the smaller of the two)."""
+    and report the combined convergence order (the smaller of the two).
+    The stencil step h must lie below the grid's r_max."""
+    if not h < data.r_max:
+        raise InvalidArgumentError(f"h must lie below r_max {data.r_max:g}, got {h!r}")
     points = np.asarray(points, dtype=float)
     ham = hamiltonian_residual(data, points)
     mom = momentum_residual(data, points, h)

@@ -345,3 +345,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
+
+    @pytest.mark.parametrize("argv", [
+        ("smooth-schwarzschild", "--m", "1", "--h", "1e200"),
+        ("verify", "{bundle}", "--h", "1e4"),
+    ], ids=["smooth-schwarzschild", "verify"])
+    def test_step_at_or_above_r_max_gives_invalid_argument_record(self, argv, schw_run):
+        proc = self.run_module(*(arg.format(bundle=schw_run[2]) for arg in argv))
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"

@@ -7,8 +7,9 @@ Schwarzschild construction is checked against its closed-form exterior
 bitwise, and the free-tau solver against the mean-curvature identity it
 is required to restore.  The cached Helmholtz operator is checked
 bitwise against per-step assembly, and the coupled (phi, A) Newton
-solve against the damped Picard loop it replaced; both references are
-kept below.
+solve against the damped Picard loop it replaced and against a Newton
+solve on the natural-order (12, 12) band; the references are kept
+below.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from vacuumdata import (
     solve_radial_helmholtz,
     tau_from_phi,
 )
+from vacuumdata import solver
 from vacuumdata.conformal import build_solution, lw_norm, momentum_potential
 from vacuumdata.errors import SingularSystemError, VacuumDataError
-from vacuumdata.radial import _apply_window, _window_starts
+from vacuumdata.radial import _apply_window, _window_starts, differentiate
 from vacuumdata.solver import _coupled_operator, _coupled_system, _helmholtz_operator, _solve
 
 DIM3 = Dimension(3)
@@ -119,23 +121,27 @@ class TestBandedSolve:
         dense[np.arange(npts - 1), np.arange(npts - 1)] -= potential[:-1]
         rhs = np.exp(-r)
         expected = np.linalg.solve(dense, rhs)
-        got = _solve(operator.band_with_potential(potential), rhs)
+        got = _solve(operator.band_with_potential(potential), rhs, operator.kl)
         assert float(np.max(np.abs(got - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
 
     def test_zero_rows_raise_singular(self):
         with pytest.raises(SingularSystemError):
-            _solve(np.zeros((19, 64), order="F"), np.ones(64))
+            _solve(np.zeros((19, 64), order="F"), np.ones(64), 6)
 
-    @pytest.mark.parametrize("half, size", [(6, 4000), (12, 8000)])
-    def test_equals_solve_banded_bitwise(self, half, size):
-        rng = np.random.default_rng(half)
-        band = rng.standard_normal((2 * half + 1, size))
-        band[half] += 4.0 * half
+    @pytest.mark.parametrize(
+        "kl, ku, size",
+        [(6, 6, 4000), (12, 12, 8000), (10, 6, 8000)],
+        ids=["6-4000", "12-8000", "10-6-8000"],
+    )
+    def test_equals_solve_banded_bitwise(self, kl, ku, size):
+        rng = np.random.default_rng(kl + ku)
+        band = rng.standard_normal((kl + ku + 1, size))
+        band[ku] += 2.0 * (kl + ku)
         rhs = rng.standard_normal(size)
-        layout = np.zeros((3 * half + 1, size), order="F")
-        layout[half:] = band
-        expected = scipy.linalg.solve_banded((half, half), band, rhs, check_finite=False)
-        assert np.array_equal(_solve(layout, rhs), expected)
+        layout = np.zeros((2 * kl + ku + 1, size), order="F")
+        layout[kl:] = band
+        expected = scipy.linalg.solve_banded((kl, ku), band, rhs, check_finite=False)
+        assert np.array_equal(_solve(layout, rhs, kl), expected)
 
 
 # -- reference: per-step assembly, as before the operator was cached ---------
@@ -263,15 +269,73 @@ class TestBitwiseAgainstPerStepAssembly:
         assert len(trace.outer_iterates) == len(trace.newton_residuals) - 1 <= 10
 
 
-def dense_from_layout(layout):
-    """The matrix held in a gbsv layout."""
-    half = (layout.shape[0] - 1) // 3
+def layout_entries(layout, kl, place=None):
+    """The nonzero (row, column, value) entries of the matrix held in a gbsv
+    layout with ``kl`` diagonals below the main one.  ``place[k]`` is the
+    layout row of natural equation k (interleaved: phi row i is 2i, A row
+    i is 2i + 1); rows are returned in natural order."""
+    ku = layout.shape[0] - 1 - 2 * kl
+    band_rows, columns = np.nonzero(layout)
+    assert np.all(band_rows >= kl), "the first kl layout rows are LU workspace"
+    rows = band_rows - kl - ku + columns
+    if place is not None:
+        rows = np.argsort(place)[rows]
+    return rows, columns, layout[band_rows, columns]
+
+
+def equation_place(operator):
+    """Layout row of each natural equation of a coupled operator."""
+    place = np.empty(2 * len(operator.phi_rows), dtype=int)
+    place[0::2] = operator.phi_rows
+    place[1::2] = operator.a_rows
+    return place
+
+
+def dense_from_layout(layout, kl, place=None):
+    """The matrix held in a gbsv layout, rows in natural order."""
     size = layout.shape[1]
     dense = np.zeros((size, size))
-    for offset in range(-half, half + 1):
-        rows = np.arange(max(0, offset), min(size, size + offset))
-        dense[rows, rows - offset] = layout[2 * half + offset, rows - offset]
+    rows, columns, values = layout_entries(layout, kl, place)
+    dense[rows, columns] = values
     return dense
+
+
+# -- reference: the coupled Newton solve on the natural-order band -----------
+
+
+def natural_layout(operator, work):
+    """The coupled Jacobian in ``work`` as a natural-order band with 12
+    diagonals on each side, in the diagonal-ordered form of solve_banded."""
+    half = 12
+    rows, columns, values = layout_entries(work, operator.kl, equation_place(operator))
+    band = np.zeros((2 * half + 1, work.shape[1]))
+    band[half + rows - columns, columns] = values
+    return band
+
+
+def reference_coupled_solve(dim, tau, controls=SolveControls()):
+    """Newton on the coupled (phi, A) system as fixed_point_solve ran it
+    with the interleaved equation order: each step one solve_banded on the
+    (12, 12) band, the same step halving and stop rule."""
+    grid = tau.grid
+    operator = _coupled_operator(dim.n, grid)
+    place = equation_place(operator)
+    work = np.empty_like(operator.band)
+    tau_sq, dtau = tau.values**2, differentiate(tau, 1).values
+    x = np.zeros(2 * len(grid))
+    x[0::2] = 1.0
+    for steps in range(1, controls.max_newton + 1):
+        residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])
+        band = natural_layout(operator, jacobian(work))
+        delta = scipy.linalg.solve_banded((12, 12), band, -residual[place], check_finite=False)
+        step = 1.0
+        while not np.all(x[0::2] + step * delta[0::2] > 0.0):
+            step *= 0.5
+        x = x + step * delta
+        scale = max(1.0, np.max(np.abs(x[0::2])))
+        if np.max(np.abs(step * delta[0::2])) <= controls.tol * scale:
+            return x, steps
+    raise AssertionError("reference coupled Newton did not converge")
 
 
 class TestCoupledSystem:
@@ -283,13 +347,15 @@ class TestCoupledSystem:
         dtau = np.gradient(tau.values, r)
         phi = 1.0 - 0.3 / (1.0 + r * r) ** 0.5
         A = -0.2 * r**dim.n / (1.0 + r * r) ** 1.2
-        work = np.empty_like(_coupled_operator(dim.n, grid).band)
+        operator = _coupled_operator(dim.n, grid)
+        place = equation_place(operator)
+        work = np.empty_like(operator.band)
 
         def residual(phi, A):
-            return _coupled_system(dim, grid, tau.values**2, dtau, phi, A, work)
+            return _coupled_system(dim, grid, tau.values**2, dtau, phi, A)[0][place]
 
-        residual(phi, A)
-        jacobian = dense_from_layout(work)
+        _coupled_system(dim, grid, tau.values**2, dtau, phi, A)[1](work)
+        jacobian = dense_from_layout(work, operator.kl, place)
         rng = np.random.default_rng(dim.n)
         # perturb each unknown on its own scale: A ~ r^n vanishes fast at
         # the origin, where |LW|^2 divides by r^{2n}
@@ -304,6 +370,84 @@ class TestCoupledSystem:
         for rows in (slice(0, None, 2), slice(1, None, 2)):  # phi rows, then A rows
             scale = float(np.max(np.abs(expected[rows])))
             assert float(np.max(np.abs(got[rows] - expected[rows]))) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("npts", [64, 200, 4000, 8000])
+    @pytest.mark.parametrize("dim", [DIM3, DIM4], ids=["n3", "n4"])
+    def test_band_is_ten_below_six_above(self, dim, npts):
+        grid = build_grid(npts, 1e3, 1.01)
+        operator = _coupled_operator(dim.n, grid)
+        kl, ku = 10, 6
+        assert operator.kl == kl
+        assert operator.band.shape == (2 * kl + ku + 1, 2 * npts)
+        place = equation_place(operator)
+        assert np.array_equal(np.sort(place), np.arange(2 * npts))
+        # every fixed entry: the Helmholtz stencil rows of phi (Robin row
+        # unscaled) and the +-1 of the A rows, nothing else
+        rows, columns, values = layout_entries(operator.band, kl, place)
+        helmholtz = _helmholtz_operator(dim.n, grid).rows
+        phi = rows % 2 == 0
+        assert np.all(columns[phi] % 2 == 0)
+        i, j = rows[phi] // 2, columns[phi] // 2
+        slot = j - _window_starts(npts, helmholtz.shape[1])[i]
+        assert np.all((0 <= slot) & (slot < helmholtz.shape[1]))
+        scale = np.where(i == npts - 1, 1.0, -4.0 * (dim.n - 1.0) / (dim.n - 2.0))
+        assert np.array_equal(values[phi], scale * helmholtz[i, slot])
+        assert np.count_nonzero(phi) == np.count_nonzero(helmholtz)
+        a_rows, a_columns, a_values = rows[~phi], columns[~phi], values[~phi]
+        assert np.array_equal(a_values, np.where(a_columns == a_rows, 1.0, -1.0))
+        assert np.all((a_columns == a_rows) | (a_columns == a_rows - 2))
+        assert len(a_values) == 2 * npts - 1
+        # every entry a Newton step writes, at its natural (row, column)
+        idx = grid._quadrature()[0]
+        i = np.arange(npts)
+        for index, natural_rows, natural_columns in (
+            (operator.diag, 2 * i[:-1], 2 * i[:-1]),
+            (operator.coupling, 2 * i[1:-1], 2 * i[1:-1] + 1),
+            (operator.quad, np.broadcast_to(2 * i[1:, None] + 1, idx.shape), 2 * idx),
+        ):
+            band_rows, columns = index
+            assert np.all((kl <= band_rows) & (band_rows <= 2 * kl + ku))
+            assert np.array_equal(place[natural_rows], band_rows - kl - ku + columns)
+            assert np.array_equal(columns, natural_columns)
+
+    @pytest.mark.parametrize(
+        "dim, q, r_max", [(DIM3, 1.5, 1e4), (DIM4, 2.2, 1e3)], ids=["n3", "n4"]
+    )
+    def test_matches_natural_order_solve(self, dim, q, r_max):
+        grid = build_grid(2000, r_max, 1.01)
+        tau = conformal_seed(grid, 1.0, q)
+        sol, trace = fixed_point_solve(dim, tau)
+        expected, steps = reference_coupled_solve(dim, tau)
+        assert float(np.max(np.abs(sol.phi.values - expected[0::2]))) <= 1e-12
+        assert len(trace.outer_iterates) == steps
+
+    def test_converged_residual_recorded_without_jacobian_fill(self, work_grid, monkeypatch):
+        tau = conformal_seed(work_grid, 1.0, 1.5)
+        real_newton = solver._newton
+        iterates, fills = [], []
+
+        def newton(*args):
+            iterates.append(real_newton(*args))
+            return iterates[-1]
+
+        def system(*args):
+            residual, jacobian = _coupled_system(*args)
+
+            def counted(work):
+                fills.append(work)
+                return jacobian(work)
+
+            return residual, counted
+
+        monkeypatch.setattr(solver, "_newton", newton)
+        monkeypatch.setattr(solver, "_coupled_system", system)
+        _, trace = fixed_point_solve(DIM3, tau)
+        assert len(fills) == len(trace.outer_iterates) == len(trace.newton_residuals) - 1
+        (x,) = iterates
+        residual, _ = _coupled_system(
+            DIM3, work_grid, tau.values**2, differentiate(tau, 1).values, x[0::2], x[1::2]
+        )
+        assert trace.newton_residuals[-1] == float(np.max(np.abs(residual)))
 
     def test_continuation_matches_single_stage(self):
         grid = build_grid(2000, 1e4, 1.01)
@@ -371,7 +515,7 @@ class TestOperatorCache:
         potential = np.zeros(len(work_grid))
         potential[len(work_grid) // 2] = np.inf
         with pytest.raises(SingularSystemError):
-            _solve(operator.band_with_potential(potential), np.ones(len(work_grid)))
+            _solve(operator.band_with_potential(potential), np.ones(len(work_grid)), operator.kl)
         assert np.array_equal(operator.band, before)
 
 

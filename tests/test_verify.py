@@ -128,6 +128,12 @@ class TestConstraintResiduals:
         assert rep.hamiltonian_sup > 0
         assert rep.momentum_sup > 0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e196])
+    def test_step_at_or_above_r_max_rejected(self, mass_like_data, sample_points, scale):
+        _, data = mass_like_data
+        with pytest.raises(InvalidArgumentError, match="r_max"):
+            constraint_report(data, sample_points[::8], h=scale * data.r_max)
+
 
 class TestRadialMass:
     def test_flat_mass_is_zero(self, flat_data):
