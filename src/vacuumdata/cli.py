@@ -517,7 +517,7 @@ def _emit_failure(exc: Exception, out_path: str | None) -> int:
             _write_text(out_path, text)
     except OSError:
         pass
-    return 2 if isinstance(exc, (ValueError, OSError)) else 1
+    return 2 if isinstance(exc, (ValueError, OSError, MemoryError)) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -529,7 +529,8 @@ def main(argv: list[str] | None = None) -> int:
         return _emit_failure(exc, getattr(args, "out", None))
     try:
         report = run(config)
-    except (VacuumDataError, OSError) as exc:
+    except (VacuumDataError, OSError, MemoryError) as exc:
+        # MemoryError: a size option asked for more memory than the host has
         return _emit_failure(exc, config.out_json)
     text = render_report(report)
     if config.out_json:

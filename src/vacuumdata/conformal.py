@@ -35,6 +35,7 @@ from .radial import (
     RadialProfile,
     TailModel,
     _read_csv_table,
+    _write_csv_table,
     differentiate,
     fit_tail,
     integrate_from_zero,
@@ -402,7 +403,10 @@ def assemble_initial_data(solution: ConformalSolution) -> InitialData:
 
 
 def write_solution_csv(solution: ConformalSolution, path) -> None:
-    """Write the solution bundle with columns ``r,phi,dphi,tau,A,w,lw``."""
+    """Write the solution bundle: header ``r,phi,dphi,tau,A,w,lw`` and one
+    row per grid node in the format of ``radial._write_csv_table``.  dphi
+    is the grid derivative of phi, for readers of the file; the reader
+    here ignores it."""
     grid = solution.grid
     dphi = differentiate(solution.phi, 1).values
     columns = (
@@ -414,10 +418,7 @@ def write_solution_csv(solution: ConformalSolution, path) -> None:
         solution.w.values,
         solution.lw_norm.values,
     )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_BUNDLE_HEADER + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv_table(path, _BUNDLE_HEADER, columns)
 
 
 def read_solution_csv(path, dim: Dimension) -> ConformalSolution:

@@ -234,10 +234,10 @@ def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 64:
         raise InvalidArgumentError(f"need at least 64 grid points, got {n_points!r}")
-    if not r_max > 1.0:
-        raise InvalidArgumentError(f"r_max must exceed 1, got {r_max!r}")
-    if not stretch >= 1.0:
-        raise InvalidArgumentError(f"stretch must be >= 1, got {stretch!r}")
+    if not (r_max > 1.0 and np.isfinite(r_max)):
+        raise InvalidArgumentError(f"r_max must be finite and exceed 1, got {r_max!r}")
+    if not (stretch >= 1.0 and np.isfinite(stretch)):
+        raise InvalidArgumentError(f"stretch must be finite and >= 1, got {stretch!r}")
 
     intervals = int(n_points) - 1
     if stretch == 1.0:
@@ -396,7 +396,13 @@ def _build_quadrature(nodes: np.ndarray):
     # moments of t^k over [-1/2, 1/2]
     k = np.arange(_QUAD_STENCIL)
     moments = np.where(k % 2 == 0, 0.5**k / (k + 1.0), 0.0)
-    vander = t[:, :, None] ** k[None, None, :]  # (n_int, 5 nodes, 5 powers)
+    # Vandermonde t^k, (n_int, 5 nodes, 5 powers).  Powers 0 and 1 are
+    # exact, so only 2-4 go through np.power (slow for negative bases);
+    # products instead would move the weights' last bits.
+    vander = np.empty((n_int, _QUAD_STENCIL, _QUAD_STENCIL))
+    vander[:, :, 0] = 1.0
+    vander[:, :, 1] = t
+    vander[:, :, 2:] = t[:, :, None] ** k[None, None, 2:]
     rhs = np.broadcast_to(moments[:, None], (n_int, _QUAD_STENCIL, 1)).copy()
     weights = np.linalg.solve(np.swapaxes(vander, 1, 2), rhs)[:, :, 0]
     weights *= widths[:, None]
@@ -530,12 +536,24 @@ def _read_csv_table(path, expected_header: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_profile_csv(profile: RadialProfile, path) -> None:
-    """Write ``r,value`` rows at 17 significant digits."""
+def _write_csv_table(path, header: str, columns) -> None:
+    """Write equal-length float arrays as columns under a fixed header;
+    shared by the profile and solution-bundle writers.
+
+    One row per index, each value as ``%.17g`` (enough digits to read back
+    the same float), ``\\n`` line endings.  One format string covers a
+    whole row, and the file is written in one call.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(column.tolist() for column in columns))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("r,value\n")
-        for r, v in zip(profile.grid.nodes, profile.values):
-            fh.write(f"{r:.17g},{v:.17g}\n")
+        fh.write(header + "\n" + "".join([row % values for values in rows]))
+
+
+def write_profile_csv(profile: RadialProfile, path) -> None:
+    """Write the profile as ``r,value`` rows in the format of
+    :func:`_write_csv_table`."""
+    _write_csv_table(path, "r,value", (profile.grid.nodes, profile.values))
 
 
 def read_profile_csv(path) -> RadialProfile:

@@ -355,3 +355,17 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
+
+    # 10^14 nodes or points need more than the 47-bit user address space,
+    # so the allocation fails at once on any host, overcommit or not.
+    @pytest.mark.parametrize("option,value", [
+        ("--grid-max", "inf"),
+        ("--stretch", "inf"),
+        ("--grid-points", "100000000000000"),
+        ("--points", "100000000000000"),
+    ], ids=["grid-max-inf", "stretch-inf", "grid-points-1e14", "points-1e14"])
+    def test_unusable_grid_or_sample_size_gives_invalid_argument_record(self, option, value):
+        proc = self.run_module("smooth-schwarzschild", "--m", "1", option, value)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"

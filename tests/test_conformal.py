@@ -38,6 +38,7 @@ from vacuumdata import (
     vector_potential,
     write_solution_csv,
 )
+from vacuumdata.radial import _read_csv_table
 
 DIM3 = Dimension(3)
 
@@ -355,7 +356,54 @@ class TestInitialDataEvaluator:
             data.conformal_factor_derivative_at(1.0, order=3)
 
 
+BUNDLE_HEADER = "r,phi,dphi,tau,A,w,lw"
+EDGE_VALUES = np.array([-0.0, 5e-324, -1e-300, 1e308, 0.1, 1.0, 1e4])
+
+
+def reference_solution_csv(solution, path):
+    """The bundle writer as it was before rows were formatted whole: one
+    f-string per value, joined per row."""
+    columns = (
+        solution.grid.nodes,
+        solution.phi.values,
+        differentiate(solution.phi, 1).values,
+        solution.tau.values,
+        solution.A.values,
+        solution.w.values,
+        solution.lw_norm.values,
+    )
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(BUNDLE_HEADER + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return columns
+
+
+@pytest.fixture(scope="module")
+def edge_solution():
+    """A 64-node solution whose columns cycle through EDGE_VALUES; phi
+    takes the positive ones that its derivative does not overflow on."""
+    grid = build_grid(64, 10.0, 1.0)
+    npts = len(grid)
+    positive = EDGE_VALUES[(EDGE_VALUES > 0) & (EDGE_VALUES < 1e300)]
+    phi = RadialProfile(grid, np.resize(positive, npts))
+    tau, A, w, lw = (RadialProfile(grid, np.resize(np.roll(EDGE_VALUES, k), npts)) for k in range(4))
+    return ConformalSolution(DIM3, phi, tau, A, w, lw)
+
+
 class TestSolutionBundleCsv:
+    @pytest.mark.parametrize("which", ["mass_like_solution", "edge_solution"])
+    def test_bytes_equal_per_value_reference(self, tmp_path, request, which):
+        solution = request.getfixturevalue(which)
+        write_solution_csv(solution, tmp_path / "bundle.csv")
+        columns = reference_solution_csv(solution, tmp_path / "reference.csv")
+        written = (tmp_path / "bundle.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b"\n") == len(solution.grid) + 1 and b"\r" not in written
+        table = _read_csv_table(tmp_path / "bundle.csv", BUNDLE_HEADER)
+        for k, column in enumerate(columns):
+            assert np.array_equal(table[:, k].view(np.int64), column.view(np.int64))
+
     def test_roundtrip_is_bitwise(self, tmp_path, mass_like_solution):
         path = tmp_path / "bundle.csv"
         write_solution_csv(mass_like_solution, path)

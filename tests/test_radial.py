@@ -32,7 +32,7 @@ from vacuumdata.radial import (
     read_profile_csv,
     write_profile_csv,
 )
-from vacuumdata.radial import _apply_window, _window_starts
+from vacuumdata.radial import _apply_window, _build_quadrature, _read_csv_table, _window_starts
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,10 @@ class TestBuildGrid:
         grid = build_grid(4000, 1e4, 1.01)
         assert grid.spacings[0] < 1e-2
 
-    @pytest.mark.parametrize("args", [(63, 10.0, 1.0), (64, 1.0, 1.0), (64, 0.5, 1.0), (64, 10.0, 0.9)])
+    @pytest.mark.parametrize("args", [
+        (63, 10.0, 1.0), (64, 1.0, 1.0), (64, 0.5, 1.0), (64, 10.0, 0.9),
+        (64, math.inf, 1.0), (64, math.inf, 1.01), (64, 10.0, math.inf),
+    ])
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(InvalidArgumentError):
             build_grid(*args)
@@ -246,6 +249,36 @@ class TestStencilWeights:
         assert out.stdout.strip() == "False"
 
 
+def reference_quadrature(nodes):
+    """The interval weights with every Vandermonde power through np.power,
+    as built before powers 0 and 1 were filled in directly."""
+    npts = nodes.size
+    starts = _window_starts(npts, 5)[:-1]
+    idx = starts[:, None] + np.arange(5)[None, :]
+    widths = np.diff(nodes)
+    centers = 0.5 * (nodes[:-1] + nodes[1:])
+    t = (nodes[idx] - centers[:, None]) / widths[:, None]
+    k = np.arange(5)
+    moments = np.where(k % 2 == 0, 0.5**k / (k + 1.0), 0.0)
+    vander = t[:, :, None] ** k[None, None, :]
+    rhs = np.broadcast_to(moments[:, None], (npts - 1, 5, 1)).copy()
+    weights = np.linalg.solve(np.swapaxes(vander, 1, 2), rhs)[:, :, 0]
+    weights *= widths[:, None]
+    return idx, weights
+
+
+class TestQuadratureWeights:
+    @pytest.mark.parametrize("n_points,r_max,stretch", [
+        (64, 10.0, 1.0), (4000, 1e4, 1.01), (8000, 1e3, 1.01), (300, 50.0, 1.05),
+    ])
+    def test_equal_full_power_reference_bitwise(self, n_points, r_max, stretch):
+        nodes = build_grid(n_points, r_max, stretch).nodes
+        index, weights = _build_quadrature(nodes)
+        ref_index, ref_weights = reference_quadrature(nodes)
+        assert np.array_equal(index, ref_index)
+        assert np.array_equal(weights.view(np.int64), ref_weights.view(np.int64))
+
+
 class TestIntegrateFromZero:
     def test_cubic_closed_form(self):
         # h = 10/640 is a power of two, so r = 1 is hit exactly
@@ -377,7 +410,34 @@ class TestDerivativeIntegralInverse:
         assert errs[0] / errs[1] > 8.0
 
 
+def reference_profile_csv(profile, path):
+    """The profile writer as it was before rows were formatted whole."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("r,value\n")
+        for r, v in zip(profile.grid.nodes, profile.values):
+            fh.write(f"{r:.17g},{v:.17g}\n")
+
+
+EDGE_VALUES = np.array([-0.0, 5e-324, -1e-300, 1e308, 0.1, 1.0, 1e4])
+
+
 class TestProfileCsv:
+    @pytest.mark.parametrize("which", ["solution", "edge"])
+    def test_bytes_equal_per_value_reference(self, tmp_path, work_grid, which):
+        if which == "solution":
+            r = work_grid.nodes
+            profile = RadialProfile(work_grid, 1.0 - 0.5 / np.sqrt(1.0 + r**2))
+        else:
+            grid = build_grid(64, 10.0, 1.0)
+            profile = RadialProfile(grid, np.resize(EDGE_VALUES, len(grid)))
+        write_profile_csv(profile, tmp_path / "profile.csv")
+        reference_profile_csv(profile, tmp_path / "reference.csv")
+        written = (tmp_path / "profile.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        table = _read_csv_table(tmp_path / "profile.csv", "r,value")
+        for column, expected in zip(table.T, (profile.grid.nodes, profile.values)):
+            assert np.array_equal(column.view(np.int64), expected.view(np.int64))
+
     def test_round_trip_is_bitwise(self, tmp_path):
         grid = build_grid(64, 10.0, 1.0)
         values = np.concatenate([[math.pi], np.full(61, 1.0 / 3.0), [1e-300, -2.5e8]])
