@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .conformal import ConformalSolution, _identity_residual, _monotonicity_margin, build_solution
 from .errors import (
@@ -211,8 +210,11 @@ def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
     kl + ku + 1 in the diagonal-ordered form of ``scipy.linalg.solve_banded``
     with (l, u) = (kl, ku), which gives bitwise the same solution; the
     first kl rows are workspace for the LU fill.  A Fortran-ordered layout
-    is overwritten by the LU factors.
+    is overwritten by the LU factors.  SciPy's LAPACK loads here, on the
+    first solve, so commands that never solve do not import SciPy.
     """
+    from scipy.linalg.lapack import dgbsv
+
     ku = layout.shape[0] - 1 - 2 * kl
     _, _, solution, info = dgbsv(kl, ku, layout, rhs, overwrite_ab=True)
     if info != 0 or not np.all(np.isfinite(solution)):

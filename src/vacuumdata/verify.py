@@ -3,8 +3,9 @@
 Everything here recomputes its target from a route different from the
 assembly path: constraint residuals contract Cartesian tensors, evaluated
 on all sample points at once, with finite-difference derivatives; the ADM
-mass comes from the radial limit r^{n-1} phi' and from sphere quadrature
-of the surface integrand; decay exponents come from log-log fits.
+mass comes from the radial limit r^{n-1} phi' and from the surface flux,
+which for radial data is the constant radial integrand times the area of
+the sphere; decay exponents come from log-log fits.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.special
 
 from .conformal import (
     ConformalSolution,
@@ -269,61 +269,28 @@ def adm_mass_radial(dim: Dimension, phi: RadialProfile) -> MassReport:
     )
 
 
-def _sphere_quadrature(n: int):
-    """Product quadrature nodes and weights on the unit sphere S^{n-1}.
-
-    Polar angle k carries the measure sin^{n-2-k}; substituting x = cos
-    leaves the Jacobi weight (1-x^2)^{(n-3-k)/2}, so Gauss-Jacobi nodes
-    integrate the surface measure exactly and constants (the verified
-    integrands are radial) pick up no rule error.  Points per angle
-    shrink in higher dimensions to keep the product small.
-    """
-    count = 32 if n <= 4 else 12
-    grids = []
-    weights = []
-    for k in range(n - 2):
-        alpha = (n - 3 - k) / 2.0
-        x, w = scipy.special.roots_jacobi(count, alpha, alpha)
-        grids.append(np.arccos(x))
-        weights.append(w)
-    azimuth = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    grids.append(azimuth)
-    weights.append(np.full(64, 2.0 * math.pi / 64.0))
-
-    mesh = np.meshgrid(*grids, indexing="ij")
-    wmesh = np.meshgrid(*weights, indexing="ij")
-    weight = np.ones_like(mesh[0])
-    for w in wmesh:
-        weight = weight * w
-
-    shape = mesh[0].shape
-    points = np.empty(shape + (n,))
-    sin_prod = np.ones(shape)
-    for k in range(n - 1):
-        points[..., k] = sin_prod * np.cos(mesh[k])
-        sin_prod = sin_prod * np.sin(mesh[k])
-    points[..., n - 1] = sin_prod
-    return points.reshape(-1, n), weight.reshape(-1)
-
-
 def sphere_area(n: int) -> float:
     """Area of the unit sphere S^{n-1}."""
-    return float(2.0 * math.pi ** (n / 2.0) / scipy.special.gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def adm_mass_surface(data: InitialData, radii) -> MassReport:
-    """Mass from sphere quadrature of Sum (g_ij,i - g_ii,j) x_j / r.
+    """Mass from the flux of Sum (g_ij,i - g_ii,j) x_j / r through spheres.
 
-    Metric derivatives come from the radial closed form
-    psi' = (N-2) phi^{N-3} phi'.  With three or more radii the last three
-    are fitted to m + a/r + b/r^2 and the limit is reported.
+    The data are radial, so on the sphere of radius r the integrand is the
+    constant -(n-1) psi'(r), with psi' = (N-2) phi^{N-3} phi' in closed
+    form, and the flux is that constant times the sphere's area
+    |S^{n-1}| r^{n-1}.  The radii must be finite, positive and distinct.
+    With three or more radii the last three are fitted to
+    m + a/r + b/r^2 and the limit is reported.
     """
     n = data.dim.n
     nf = float(data.dim.N)
     radii = tuple(float(r) for r in radii)
     if not radii:
         raise InvalidArgumentError("at least one radius is required")
-    directions, weights = _sphere_quadrature(n)
+    if not all(0.0 < r < math.inf for r in radii) or len(set(radii)) < len(radii):
+        raise InvalidArgumentError(f"radii must be finite, positive and distinct, got {radii!r}")
     omega = sphere_area(n)
 
     raw = []
@@ -331,10 +298,7 @@ def adm_mass_surface(data: InitialData, radii) -> MassReport:
         phi = float(data.conformal_factor_at(r))
         dphi = float(data.conformal_factor_derivative_at(r, 1))
         dpsi = (nf - 2.0) * phi ** (nf - 3.0) * dphi
-        # flux integrand at a sphere point reduces to -(n-1) psi'(r)
-        integrand = -(n - 1.0) * dpsi * np.ones(len(directions))
-        flux = float(np.sum(integrand * weights)) * r ** (n - 1)
-        raw.append(flux)
+        raw.append(-(n - 1.0) * dpsi * omega * r ** (n - 1))
 
     extrapolated = False
     flux = raw[-1]

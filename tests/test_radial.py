@@ -1,5 +1,6 @@
 """Oracle and property tests for the radial calculus layer."""
 
+import json
 import math
 import os
 import subprocess
@@ -247,6 +248,39 @@ class TestStencilWeights:
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_only_a_solve_loads_scipy(self, tmp_path):
+        # the commands that never solve load no scipy module at all; the
+        # free-tau solve imports LAPACK on its first banded solve
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import vacuumdata\n"
+            "from vacuumdata import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "seen, codes = {'import': loaded()}, {}\n"
+            "bundle = sys.argv[1]\n"
+            "for argv in (['smooth-schwarzschild', '--m', '1', '--profiles', bundle],\n"
+            "             ['verify', bundle], ['mass', bundle], ['decay', bundle]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes[argv[0]] = cli.main(argv)\n"
+            "    seen[argv[0]] = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    codes['free-tau'] = cli.main(['free-tau', '--c', '1', '--q', '1.5'])\n"
+            "print(json.dumps({'seen': seen, 'codes': codes,\n"
+            "                  'iterations': json.loads(out.getvalue())['iterations'],\n"
+            "                  'lapack': 'scipy.linalg.lapack' in sys.modules}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(vacuumdata.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "bundle.csv")],
+                             env=env, capture_output=True, text=True, check=True)
+        result = json.loads(out.stdout)
+        assert result["seen"] == {name: [] for name in ("import", "smooth-schwarzschild", "verify", "mass", "decay")}
+        assert result["codes"] == {name: 0 for name in ("smooth-schwarzschild", "verify", "mass", "decay", "free-tau")}
+        assert result["iterations"] > 0
+        assert result["lapack"]
+        assert out.stderr == ""
 
 
 def reference_quadrature(nodes):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from vacuumdata import (
     Dimension,
@@ -33,7 +34,7 @@ from vacuumdata import (
     smooth_schwarzschild_phi,
     tail_limit_check,
 )
-from vacuumdata.verify import _sphere_quadrature, sphere_area
+from vacuumdata.verify import sphere_area
 
 DIM3 = Dimension(3)
 
@@ -174,11 +175,38 @@ class TestRadialMass:
             adm_mass_radial(DIM3, osc)
 
 
+def reference_sphere_weights(n):
+    """Weights of the Gauss-Jacobi product rule on S^{n-1} that the surface
+    flux was once summed over.  Polar angle k carries the Jacobi weight
+    (1-x^2)^{(n-3-k)/2} in x = cos; the azimuth is a 64-point rectangle
+    rule.  The flux integrand is constant on each sphere, so the nodes
+    do not enter."""
+    count = 32 if n <= 4 else 12
+    weights = []
+    for k in range(n - 2):
+        alpha = (n - 3 - k) / 2.0
+        weights.append(scipy.special.roots_jacobi(count, alpha, alpha)[1])
+    weights.append(np.full(64, 2.0 * math.pi / 64.0))
+    product = np.ones(())
+    for w in weights:
+        product = np.multiply.outer(product, w)
+    return product.reshape(-1)
+
+
 class TestSurfaceMass:
-    def test_sphere_rule_integrates_constants_exactly(self):
-        for n in (3, 4, 5):
-            _, weights = _sphere_quadrature(n)
-            assert float(np.sum(weights)) == pytest.approx(sphere_area(n), rel=1e-13)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_flux_matches_sphere_rule_reference(self, n):
+        dim = Dimension(n)
+        nf = float(dim.N)
+        grid = build_grid(1000, 1e3, 1.01)
+        data = assemble_initial_data(build_solution(dim, smooth_schwarzschild_phi(dim, 1.0, grid)))
+        weights = reference_sphere_weights(n)
+        for r in (50.0, 200.0, 800.0):
+            phi = float(data.conformal_factor_at(r))
+            dpsi = (nf - 2.0) * phi ** (nf - 3.0) * float(data.conformal_factor_derivative_at(r, 1))
+            reference = float(np.sum(-(n - 1.0) * dpsi * weights)) * r ** (n - 1)
+            flux = adm_mass_surface(data, (r,)).mass_standard * 2.0 * (n - 1.0) * sphere_area(n)
+            assert flux == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     def test_unit_sphere_areas(self):
         assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
@@ -210,6 +238,14 @@ class TestSurfaceMass:
         _, data = schwarzschild
         with pytest.raises(InvalidArgumentError):
             adm_mass_surface(data, ())
+
+    @pytest.mark.parametrize("radii", [
+        (100.0, 100.0, 200.0), (0.0, 100.0, 200.0), (100.0, 200.0, 200.0), (math.nan,), (math.inf,),
+    ], ids=["repeated-first", "zero", "repeated-last", "nan", "inf"])
+    def test_radii_must_be_finite_positive_and_distinct(self, schwarzschild, radii):
+        _, data = schwarzschild
+        with pytest.raises(InvalidArgumentError, match="finite, positive and distinct"):
+            adm_mass_surface(data, radii)
 
 
 class TestDecayExponents:
