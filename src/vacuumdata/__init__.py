@@ -26,8 +26,6 @@ from .radial import (
     fit_tail,
     integrate_from_zero,
     integrate_to_infinity,
-    read_profile_csv,
-    write_profile_csv,
 )
 from .conformal import (
     ConformalSolution,
@@ -49,7 +47,6 @@ from .solver import (
     fixed_point_solve,
     smooth_schwarzschild_phi,
     solve_lichnerowicz,
-    solve_radial_helmholtz,
 )
 from .verify import (
     DecayReport,

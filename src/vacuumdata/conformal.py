@@ -28,14 +28,14 @@ from .errors import (
     InvalidArgumentError,
     NegativeRadicandError,
     NotMonotoneError,
+    ProfileParseError,
+    SchemaError,
 )
 from .radial import (
     Dimension,
     RadialGrid,
     RadialProfile,
     TailModel,
-    _read_csv_table,
-    _write_csv_table,
     differentiate,
     fit_tail,
     integrate_from_zero,
@@ -60,13 +60,12 @@ __all__ = [
 # relative threshold below which phi' counts as zero for branch selection
 _BRANCH_EPS = 1e-12
 
-_BUNDLE_HEADER = "r,phi,dphi,tau,A,w,lw"
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ConformalSolution:
     """A consistent radial tuple (phi, tau, A, w, |LW|) on one grid.
 
+    Only tau carries a fitted tail model; the other profiles end at r_max.
     The constructor checks positivity of phi and grid consistency only;
     monotonicity and the defining identities are examined by
     ``verify.check_solution`` so that deliberately broken inputs can be
@@ -101,7 +100,7 @@ def _require_same_grid(*profiles: RadialProfile) -> RadialGrid:
     return grid
 
 
-def _with_tail(profile: RadialProfile, window=None) -> RadialProfile:
+def _with_tail(profile: RadialProfile) -> RadialProfile:
     """Attach a fitted tail when the data admits one; identity otherwise.
 
     Identically zero profiles get an exact zero tail so that flat data
@@ -111,7 +110,7 @@ def _with_tail(profile: RadialProfile, window=None) -> RadialProfile:
     if not np.any(profile.values):
         return profile.with_tail(TailModel(0.0, 2.0, (r_max / 100.0, r_max), 0.0))
     try:
-        return profile.with_tail(fit_tail(profile, window))
+        return profile.with_tail(fit_tail(profile))
     except (DegenerateFitError, InvalidArgumentError):
         return profile
 
@@ -216,10 +215,7 @@ def divergence_source(dim: Dimension, phi: RadialProfile, tau: RadialProfile) ->
     # Derive the remainder model from tau's own tail instead; phi^N
     # approaches 1 out there, so tau = a r^-p gives a (p+1)-tail.
     tail = tau.tail if tau.tail is not None else fit_tail(tau)
-    model = TailModel(
-        -tail.exponent * tail.coefficient, tail.exponent + 1.0, tail.window, tail.misfit
-    )
-    improper = integrate_to_infinity(profile.with_tail(model))
+    improper = integrate_to_infinity(profile.with_tail(_derived_tail(tail, 1)))
     return RadialProfile(grid, -improper.values)
 
 
@@ -283,15 +279,14 @@ def build_solution(
     dim: Dimension, phi: RadialProfile, tau: RadialProfile | None = None
 ) -> ConformalSolution:
     """Complete a conformal factor (optionally with a prescribed tau) to a
-    full ConformalSolution, fitting power-law tails where the data admits
-    them."""
+    full ConformalSolution.  Only tau gets a fitted power-law tail (when
+    the data admits one): divergence_source reads it."""
     if tau is None:
         tau = tau_from_phi(dim, phi)
     tau = tau if tau.tail is not None else _with_tail(tau)
-    A = _with_tail(momentum_potential(dim, phi, tau))
-    w = _with_tail(vector_potential(dim, phi, tau))
-    lw = _with_tail(lw_norm(dim, A))
-    return ConformalSolution(dim, phi, tau, A, w, lw)
+    A = momentum_potential(dim, phi, tau)
+    w = vector_potential(dim, phi, tau)
+    return ConformalSolution(dim, phi, tau, A, w, lw_norm(dim, A))
 
 
 class InitialData:
@@ -402,9 +397,53 @@ def assemble_initial_data(solution: ConformalSolution) -> InitialData:
     return InitialData(solution)
 
 
+# ---------------------------------------------------------------------------
+# solution bundle CSV
+
+_BUNDLE_HEADER = "r,phi,dphi,tau,A,w,lw"
+
+
+def _read_csv_table(path, expected_header: str) -> np.ndarray:
+    """Parse a numeric CSV with a fixed header."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise SchemaError("empty CSV file")
+    if lines[0].strip() != expected_header:
+        raise SchemaError(f"expected header {expected_header!r}, got {lines[0]!r}")
+    n_fields = expected_header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise ProfileParseError(f"expected {n_fields} fields, got {len(parts)}", line=lineno)
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ProfileParseError(str(exc), line=lineno) from None
+    if not rows:
+        raise SchemaError("CSV file has no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def _write_csv_table(path, header: str, columns) -> None:
+    """Write equal-length float arrays as columns under a fixed header.
+
+    One row per index, each value as ``%.17g`` (enough digits to read back
+    the same float), ``\\n`` line endings.  One format string covers a
+    whole row, and the file is written in one call.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(column.tolist() for column in columns))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n" + "".join([row % values for values in rows]))
+
+
 def write_solution_csv(solution: ConformalSolution, path) -> None:
     """Write the solution bundle: header ``r,phi,dphi,tau,A,w,lw`` and one
-    row per grid node in the format of ``radial._write_csv_table``.  dphi
+    row per grid node in the format of :func:`_write_csv_table`.  dphi
     is the grid derivative of phi, for readers of the file; the reader
     here ignores it."""
     grid = solution.grid
@@ -431,7 +470,5 @@ def read_solution_csv(path, dim: Dimension) -> ConformalSolution:
     grid = RadialGrid(table[:, 0])
     phi = RadialProfile(grid, table[:, 1])
     tau = _with_tail(RadialProfile(grid, table[:, 3]))
-    A = _with_tail(RadialProfile(grid, table[:, 4]))
-    w = _with_tail(RadialProfile(grid, table[:, 5]))
-    lw = _with_tail(RadialProfile(grid, table[:, 6]))
+    A, w, lw = (RadialProfile(grid, table[:, k]) for k in (4, 5, 6))
     return ConformalSolution(dim, phi, tau, A, w, lw)

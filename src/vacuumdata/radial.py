@@ -10,8 +10,7 @@ shared grid.  This module owns that representation:
   stored as windowed stencils (one row of weights per node, applied to
   a window of neighbouring values),
 * composite polynomial quadrature, cumulative and improper,
-* power-law tail fits used for remainders and decay diagnostics,
-* a small CSV exchange format (``r,value``).
+* power-law tail fits used for remainders and decay diagnostics.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from .errors import (
     EvaluationOutOfRangeError,
     InvalidArgumentError,
     NoTailError,
-    ProfileParseError,
-    SchemaError,
     TailTooSlowError,
 )
 
@@ -41,8 +38,6 @@ __all__ = [
     "integrate_from_zero",
     "integrate_to_infinity",
     "fit_tail",
-    "write_profile_csv",
-    "read_profile_csv",
 ]
 
 _STENCIL = 7  # interior stencil width; order 6 (d/dr) and 5 (d2/dr2)
@@ -76,7 +71,7 @@ class RadialGrid:
     consecutive values); profiles refer to grids by identity.
     """
 
-    def __init__(self, nodes: np.ndarray, stretch: float | None = None):
+    def __init__(self, nodes: np.ndarray):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise InvalidArgumentError("grid needs a 1-D array of at least two nodes")
@@ -88,10 +83,6 @@ class RadialGrid:
             raise InvalidArgumentError("grid nodes must be strictly increasing")
         nodes.setflags(write=False)
         self.nodes = nodes
-        if stretch is None:
-            h = np.diff(nodes)
-            stretch = float(max(1.0, (h[1:] / h[:-1]).max())) if h.size > 1 else 1.0
-        self.stretch = float(stretch)
         self._cache: dict = {}
 
     def __len__(self) -> int:
@@ -103,10 +94,6 @@ class RadialGrid:
     @property
     def r_max(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     # -- cached operators -------------------------------------------------
 
@@ -156,14 +143,6 @@ class TailModel:
 
     def at(self, r):
         return self.coefficient * np.asarray(r, dtype=float) ** (-self.exponent)
-
-    def derivative_at(self, r):
-        r = np.asarray(r, dtype=float)
-        return -self.exponent * self.coefficient * r ** (-self.exponent - 1.0)
-
-    def second_derivative_at(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.exponent * (self.exponent + 1.0) * self.coefficient * r ** (-self.exponent - 2.0)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -241,7 +220,7 @@ def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
 
     intervals = int(n_points) - 1
     if stretch == 1.0:
-        return RadialGrid(np.linspace(0.0, r_max, n_points), stretch=1.0)
+        return RadialGrid(np.linspace(0.0, r_max, n_points))
 
     # Tail of K_g geometric intervals with node ratio rho = 1 + 1/K_u makes
     # the first tail spacing equal the head spacing exactly.  Pick the split
@@ -251,7 +230,7 @@ def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
     rho = 1.0 + 1.0 / k_head
     feasible = rho <= stretch * (1.0 + 1e-12)
     if not np.any(feasible):
-        return RadialGrid(np.linspace(0.0, r_max, n_points), stretch=stretch)
+        return RadialGrid(np.linspace(0.0, r_max, n_points))
     log_rt = np.log(r_max) - k_tail * np.log1p(1.0 / k_head)
     log_rt[~feasible] = np.inf
     pick = int(np.argmin(np.abs(log_rt)))
@@ -263,7 +242,7 @@ def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
     tail = rt * (1.0 + 1.0 / ku) ** np.arange(1, kg + 1, dtype=float)
     nodes = np.concatenate([head, tail])
     nodes[-1] = r_max
-    return RadialGrid(nodes, stretch=stretch)
+    return RadialGrid(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -504,59 +483,3 @@ def _interp_cubic(nodes: np.ndarray, values: np.ndarray, r: np.ndarray) -> np.nd
                 lj *= (r - x[:, k]) / (x[:, j] - x[:, k])
         out += f[:, j] * lj
     return out
-
-
-# ---------------------------------------------------------------------------
-# CSV exchange
-
-
-def _read_csv_table(path, expected_header: str) -> np.ndarray:
-    """Parse a numeric CSV with a fixed header; shared by the profile and
-    solution-bundle readers."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty CSV file")
-    if lines[0].strip() != expected_header:
-        raise SchemaError(f"expected header {expected_header!r}, got {lines[0]!r}")
-    n_fields = expected_header.count(",") + 1
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ProfileParseError(f"expected {n_fields} fields, got {len(parts)}", line=lineno)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ProfileParseError(str(exc), line=lineno) from None
-    if not rows:
-        raise SchemaError("CSV file has no data rows")
-    return np.asarray(rows, dtype=float)
-
-
-def _write_csv_table(path, header: str, columns) -> None:
-    """Write equal-length float arrays as columns under a fixed header;
-    shared by the profile and solution-bundle writers.
-
-    One row per index, each value as ``%.17g`` (enough digits to read back
-    the same float), ``\\n`` line endings.  One format string covers a
-    whole row, and the file is written in one call.
-    """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(column.tolist() for column in columns))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n" + "".join([row % values for values in rows]))
-
-
-def write_profile_csv(profile: RadialProfile, path) -> None:
-    """Write the profile as ``r,value`` rows in the format of
-    :func:`_write_csv_table`."""
-    _write_csv_table(path, "r,value", (profile.grid.nodes, profile.values))
-
-
-def read_profile_csv(path) -> RadialProfile:
-    """Read a profile written by :func:`write_profile_csv`."""
-    table = _read_csv_table(path, "r,value")
-    return RadialProfile(RadialGrid(table[:, 0]), table[:, 1])

@@ -1,9 +1,9 @@
 """Radial elliptic solvers and the free-tau construction.
 
-Three layers, all acting on u = phi - 1 so that the flat solution is
-reproduced bitwise: a linear Helmholtz solve on [0, r_max] with a
-regularity row at the origin and a Robin row at r_max; Newton for the
-radial Lichnerowicz equation at fixed (tau, |LW|),
+Two solvers, both acting on u = phi - 1 so that the flat solution is
+reproduced bitwise, and both built on the radial Helmholtz operator on
+[0, r_max], with a regularity row at the origin and a Robin row at r_max:
+Newton for the radial Lichnerowicz equation at fixed (tau, |LW|),
 
     -(4(n-1)/(n-2)) (phi'' + (n-1) phi'/r)
         + ((n-1)/n) tau^2 phi^{N-1} - |LW|^2 phi^{-N-1} = 0;
@@ -45,7 +45,6 @@ from .radial import Dimension, RadialGrid, RadialProfile, _apply_window, _slot_m
 __all__ = [
     "SolveControls",
     "SolveTrace",
-    "solve_radial_helmholtz",
     "solve_lichnerowicz",
     "fixed_point_solve",
     "smooth_schwarzschild_phi",
@@ -62,8 +61,8 @@ class SolveControls:
     continuation_steps: int = 1
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidArgumentError(f"tol must be positive, got {self.tol!r}")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise InvalidArgumentError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_newton < 1:
             raise InvalidArgumentError("iteration limits must be at least 1")
         if self.continuation_steps < 1:
@@ -92,18 +91,20 @@ class _HelmholtzOperator:
     ``rows`` are stencil rows in the windowed layout of
     ``RadialGrid.derivative_matrix``: row 0 holds the regular limit
     n u''(0) and the last row the Robin functional u' + (n-2) u / r at
-    r_max (decaying far field).  ``band`` is the same matrix as a gbsv
-    layout with ``kl`` diagonals on each side (see ``_solve``).
+    r_max (decaying far field).  The Lichnerowicz residual applies them,
+    and so do the phi rows of the free-tau Jacobian.  ``band`` is the
+    same matrix as a gbsv layout with ``kl`` diagonals on each side (see
+    ``_solve``); each Lichnerowicz Newton step solves it with V the
+    step's Frechet diagonal.
     """
 
     rows: np.ndarray
     band: np.ndarray
     kl: int
 
-    def band_with_potential(self, v_values: np.ndarray, work: np.ndarray | None = None):
+    def band_with_potential(self, v_values: np.ndarray, work: np.ndarray):
         """The band minus V on the diagonal, written into the gbsv layout
-        ``work`` (a fresh one when None).  The Robin entry stays fixed."""
-        work = np.empty_like(self.band) if work is None else work
+        ``work``.  The Robin entry stays fixed."""
         np.copyto(work, self.band)
         diag = 2 * self.kl
         np.subtract(self.band[diag, :-1], v_values[:-1], out=work[diag, :-1])
@@ -222,21 +223,6 @@ def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
     return solution
 
 
-def solve_radial_helmholtz(dim: Dimension, V: RadialProfile, rhs: RadialProfile) -> RadialProfile:
-    """Solve u'' + (n-1)u'/r - V u = rhs with u'(0) = 0 and a decaying
-    far field imposed through the Robin condition u' + (n-2)u/r = 0 at
-    r_max."""
-    if V.grid is not rhs.grid:
-        raise InvalidArgumentError("V and rhs must share one grid")
-    if np.any(V.values < 0):
-        raise InvalidArgumentError("potential V must be nonnegative")
-    grid = V.grid
-    b = rhs.values.copy()
-    b[-1] = 0.0
-    operator = _helmholtz_operator(dim.n, grid)
-    return RadialProfile(grid, _solve(operator.band_with_potential(V.values), b, operator.kl))
-
-
 def _laplacian_weight(n: int) -> float:
     """The factor 4(n-1)/(n-2) of the radial Laplacian in the Lichnerowicz rows."""
     return 4.0 * (n - 1.0) / (n - 2.0)
@@ -264,14 +250,21 @@ def _newton(x, stride, linearize, controls, trace):
 
     ``linearize(x)`` returns the residual sup norm and a function that
     assembles and solves the step's banded system; it is not called at
-    the converged iterate.  A step is halved until phi stays positive;
+    the converged iterate.  A residual norm that is not finite raises
+    SingularSystemError.  A step is halved until phi stays positive;
     the iteration stops once the phi step is at most
     tol * max(1, sup |phi|).  ``trace`` records each step.
     """
-    for _ in range(controls.max_newton):
+
+    def record_residual(x):
         norm, solve_step = linearize(x)
+        if not np.isfinite(norm):
+            raise SingularSystemError("radial system overflows: the residual is not finite")
         trace.newton_residuals.append(norm)
-        delta = solve_step()
+        return solve_step
+
+    for _ in range(controls.max_newton):
+        delta = record_residual(x)()
         step = 1.0
         for _ in range(60):
             if np.all(x[::stride] + step * delta[::stride] > 0.0):
@@ -284,7 +277,7 @@ def _newton(x, stride, linearize, controls, trace):
         scale = max(1.0, np.max(np.abs(x[::stride])))
         trace.outer_iterates.append(float(change / scale))
         if change <= controls.tol * scale:
-            trace.newton_residuals.append(linearize(x)[0])
+            record_residual(x)
             return x
     raise NoConvergenceError(
         f"Newton stalled after {controls.max_newton} steps"
@@ -378,20 +371,22 @@ def fixed_point_solve(
     work = np.empty_like(operator.band)
     x = np.zeros(2 * len(grid))
     x[0::2] = 1.0
-    for stage in range(1, controls.continuation_steps + 1):
-        t = stage / controls.continuation_steps
-        stage_tau = tau if t == 1.0 else RadialProfile(grid, t ** float(dim.N) * tau.values)
-        tau_sq, dtau = stage_tau.values**2, differentiate(stage_tau, 1).values
+    # an overflow ends in _newton's SingularSystemError, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stage in range(1, controls.continuation_steps + 1):
+            t = stage / controls.continuation_steps
+            stage_tau = tau if t == 1.0 else RadialProfile(grid, t ** float(dim.N) * tau.values)
+            tau_sq, dtau = stage_tau.values**2, differentiate(stage_tau, 1).values
 
-        def linearize(x):
-            residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])
+            def linearize(x):
+                residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])
 
-            def solve_step():
-                return _solve(jacobian(work), -residual, operator.kl)
+                def solve_step():
+                    return _solve(jacobian(work), -residual, operator.kl)
 
-            return float(np.max(np.abs(residual))), solve_step
+                return float(np.max(np.abs(residual))), solve_step
 
-        x = _newton(x, 2, linearize, controls, trace)
+            x = _newton(x, 2, linearize, controls, trace)
     trace.converged = True
 
     phi = RadialProfile(grid, x[0::2])

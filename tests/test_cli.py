@@ -339,7 +339,9 @@ class TestModuleEntryPoint:
         ("smooth-schwarzschild", "--m", "1", "--unknown"),
         ("plot",),
         (),
-    ], ids=["removed-damping", "non-numeric", "unknown-flag", "unknown-command", "no-command"])
+        ("free-tau", "--c", "1", "--q", "1.5", "--tol", "inf"),
+    ], ids=["removed-damping", "non-numeric", "unknown-flag", "unknown-command", "no-command",
+            "infinite-tol"])
     def test_usage_errors_give_invalid_argument_record(self, argv):
         proc = self.run_module(*argv)
         assert proc.returncode == 2
@@ -355,6 +357,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
+
+    @pytest.mark.parametrize("c", ["1e150", "1e300"])
+    def test_overflowing_seed_gives_singular_system_record(self, c):
+        proc = self.run_module("free-tau", "--c", c, "--q", "1.5")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "singular-system"
 
     # 10^14 nodes or points need more than the 47-bit user address space,
     # so the allocation fails at once on any host, overcommit or not.

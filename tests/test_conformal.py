@@ -38,7 +38,7 @@ from vacuumdata import (
     vector_potential,
     write_solution_csv,
 )
-from vacuumdata.radial import _read_csv_table
+from vacuumdata.conformal import _read_csv_table
 
 DIM3 = Dimension(3)
 
@@ -422,13 +422,17 @@ class TestSolutionBundleCsv:
         assert back.tau.tail.exponent == pytest.approx(1.5, abs=0.05)
 
     def test_header_mismatch_rejected(self, tmp_path):
+        # a wrong header, an empty file, and a header without data rows
         path = tmp_path / "bad.csv"
-        path.write_text("r,phi,tau,A,w,lw\n0,1,0,0,0,0\n")
-        with pytest.raises(SchemaError):
-            read_solution_csv(path, DIM3)
+        for text in ("r,phi,tau,A,w,lw\n0,1,0,0,0,0\n", "", "r,phi,dphi,tau,A,w,lw\n"):
+            path.write_text(text)
+            with pytest.raises(SchemaError):
+                read_solution_csv(path, DIM3)
 
     def test_short_row_rejected_with_line_number(self, tmp_path):
+        # a row one field short, and a row with a non-numeric field
         path = tmp_path / "bad.csv"
-        path.write_text("r,phi,dphi,tau,A,w,lw\n0,1,0,0,0,0,0\n1,1,0,0,0\n")
-        with pytest.raises(ProfileParseError, match="line 3"):
-            read_solution_csv(path, DIM3)
+        for row in ("1,1,0,0,0", "1,1,0,0,abc,0,0"):
+            path.write_text(f"r,phi,dphi,tau,A,w,lw\n0,1,0,0,0,0,0\n{row}\n")
+            with pytest.raises(ProfileParseError, match="line 3"):
+                read_solution_csv(path, DIM3)

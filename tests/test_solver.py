@@ -33,7 +33,6 @@ from vacuumdata import (
     fixed_point_solve,
     smooth_schwarzschild_phi,
     solve_lichnerowicz,
-    solve_radial_helmholtz,
     tau_from_phi,
 )
 from vacuumdata import solver
@@ -57,44 +56,14 @@ def conformal_seed(grid, c, q):
 
 
 class TestHelmholtzSolve:
-    def helmholtz_error(self, n_points):
-        # u* = (1+r^2)^{-1/2} solves -lap u = rhs with u'(0) = 0 and the
-        # far-field Robin closure satisfied to O(r_max^-3)
-        grid = build_grid(n_points, 150.0, 1.0)
-        r = grid.nodes
-        exact = (1.0 + r * r) ** -0.5
-        rhs = RadialProfile(grid, -3.0 * (1.0 + r * r) ** -2.5)
-        pot = RadialProfile(grid, np.zeros(len(grid)))
-        u = solve_radial_helmholtz(DIM3, pot, rhs)
-        return float(np.max(np.abs(u.values - exact)))
-
-    def test_manufactured_potential_free(self):
-        assert self.helmholtz_error(750) < 3e-4
-
-    def test_scheme_order_at_least_three_and_a_half(self):
-        coarse = self.helmholtz_error(750)
-        fine = self.helmholtz_error(1500)
-        assert fine < 1e-5
-        assert math.log2(coarse / fine) > 3.5
-
-    def test_zero_rhs_is_bitwise_zero(self, work_grid):
-        zero = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        pot = RadialProfile(work_grid, work_grid.nodes**2)
-        u = solve_radial_helmholtz(DIM3, pot, zero)
-        assert np.all(u.values == 0.0)
-
-    def test_negative_potential_rejected(self, work_grid):
-        pot = RadialProfile(work_grid, -np.ones(len(work_grid)))
-        rhs = RadialProfile(work_grid, np.ones(len(work_grid)))
-        with pytest.raises(InvalidArgumentError, match="nonnegative"):
-            solve_radial_helmholtz(DIM3, pot, rhs)
+    """The Helmholtz operator that each Lichnerowicz Newton step solves."""
 
     def test_mixed_grids_rejected(self, work_grid):
         other = build_grid(512, 10.0, 1.0)
-        pot = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        rhs = RadialProfile(other, np.ones(len(other)))
+        tau = RadialProfile(work_grid, np.zeros(len(work_grid)))
+        lw = RadialProfile(other, np.ones(len(other)))
         with pytest.raises(InvalidArgumentError, match="grid"):
-            solve_radial_helmholtz(DIM3, pot, rhs)
+            solve_lichnerowicz(DIM3, tau, lw)
 
     def test_harmonic_function_in_operator_kernel(self, work_grid):
         # 1/r is harmonic away from the origin; apply the assembled
@@ -121,7 +90,8 @@ class TestBandedSolve:
         dense[np.arange(npts - 1), np.arange(npts - 1)] -= potential[:-1]
         rhs = np.exp(-r)
         expected = np.linalg.solve(dense, rhs)
-        got = _solve(operator.band_with_potential(potential), rhs, operator.kl)
+        work = np.empty_like(operator.band)
+        got = _solve(operator.band_with_potential(potential, work), rhs, operator.kl)
         assert float(np.max(np.abs(got - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
 
     def test_zero_rows_raise_singular(self):
@@ -235,15 +205,6 @@ def reference_fixed_point(dim, tau, damping=0.7, max_outer=200):
 
 
 class TestBitwiseAgainstPerStepAssembly:
-    def test_helmholtz_solve(self, work_grid):
-        r = work_grid.nodes
-        pot = RadialProfile(work_grid, 1.0 / (1.0 + r * r))
-        rhs = RadialProfile(work_grid, np.exp(-r))
-        got = solve_radial_helmholtz(DIM3, pot, rhs)
-        b = rhs.values.copy()
-        b[-1] = 0.0
-        assert np.array_equal(got.values, reference_solve(reference_rows(3, work_grid, pot.values), b))
-
     @pytest.mark.parametrize("dim", [DIM3, DIM4], ids=["n3", "n4"])
     def test_lichnerowicz(self, dim):
         grid = build_grid(2000, 1e3, 1.01)
@@ -495,12 +456,9 @@ class TestOperatorCache:
             for grid in (shared, RadialGrid(shared.nodes)):
                 tau = conformal_seed(grid, 1.0, 1.5)
                 lw = RadialProfile(grid, 0.1 * (1.0 + r * r) ** -1.0)
-                pot = RadialProfile(grid, 1.0 / (1.0 + r * r))
-                rhs = RadialProfile(grid, np.exp(-r))
                 results.append(
                     (
                         solve_lichnerowicz(dim, tau, lw).values,
-                        solve_radial_helmholtz(dim, pot, rhs).values,
                         fixed_point_solve(dim, tau)[0].phi.values,
                         _helmholtz_operator(dim.n, grid).band,
                         _coupled_operator(dim.n, grid).band,
@@ -514,8 +472,9 @@ class TestOperatorCache:
         before = operator.band.copy()
         potential = np.zeros(len(work_grid))
         potential[len(work_grid) // 2] = np.inf
+        work = np.empty_like(operator.band)
         with pytest.raises(SingularSystemError):
-            _solve(operator.band_with_potential(potential), np.ones(len(work_grid)), operator.kl)
+            _solve(operator.band_with_potential(potential, work), np.ones(len(work_grid)), operator.kl)
         assert np.array_equal(operator.band, before)
 
 
@@ -578,6 +537,7 @@ class TestSolveControls:
             {"tol": -1e-3},
             {"max_newton": 0},
             {"continuation_steps": 0},
+            {"tol": math.inf},
         ],
     )
     def test_invalid_controls_rejected(self, kwargs):
@@ -673,6 +633,13 @@ class TestFixedPointSolve:
         seed_c = RadialProfile(shrunk, c * (1.0 + (c * rc) ** 2) ** -1.0)
         scaled, _ = fixed_point_solve(DIM3, seed_c)
         assert float(np.max(np.abs(scaled.phi.values - base.phi.values))) < 1e-9
+
+    @pytest.mark.parametrize("c", [1e150, 1e300])
+    def test_overflowing_seed_raises_typed(self, work_grid, c):
+        # 1e300 overflows tau^2, 1e150 overflows A^2 after the first step;
+        # either must end in a typed error, not a RuntimeWarning
+        with pytest.raises(SingularSystemError, match="not finite"):
+            fixed_point_solve(DIM3, conformal_seed(work_grid, c, 1.5))
 
     def test_iteration_budget_exhaustion_raises(self, work_grid):
         controls = SolveControls(tol=1e-14, max_newton=1)
