@@ -16,6 +16,8 @@ from vacuumdata.errors import (
     EvaluationOutOfRangeError,
     InvalidArgumentError,
     NoTailError,
+    ProfileParseError,
+    SchemaError,
     TailTooSlowError,
 )
 from vacuumdata.radial import (
@@ -29,7 +31,7 @@ from vacuumdata.radial import (
     integrate_from_zero,
     integrate_to_infinity,
 )
-from vacuumdata.conformal import _derived_tail
+from vacuumdata.conformal import _derived_tail, _read_csv_table
 from vacuumdata.radial import _apply_window, _build_quadrature, _window_starts
 
 
@@ -439,3 +441,19 @@ class TestDerivativeIntegralInverse:
             errs.append(np.max(np.abs(recovered.values - (f - f[0]))))
         assert errs[0] / errs[1] > 8.0
 
+
+class TestProfileCsv:
+    """The numeric table reader behind the solution bundle, on a two-column
+    ``r,value`` table."""
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError):
+            _read_csv_table(path, "r,value")
+
+    def test_non_numeric_field_reports_line(self, tmp_path):
+        path = tmp_path / "corrupt.csv"
+        path.write_text("r,value\n0,1\n0.5,abc\n")
+        with pytest.raises(ProfileParseError, match="line 3"):
+            _read_csv_table(path, "r,value")
