@@ -27,6 +27,7 @@ import numpy as np
 from .conformal import (
     ConformalSolution,
     InitialData,
+    _identity_residual,
     assemble_initial_data,
     build_solution,
     read_solution_csv,
@@ -36,6 +37,7 @@ from .errors import (
     DegenerateFitError,
     InvalidArgumentError,
     NoTailError,
+    SchemaError,
     TailTooSlowError,
     VacuumDataError,
 )
@@ -333,8 +335,26 @@ def _cmd_verify(config: ScenarioConfig) -> dict:
     )
 
 
-def _cmd_mass(config: ScenarioConfig) -> dict:
+def _read_bundle_at_n(config: ScenarioConfig) -> ConformalSolution:
+    """The bundle read at ``config.n``, refused unless it passes the
+    mean-curvature identity there.  A bundle does not record its
+    dimension, and one read at another n fails the identity by orders of
+    magnitude while its mass may even change sign."""
     sol = read_solution_csv(config.csv_path, config.dim)
+    try:
+        residual = _identity_residual(config.dim, sol.phi, sol.tau)
+    except VacuumDataError:
+        residual = math.inf
+    if not residual < IDENTITY_GATE:
+        raise SchemaError(
+            f"bundle fails the mean-curvature identity at n={config.n} (residual {residual:.3g});"
+            " was it written with another --n?"
+        )
+    return sol
+
+
+def _cmd_mass(config: ScenarioConfig) -> dict:
+    sol = _read_bundle_at_n(config)
     return _report(
         config,
         {"csv": config.csv_path},
@@ -343,7 +363,7 @@ def _cmd_mass(config: ScenarioConfig) -> dict:
 
 
 def _cmd_decay(config: ScenarioConfig) -> dict:
-    sol = read_solution_csv(config.csv_path, config.dim)
+    sol = _read_bundle_at_n(config)
     return _report(
         config,
         {"csv": config.csv_path},

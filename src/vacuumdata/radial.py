@@ -9,7 +9,8 @@ shared grid.  This module owns that representation:
 * high-order finite differences with even reflection across r = 0,
   stored as windowed stencils (one row of weights per node, applied to
   a window of neighbouring values),
-* composite polynomial quadrature, cumulative and improper,
+* composite polynomial quadrature, cumulative and improper; stencil and
+  quadrature weights are built once per local grid geometry, then scaled,
 * power-law tail fits used for remainders and decay diagnostics.
 """
 
@@ -42,6 +43,7 @@ __all__ = [
 
 _STENCIL = 7  # interior stencil width; order 6 (d/dr) and 5 (d2/dr2)
 _QUAD_STENCIL = 5  # nodes per interval integral; exact through degree 4
+_GEOMETRY_TOL = 1e-11  # rows whose scaled local geometry agrees this closely share weights
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,7 +70,8 @@ class RadialGrid:
 
     Instances are immutable and cache their differentiation and
     quadrature operators as windowed weights (row i weighs a short run of
-    consecutive values); profiles refer to grids by identity.
+    consecutive values), built once per class of scaled local geometry (see
+    ``_geometry_classes``) from the nodes alone; profiles refer to grids by identity.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -100,12 +103,8 @@ class RadialGrid:
     def derivative_matrix(self, order: int) -> np.ndarray:
         """Windowed stencil weights of d/dr (order 1) or d2/dr2 (order 2),
         shape (nodes, 7), or (nodes, 5) below seven nodes; read-only."""
-        key = ("deriv", order)
-        if key not in self._cache:
-            d1, d2 = _build_derivative_weights(self.nodes)
-            self._cache[("deriv", 1)] = _slot_major(d1)
-            self._cache[("deriv", 2)] = _slot_major(d2)
-        return self._cache[key]
+        weights = self._cached("deriv", lambda: list(map(_slot_major, _build_derivative_weights(self.nodes))))
+        return weights[order - 1]
 
     def _cached(self, key, build):
         """The operator cached under ``key``, built by ``build()`` on first use."""
@@ -249,8 +248,8 @@ def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
 # finite differences
 
 
-def _fornberg_weights(x: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Weights for derivatives 0..2 at x0[i] on the nodes x[i, :], all rows at once.
+def _fornberg_weights(x: np.ndarray) -> np.ndarray:
+    """Weights for derivatives 0..2 at 0 on the nodes x[i, :], all rows at once.
 
     Fornberg's recursion (1988) with each scalar of the classic loop
     replaced by a vector over the rows; the loops run over the stencil
@@ -259,25 +258,37 @@ def _fornberg_weights(x: np.ndarray, x0: np.ndarray) -> np.ndarray:
     rows, width = x.shape
     c = np.zeros((width, 3, rows))
     c1 = np.ones(rows)
-    c4 = x[:, 0] - x0
     c[0, 0] = 1.0
     for i in range(1, width):
         mn = min(i, 2)
         c2 = np.ones(rows)
-        c5 = c4
-        c4 = x[:, i] - x0
         for j in range(i):
             c3 = x[:, i] - x[:, j]
             c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - x[:, j] * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * x[:, j] * c[i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[j, k] = (x[:, i] * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = x[:, i] * c[j, 0] / c3
         c1 = c2
     return c.transpose(2, 0, 1)
+
+
+def _geometry_classes(geometry: np.ndarray):
+    """(representatives, class of each row) of rows of scaled local geometry.
+
+    Rows whose every coordinate rounds to the same multiple of
+    ``_GEOMETRY_TOL`` form a class, so each row lies within that tolerance
+    of the class's representative, its first row; nothing chains along
+    neighbours."""
+    key = np.rint(geometry / _GEOMETRY_TOL)
+    order = np.lexsort(key.T[::-1])  # stable: equal keys keep row order
+    new = np.r_[True, np.any(np.diff(key[order], axis=0) != 0.0, axis=1)]
+    label = np.empty_like(order)
+    label[order] = np.cumsum(new) - 1
+    return order[new], label
 
 
 def _window_starts(npts: int, width: int) -> np.ndarray:
@@ -292,31 +303,31 @@ def _build_derivative_weights(nodes: np.ndarray):
     values in columns starts[i] .. starts[i] + width - 1 (see
     ``_window_starts``).  Odd-order stencils near the origin use ghost
     nodes at -r_k carrying the value at +r_k; each ghost weight is folded
-    onto column k, and the row for d/dr at r=0 is zero.  Rows are
-    re-normalized so derivatives of constants are exactly zero.
+    onto column k, and the row for d/dr at r=0 is zero.  Each class of
+    window offsets scaled by the window's extent h (``_geometry_classes``)
+    gets one row; each row divides it by h or h^2 and is re-normalized to
+    sum to zero.
     """
     npts = nodes.size
     if npts < 5:
         raise InvalidArgumentError("differentiation needs at least 5 nodes")
     width = _STENCIL if npts >= _STENCIL else 5
-    half = width // 2
-
     rows = np.arange(npts)
     starts = _window_starts(npts, width)
     # the first rows centre their stencil on the node, reaching past r = 0
-    first = np.minimum(starts, rows - half)
+    first = np.minimum(starts, rows - width // 2)
     offsets = first[:, None] + np.arange(width)
-    w = _fornberg_weights(np.copysign(nodes[np.abs(offsets)], offsets), nodes)
-    w[rows, rows - first] -= w.sum(axis=1)
-    w[0, :, 1] = 0.0  # d/dr of a smooth even profile vanishes at the origin
-
-    columns = np.abs(offsets) - starts[:, None]
-    d1 = np.zeros((npts, width))
-    d2 = np.zeros((npts, width))
-    for slot in range(width):
-        d1[rows, columns[:, slot]] += w[:, slot, 1]
-        d2[rows, columns[:, slot]] += w[:, slot, 2]
-    return d1, d2
+    x = np.copysign(nodes[np.abs(offsets)], offsets) - nodes[:, None]
+    h = x[:, -1] - x[:, 0]
+    reps, label = _geometry_classes(np.column_stack([x / h[:, None], starts - first]))
+    w = _fornberg_weights(x[reps] / h[reps, None])[:, :, 1:]
+    folded = np.zeros_like(w)  # ghost weights onto their mirror columns, slot by slot
+    np.add.at(folded, (np.arange(reps.size)[:, None], np.abs(offsets[reps]) - starts[reps, None]), w)
+    scaled = folded.T.take(label, axis=2)  # slot-major, see _slot_major
+    scaled /= np.stack([h, h * h])[:, None]
+    scaled.reshape(2, -1)[:, (rows - starts) * npts + rows] -= scaled.sum(axis=1)
+    scaled[0, :, 0] = 0.0  # d/dr of a smooth even profile vanishes at the origin
+    return scaled.transpose(0, 2, 1)
 
 
 def _slot_major(weights: np.ndarray) -> np.ndarray:
@@ -361,31 +372,20 @@ def _build_quadrature(nodes: np.ndarray):
 
     Returns (index, weights) where interval i integrates
     ``weights[i] @ values[index[i]]``, a run of five consecutive nodes.
+    One row per class of node offsets from the interval's centre, scaled
+    by its width (``_geometry_classes``), is multiplied by that width.
     """
     npts = nodes.size
     if npts < _QUAD_STENCIL:
         raise InvalidArgumentError("quadrature needs at least 5 nodes")
-    n_int = npts - 1
-    starts = _window_starts(npts, _QUAD_STENCIL)[:-1]
-    idx = starts[:, None] + np.arange(_QUAD_STENCIL)[None, :]
-    x = nodes[idx]
+    idx = _window_starts(npts, _QUAD_STENCIL)[:-1, None] + np.arange(_QUAD_STENCIL)
     widths = np.diff(nodes)
-    centers = 0.5 * (nodes[:-1] + nodes[1:])
-    t = (x - centers[:, None]) / widths[:, None]
-    # moments of t^k over [-1/2, 1/2]
-    k = np.arange(_QUAD_STENCIL)
-    moments = np.where(k % 2 == 0, 0.5**k / (k + 1.0), 0.0)
-    # Vandermonde t^k, (n_int, 5 nodes, 5 powers).  Powers 0 and 1 are
-    # exact, so only 2-4 go through np.power (slow for negative bases);
-    # products instead would move the weights' last bits.
-    vander = np.empty((n_int, _QUAD_STENCIL, _QUAD_STENCIL))
-    vander[:, :, 0] = 1.0
-    vander[:, :, 1] = t
-    vander[:, :, 2:] = t[:, :, None] ** k[None, None, 2:]
-    rhs = np.broadcast_to(moments[:, None], (n_int, _QUAD_STENCIL, 1)).copy()
-    weights = np.linalg.solve(np.swapaxes(vander, 1, 2), rhs)[:, :, 0]
-    weights *= widths[:, None]
-    return idx, weights
+    t = (nodes[idx] - 0.5 * (nodes[:-1] + nodes[1:])[:, None]) / widths[:, None]
+    reps, label = _geometry_classes(t)
+    # 3-point Gauss-Legendre on [-1/2, 1/2] (exact through degree 5) of the interpolant
+    gauss = zip((-np.sqrt(0.15), 0.0, np.sqrt(0.15)), (5 / 18, 8 / 18, 5 / 18))
+    weights = sum(g_w * _fornberg_weights(t[reps] - g_t)[:, :, 0] for g_t, g_w in gauss)
+    return idx, weights[label] * widths[:, None]
 
 
 def _interval_integrals(profile: RadialProfile) -> np.ndarray:

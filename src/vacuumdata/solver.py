@@ -305,7 +305,6 @@ def solve_lichnerowicz(
     start = np.ones(len(grid)) if phi0 is None else phi0.values.copy()
     if np.any(start <= 0):
         raise InvalidArgumentError("initial guess must be positive")
-    tau_sq, lw_sq = tau.values**2, lw.values**2
     a = _laplacian_weight(dim.n)
     operator = _helmholtz_operator(dim.n, grid)
     work = np.empty_like(operator.band)
@@ -321,7 +320,10 @@ def solve_lichnerowicz(
         return float(np.max(np.abs(f))), solve_step
 
     controls = controls if controls is not None else SolveControls()
-    return RadialProfile(grid, _newton(start, 1, linearize, controls, SolveTrace()))
+    # an overflow ends in _newton's SingularSystemError, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau_sq, lw_sq = tau.values**2, lw.values**2
+        return RadialProfile(grid, _newton(start, 1, linearize, controls, SolveTrace()))
 
 
 def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):
@@ -376,7 +378,11 @@ def fixed_point_solve(
         for stage in range(1, controls.continuation_steps + 1):
             t = stage / controls.continuation_steps
             stage_tau = tau if t == 1.0 else RadialProfile(grid, t ** float(dim.N) * tau.values)
-            tau_sq, dtau = stage_tau.values**2, differentiate(stage_tau, 1).values
+            tau_sq = stage_tau.values**2
+            try:
+                dtau = differentiate(stage_tau, 1).values
+            except InvalidArgumentError as exc:  # tau' overflows
+                raise SingularSystemError("radial system overflows: tau' is not finite") from exc
 
             def linearize(x):
                 residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])

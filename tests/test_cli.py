@@ -358,12 +358,46 @@ class TestModuleEntryPoint:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
 
-    @pytest.mark.parametrize("c", ["1e150", "1e300"])
+    # at 1.7e308 tau' itself overflows, before any Newton step
+    @pytest.mark.parametrize("c", ["1e150", "1e300", "1.7e308"])
     def test_overflowing_seed_gives_singular_system_record(self, c):
         proc = self.run_module("free-tau", "--c", c, "--q", "1.5")
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "singular-system"
+
+    @pytest.fixture(scope="class")
+    def n4_run(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("n4")
+        out_json, bundle = base / "report.json", base / "bundle.csv"
+        main(["free-tau", "--n", "4", "--c", "1", "--q", "2.2", "--grid-max", "1e3",
+              "--out", str(out_json), "--profiles", str(bundle)])
+        return json.loads(out_json.read_text()), bundle
+
+    @pytest.mark.parametrize("command", ["mass", "decay"])
+    @pytest.mark.parametrize("written,read", [(4, 3), (3, 4)], ids=["n4-read-at-n3", "n3-read-at-n4"])
+    def test_bundle_read_at_another_dimension_gives_schema_record(self, command, written, read,
+                                                                   n4_run, schw_run):
+        bundle = n4_run[1] if written == 4 else schw_run[2]
+        proc = self.run_module(command, str(bundle), "--n", str(read))
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        record = json.loads(proc.stdout)["error"]
+        assert record["type"] == "schema-error" and f"n={read}" in record["message"]
+
+    def test_bundle_read_at_its_dimension_reproduces_the_report(self, n4_run):
+        report, bundle = n4_run
+        mass = self.run_module("mass", str(bundle), "--n", "4")
+        decay = self.run_module("decay", str(bundle), "--n", "4")
+        assert (mass.returncode, mass.stderr, decay.returncode, decay.stderr) == (0, "", 0, "")
+        assert json.loads(mass.stdout)["mass"] == report["mass"]
+        assert json.loads(decay.stdout)["decay"] == report["decay"]
+
+    def test_verify_still_reports_a_bundle_at_another_dimension(self, n4_run):
+        proc = self.run_module("verify", str(n4_run[1]))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["checks"]["identity_residual"] is False
 
     # 10^14 nodes or points need more than the 47-bit user address space,
     # so the allocation fails at once on any host, overcommit or not.

@@ -32,12 +32,32 @@ from vacuumdata.radial import (
     integrate_to_infinity,
 )
 from vacuumdata.conformal import _derived_tail, _read_csv_table
-from vacuumdata.radial import _apply_window, _build_quadrature, _window_starts
+from vacuumdata.conformal import build_solution, read_solution_csv, write_solution_csv
+from vacuumdata.radial import (
+    _GEOMETRY_TOL,
+    _apply_window,
+    _build_quadrature,
+    _geometry_classes,
+    _window_starts,
+)
+from vacuumdata.solver import smooth_schwarzschild_phi
 
 
 @pytest.fixture(scope="module")
 def work_grid():
     return build_grid(4000, 1e4, 1.01)
+
+
+def irregular_nodes(npts, seed=3):
+    """Nodes with random spacings between 0.1 and 2: no two rows share a geometry."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, npts - 1))])
+
+
+def assert_rows_close(weights, reference, rtol=1e-10):
+    """Every row within rtol of the reference row, relative to its largest weight."""
+    scale = np.max(np.abs(reference), axis=1, keepdims=True)
+    assert np.all(np.abs(weights - reference) <= rtol * scale)
 
 
 def positive_power_profile(grid, power, coeff=1.0):
@@ -197,19 +217,60 @@ def reference_stencils(nodes):
     return d1, d2
 
 
+STENCIL_GRIDS = pytest.mark.parametrize("nodes", [
+    build_grid(4000, 1e4, 1.01).nodes,
+    build_grid(300, 20.0, 1.0).nodes,
+    np.array([0.0, 0.5, 1.25, 2.0, 3.5]),
+    np.array([0.0, 0.5, 1.25, 2.0, 3.5, 6.0]),
+    irregular_nodes(400),
+], ids=["graded-4000", "uniform-300", "five-nodes", "six-nodes", "irregular-400"])
+
+
 class TestStencilWeights:
-    @pytest.mark.parametrize("nodes", [
-        build_grid(4000, 1e4, 1.01).nodes,
-        build_grid(300, 20.0, 1.0).nodes,
-        np.array([0.0, 0.5, 1.25, 2.0, 3.5]),
-        np.array([0.0, 0.5, 1.25, 2.0, 3.5, 6.0]),
-    ], ids=["graded-4000", "uniform-300", "five-nodes", "six-nodes"])
-    def test_match_scalar_recursion_bitwise(self, nodes):
+    @STENCIL_GRIDS
+    def test_match_scalar_recursion(self, nodes):
+        # rows borrow their class's weights, so they equal the node-by-node
+        # construction to rounding, not bitwise
         grid = RadialGrid(nodes)
         ref1, ref2 = reference_stencils(grid.nodes)
         assert grid.derivative_matrix(1).shape == ref1.shape
-        assert np.array_equal(grid.derivative_matrix(1), ref1)
-        assert np.array_equal(grid.derivative_matrix(2), ref2)
+        assert_rows_close(grid.derivative_matrix(1), ref1)
+        assert_rows_close(grid.derivative_matrix(2), ref2)
+        assert np.all(grid.derivative_matrix(1)[0] == 0.0)
+        for order in (1, 2):
+            # re-normalized rows: constants differentiate to rounding of the weights
+            weights = grid.derivative_matrix(order)
+            assert np.all(np.abs(weights.sum(axis=1)) <= 1e-15 * np.abs(weights).sum(axis=1))
+
+    @STENCIL_GRIDS
+    def test_exact_on_polynomials(self, nodes):
+        # row i differentiates ((r - r_i)/s)^k, k < width, exactly at r_i; the
+        # first rows, which fold ghost nodes, the even powers (r/s)^(2m)
+        grid = RadialGrid(nodes)
+        npts, width = grid.derivative_matrix(1).shape
+        half = width // 2
+        s = nodes[-1]
+        r = nodes[grid._window_index(width).T]
+        ri = nodes[:, None]
+        for order in (1, 2):
+            weights = grid.derivative_matrix(order)
+            for k in range(width):
+                local = ((r - ri) / s) ** k
+                exact = math.factorial(k) / s**k if k == order else 0.0
+                got = np.sum(weights * local, axis=1)
+                bound = 1e-9 * np.sum(np.abs(weights * local), axis=1) + 1e-300
+                assert np.all(np.abs(got[half:] - exact) <= bound[half:])
+            for m in range(half + 1):
+                even = (r / s) ** (2 * m)
+                exact = np.zeros(half)
+                if m >= 1:
+                    p, x = 2 * m, nodes[:half] / s
+                    exact = (p * x ** (p - 1) if order == 1 else p * (p - 1) * x ** (p - 2)) / s**order
+                    if order == 1:
+                        exact[0] = 0.0
+                got = np.sum(weights[:half] * even[:half], axis=1)
+                bound = 1e-9 * np.sum(np.abs(weights[:half] * even[:half]), axis=1) + 1e-300
+                assert np.all(np.abs(got - exact) <= bound)
 
     def test_cached_per_grid(self):
         grid = build_grid(64, 10.0, 1.0)
@@ -282,8 +343,9 @@ class TestStencilWeights:
 
 
 def reference_quadrature(nodes):
-    """The interval weights with every Vandermonde power through np.power,
-    as built before powers 0 and 1 were filled in directly."""
+    """The interval weights solved interval by interval: the Vandermonde of
+    the scaled node offsets, every power through np.power, against the
+    moments of t^k over [-1/2, 1/2]."""
     npts = nodes.size
     starts = _window_starts(npts, 5)[:-1]
     idx = starts[:, None] + np.arange(5)[None, :]
@@ -299,16 +361,82 @@ def reference_quadrature(nodes):
     return idx, weights
 
 
+QUADRATURE_GRIDS = pytest.mark.parametrize("n_points,r_max,stretch", [
+    (64, 10.0, 1.0), (4000, 1e4, 1.01), (8000, 1e3, 1.01), (300, 50.0, 1.05), (400, None, None),
+], ids=["64-10.0-1.0", "4000-10000.0-1.01", "8000-1000.0-1.01", "300-50.0-1.05", "irregular-400"])
+
+
+def quadrature_nodes(n_points, r_max, stretch):
+    return irregular_nodes(n_points) if r_max is None else build_grid(n_points, r_max, stretch).nodes
+
+
+def interval_offsets(nodes, index):
+    """Each interval's node offsets from its centre in units of its width."""
+    widths = np.diff(nodes)
+    return (nodes[index] - 0.5 * (nodes[:-1] + nodes[1:])[:, None]) / widths[:, None]
+
+
 class TestQuadratureWeights:
-    @pytest.mark.parametrize("n_points,r_max,stretch", [
-        (64, 10.0, 1.0), (4000, 1e4, 1.01), (8000, 1e3, 1.01), (300, 50.0, 1.05),
-    ])
-    def test_equal_full_power_reference_bitwise(self, n_points, r_max, stretch):
-        nodes = build_grid(n_points, r_max, stretch).nodes
+    @QUADRATURE_GRIDS
+    def test_match_full_power_reference(self, n_points, r_max, stretch):
+        nodes = quadrature_nodes(n_points, r_max, stretch)
         index, weights = _build_quadrature(nodes)
         ref_index, ref_weights = reference_quadrature(nodes)
         assert np.array_equal(index, ref_index)
-        assert np.array_equal(weights.view(np.int64), ref_weights.view(np.int64))
+        assert_rows_close(weights, ref_weights)
+
+    @QUADRATURE_GRIDS
+    def test_exact_through_degree_four(self, n_points, r_max, stretch):
+        nodes = quadrature_nodes(n_points, r_max, stretch)
+        index, weights = _build_quadrature(nodes)
+        widths = np.diff(nodes)
+        t = interval_offsets(nodes, index)
+        for k in range(5):
+            exact = widths * (0.5**k / (k + 1.0) if k % 2 == 0 else 0.0)
+            terms = weights * t**k
+            assert np.all(np.abs(terms.sum(axis=1) - exact) <= 1e-12 * np.sum(np.abs(terms), axis=1))
+
+
+class TestGeometryClasses:
+    def test_drifting_rows_stay_within_tolerance_of_representative(self):
+        # neighbours differ by 0.3 tol, so chaining along neighbours would put
+        # rows 100 tol apart into one class
+        geometry = np.arange(400.0)[:, None] * np.array([0.3, -0.7]) * _GEOMETRY_TOL + 0.25
+        reps, label = _geometry_classes(geometry)
+        assert np.all(np.abs(geometry - geometry[reps[label]]) <= _GEOMETRY_TOL)
+        assert np.all(reps[label] <= np.arange(400))  # the representative is its class's first row
+        assert reps.size > 1
+
+    @pytest.mark.parametrize("n_points,r_max", [(4000, 1e4), (8000, 1e4), (8000, 1e3)])
+    def test_graded_grid_has_few_classes(self, n_points, r_max):
+        nodes = build_grid(n_points, r_max, 1.01).nodes
+        t = interval_offsets(nodes, _build_quadrature(nodes)[0])
+        reps, label = _geometry_classes(t)
+        assert reps.size <= 20
+        assert np.all(np.abs(t - t[reps[label]]) <= _GEOMETRY_TOL)
+
+    def test_irregular_grid_has_one_class_per_row(self):
+        nodes = irregular_nodes(400)
+        index, _ = _build_quadrature(nodes)
+        reps, label = _geometry_classes(interval_offsets(nodes, index))
+        assert np.array_equal(np.sort(reps), np.arange(len(index)))
+        assert np.array_equal(reps[label], np.arange(len(index)))
+
+
+class TestWeightsFromBundle:
+    @pytest.mark.parametrize("n,grid_args", [(3, (4000, 1e4, 1.01)), (4, (4000, 1e3, 1.01))],
+                             ids=["n3-4000-1e4", "n4-4000-1e3"])
+    def test_read_grid_gets_bitwise_equal_weights(self, tmp_path, n, grid_args):
+        dim = Dimension(n)
+        built = build_grid(*grid_args)
+        sol = build_solution(dim, smooth_schwarzschild_phi(dim, 1.0, built))
+        write_solution_csv(sol, tmp_path / "bundle.csv")
+        read = read_solution_csv(tmp_path / "bundle.csv", dim).grid
+        assert read is not built and np.array_equal(read.nodes, built.nodes)
+        for order in (1, 2):
+            assert np.array_equal(read.derivative_matrix(order).view(np.int64),
+                                  built.derivative_matrix(order).view(np.int64))
+        assert np.array_equal(read._quadrature()[1].view(np.int64), built._quadrature()[1].view(np.int64))
 
 
 class TestIntegrateFromZero:

@@ -15,6 +15,7 @@ below.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestHelmholtzSolve:
         lw = RadialProfile(other, np.ones(len(other)))
         with pytest.raises(InvalidArgumentError, match="grid"):
             solve_lichnerowicz(DIM3, tau, lw)
+
+    def test_overflowing_tau_raises_typed_error_without_warning(self):
+        # tau^2 overflows; the solve must end in the typed error, not a RuntimeWarning
+        grid = build_grid(400, 50.0, 1.01)
+        tau = RadialProfile(grid, np.full(len(grid), 1e300))
+        lw = RadialProfile(grid, np.zeros(len(grid)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError):
+                solve_lichnerowicz(DIM3, tau, lw)
 
     def test_harmonic_function_in_operator_kernel(self, work_grid):
         # 1/r is harmonic away from the origin; apply the assembled
