@@ -404,9 +404,16 @@ _BUNDLE_HEADER = "r,phi,dphi,tau,A,w,lw"
 
 
 def _read_csv_table(path, expected_header: str) -> np.ndarray:
-    """Parse a numeric CSV with a fixed header."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Parse a numeric CSV with a fixed header.  A byte outside ASCII is
+    a parse error on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # a stand-in for the bad byte ends the last of the lines before it
+        line = len((data[: exc.start] + b"?").decode("ascii").splitlines())
+        raise ProfileParseError(f"byte 0x{data[exc.start]:02x} is not ASCII", line=line) from None
     if not lines:
         raise SchemaError("empty CSV file")
     if lines[0].strip() != expected_header:

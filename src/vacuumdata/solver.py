@@ -14,7 +14,9 @@ A(r) = int_0^r s^n phi^N tau' ds with the grid's interval weights w:
 
     A_0 = 0,    A_i - A_{i-1} = sum_k w[i-1, k] (r^n phi^N tau')[idx[i-1, k]].
 
-Every matrix is banded and solved by one LAPACK gbsv.  The free-tau
+Every matrix is banded and solved by one LAPACK gbsv: the one in numpy's
+own OpenBLAS, called through ctypes, so no solve imports SciPy; SciPy's
+LAPACK only where numpy's BLAS does not export it.  The free-tau
 unknowns (phi_i, A_i) are interleaved, and so are their equations but for
 the last three node pairs: their three phi rows (the Robin row last) come
 before their three A rows.  Those phi rows reach six, five and four nodes
@@ -27,7 +29,9 @@ them and writes the iterate-dependent ones.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -121,19 +125,23 @@ class _CoupledOperator:
     equations of node i.  ``band`` (a read-only gbsv layout with ``kl``
     diagonals below the main one) holds the -4(n-1)/(n-2) Helmholtz
     stencil rows of phi, the Robin row unscaled, and the +-1 of the A
-    rows.  The other fields index what a Newton step writes: ``diag`` the
-    phi diagonal but the Robin entry, ``coupling`` d(phi row i)/dA_i for
-    0 < i < npts - 1, and ``quad`` d(A row i)/d(phi at idx[i-1]) for
-    i >= 1.
+    rows.  ``diag``, ``coupling`` and ``quad`` are the flat (Fortran-order)
+    layout indices of what a Newton step writes: the phi diagonal but the
+    Robin entry, d(phi row i)/dA_i for 0 < i < npts - 1, and
+    d(A row i)/d(phi at idx[i-1]) for i >= 1.  ``r_n`` is r^n and
+    ``lw_scale`` the factor ((n-1)/n) / r^{2n} (0 at the origin) of
+    |LW|^2 = lw_scale A^2.
     """
 
     band: np.ndarray
     kl: int
     phi_rows: np.ndarray
     a_rows: np.ndarray
-    diag: tuple
-    coupling: tuple
-    quad: tuple
+    diag: np.ndarray
+    coupling: np.ndarray
+    quad: np.ndarray
+    r_n: np.ndarray
+    lw_scale: np.ndarray
 
 
 def _band_layout(kl: int, ku: int, size: int, *entries) -> np.ndarray:
@@ -196,29 +204,111 @@ def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
         band = _band_layout(kl, ku, 2 * npts, stencil, ones, minus_ones)
 
         def at(rows, columns):
-            return kl + ku + rows - columns, columns
+            return np.ravel_multi_index((kl + ku + rows - columns, columns), band.shape, order="F")
 
-        return _CoupledOperator(band, kl, phi_rows, a_rows, at(*diag), at(*coupling), at(*quad))
+        r = grid.nodes
+        r_n = r**n
+        lw_scale = np.zeros(npts)
+        lw_scale[1:] = (n - 1.0) / n / r[1:] ** (2 * n)
+        r_n.setflags(write=False)
+        lw_scale.setflags(write=False)
+        return _CoupledOperator(
+            band, kl, phi_rows, a_rows, at(*diag), at(*coupling), at(*quad), r_n, lw_scale
+        )
 
     return grid._cached(("coupled", n), build)
+
+
+def _openblas_gbsv():
+    """numpy's own LAPACK dgbsv, or None where numpy's BLAS lacks it.
+
+    numpy's wheels link an ILP64 OpenBLAS that exports ``scipy_dgbsv_64_``
+    (every integer argument 64 bits wide).  numpy's linalg extension has
+    loaded it already, and the loader's symbol search through that
+    extension's dependencies finds it without naming the file.  The
+    returned function takes a validated layout and a fresh right-hand side
+    (see ``_solve``), overwrites both, and returns the solution and info.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        dgbsv = ctypes.CDLL(_umath_linalg.__file__).scipy_dgbsv_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    integer = ctypes.POINTER(ctypes.c_int64)
+
+    def array(dtype, ndim, order):
+        return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags=(order, "WRITEABLE"))
+
+    # n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info
+    dgbsv.argtypes = [integer] * 4 + [
+        array(np.float64, 2, "F_CONTIGUOUS"),
+        integer,
+        array(np.int64, 1, "C_CONTIGUOUS"),
+        array(np.float64, 1, "C_CONTIGUOUS"),
+        integer,
+        integer,
+    ]
+    dgbsv.restype = None
+
+    def gbsv(layout, b, kl, ku):
+        rows, size = layout.shape
+        pivots = np.empty(size, dtype=np.int64)
+        # ctypes passes each int64 by reference, as its POINTER argtype asks
+        n, lower, upper, nrhs, ldab, info = map(ctypes.c_int64, (size, kl, ku, 1, rows, 0))
+        dgbsv(n, lower, upper, nrhs, layout, ldab, pivots, b, n, info)
+        return b, info.value
+
+    return gbsv
+
+
+def _scipy_gbsv(layout, b, kl, ku):
+    """SciPy's LAPACK dgbsv, with the arguments and results of ``_openblas_gbsv``."""
+    from scipy.linalg.lapack import dgbsv
+
+    _, _, solution, info = dgbsv(kl, ku, layout, b, overwrite_ab=True)
+    return solution, info
+
+
+@functools.cache
+def _gbsv():
+    """The process's dgbsv: numpy's OpenBLAS where it exports one, else SciPy's."""
+    return _openblas_gbsv() or _scipy_gbsv
 
 
 def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
     """Solve a banded system by one LAPACK gbsv.
 
     ``layout`` is gbsv's band storage with ``kl`` diagonals below the main
-    one and ku above: 2 kl + ku + 1 rows, the matrix in the last
-    kl + ku + 1 in the diagonal-ordered form of ``scipy.linalg.solve_banded``
-    with (l, u) = (kl, ku), which gives bitwise the same solution; the
-    first kl rows are workspace for the LU fill.  A Fortran-ordered layout
-    is overwritten by the LU factors.  SciPy's LAPACK loads here, on the
-    first solve, so commands that never solve do not import SciPy.
+    one and ku above: a writeable, Fortran-ordered float64 array of
+    2 kl + ku + 1 rows, the matrix in the last kl + ku + 1 in the
+    diagonal-ordered form of ``scipy.linalg.solve_banded`` with
+    (l, u) = (kl, ku), which gives bitwise the same solution; the first kl
+    rows are workspace for the LU fill.  The layout is overwritten by the
+    LU factors; ``rhs`` is copied.  The solve calls numpy's own OpenBLAS,
+    so no run imports SciPy; only where numpy's BLAS lacks dgbsv does
+    SciPy's LAPACK load, on the first solve.  A layout or right-hand side
+    of another shape, order or type raises InvalidArgumentError before
+    any native call.
     """
-    from scipy.linalg.lapack import dgbsv
-
-    ku = layout.shape[0] - 1 - 2 * kl
-    _, _, solution, info = dgbsv(kl, ku, layout, rhs, overwrite_ab=True)
-    if info != 0 or not np.all(np.isfinite(solution)):
+    if not (
+        isinstance(layout, np.ndarray)
+        and layout.ndim == 2
+        and layout.dtype == np.float64
+        and layout.flags.f_contiguous
+        and layout.flags.writeable
+    ):
+        raise InvalidArgumentError("band layout must be a writeable Fortran-ordered float64 matrix")
+    rows, size = layout.shape
+    ku = rows - 1 - 2 * kl
+    if kl < 0 or ku < 0:
+        raise InvalidArgumentError(f"a band layout of {rows} rows cannot hold kl = {kl} diagonals")
+    if np.shape(rhs) != (size,):
+        raise InvalidArgumentError(f"right-hand side must have shape ({size},), got {np.shape(rhs)}")
+    solution, info = _gbsv()(layout, np.array(rhs, dtype=np.float64), kl, ku)
+    if info < 0:
+        raise RuntimeError(f"dgbsv rejected its argument {-info}")
+    if info > 0 or not np.all(np.isfinite(solution)):
         raise SingularSystemError("radial system is singular or ill-posed")
     return solution
 
@@ -230,19 +320,19 @@ def _laplacian_weight(n: int) -> float:
 
 def _lichnerowicz_rows(dim: Dimension, grid: RadialGrid, phi, tau_sq, lw_sq):
     """Residual of the discrete Lichnerowicz equation (the Robin row
-    last) and its Frechet diagonal, which is nonnegative for phi > 0."""
+    last), its Frechet diagonal, which is nonnegative for phi > 0, and
+    the powers (phi^{N-1}, phi^{-N-1}) for the free-tau Jacobian."""
     n = dim.n
     nf = float(dim.N)
     weight = (n - 1.0) / n
+    up, down = phi ** (nf - 1.0), phi ** (-nf - 1.0)
     applied = _apply_window(grid, _helmholtz_operator(n, grid).rows, phi - 1.0)
-    out = -_laplacian_weight(n) * applied + weight * tau_sq * phi ** (nf - 1.0) - lw_sq * phi ** (
-        -nf - 1.0
-    )
+    out = -_laplacian_weight(n) * applied + weight * tau_sq * up - lw_sq * down
     out[-1] = applied[-1]
     v_hat = (nf - 1.0) * weight * tau_sq * phi ** (nf - 2.0) + (
         nf + 1.0
     ) * lw_sq * phi ** (-nf - 2.0)
-    return out, v_hat
+    return out, v_hat, (up, down)
 
 
 def _newton(x, stride, linearize, controls, trace):
@@ -310,7 +400,7 @@ def solve_lichnerowicz(
     work = np.empty_like(operator.band)
 
     def linearize(phi):
-        f, v_hat = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
+        f, v_hat, _ = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
 
         def solve_step():
             b = f / a
@@ -334,22 +424,24 @@ def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):
     nf = float(dim.N)
     operator = _coupled_operator(n, grid)
     idx, weights = grid._quadrature()
-    r = grid.nodes
-    r_n = r**n
-    lw_scale = np.zeros(len(grid))
-    lw_scale[1:] = (n - 1.0) / n / r[1:] ** (2 * n)
+    r_n, lw_scale = operator.r_n, operator.lw_scale
     residual = np.empty(2 * len(grid))
-    residual[operator.phi_rows], v_hat = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_scale * A**2)
+    residual[operator.phi_rows], v_hat, (up, down) = _lichnerowicz_rows(
+        dim, grid, phi, tau_sq, lw_scale * A**2
+    )
     residual[operator.a_rows[0]] = A[0]
     residual[operator.a_rows[1:]] = A[1:] - A[:-1] - np.einsum(
         "ij,ij->i", weights, (r_n * phi**nf * dtau)[idx]
     )
 
     def jacobian(work):
+        if not work.flags.f_contiguous:
+            raise InvalidArgumentError("the Jacobian layout must be Fortran-ordered")
         np.copyto(work, operator.band)
-        work[operator.diag] += v_hat[:-1]
-        work[operator.coupling] = (-2.0 * lw_scale * A * phi ** (-nf - 1.0))[1:-1]
-        work[operator.quad] = -weights * (nf * r_n * phi ** (nf - 1.0) * dtau)[idx]
+        flat = work.T.reshape(-1)  # a view, in the layout's Fortran order
+        flat[operator.diag] += v_hat[:-1]
+        flat[operator.coupling] = (-2.0 * lw_scale * A * down)[1:-1]
+        flat[operator.quad] = -weights * (nf * r_n * up * dtau)[idx]
         return work
 
     return residual, jacobian

@@ -358,6 +358,19 @@ class TestModuleEntryPoint:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
 
+    @pytest.mark.parametrize("command", ["verify", "mass", "decay"])
+    def test_non_ascii_byte_gives_parse_error_record(self, command, schw_run, tmp_path):
+        lines = schw_run[2].read_bytes().split(b"\n")
+        lines[4] = lines[4][:3] + b"\xff" + lines[4][3:]
+        bundle = tmp_path / "non-ascii.csv"
+        bundle.write_bytes(b"\n".join(lines))
+        proc = self.run_module(command, str(bundle))
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        record = json.loads(proc.stdout)["error"]
+        assert record["type"] == "parse-error"
+        assert record["message"].startswith("line 5:")
+
     # at 1.7e308 tau' itself overflows, before any Newton step
     @pytest.mark.parametrize("c", ["1e150", "1e300", "1.7e308"])
     def test_overflowing_seed_gives_singular_system_record(self, c):

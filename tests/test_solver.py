@@ -114,7 +114,7 @@ class TestBandedSolve:
         [(6, 6, 4000), (12, 12, 8000), (10, 6, 8000)],
         ids=["6-4000", "12-8000", "10-6-8000"],
     )
-    def test_equals_solve_banded_bitwise(self, kl, ku, size):
+    def test_equals_solve_banded_bitwise(self, kl, ku, size, monkeypatch):
         rng = np.random.default_rng(kl + ku)
         band = rng.standard_normal((kl + ku + 1, size))
         band[ku] += 2.0 * (kl + ku)
@@ -122,7 +122,77 @@ class TestBandedSolve:
         layout = np.zeros((2 * kl + ku + 1, size), order="F")
         layout[kl:] = band
         expected = scipy.linalg.solve_banded((kl, ku), band, rhs, check_finite=False)
+        assert np.array_equal(_solve(layout.copy(order="F"), rhs, kl), expected)
+        # the SciPy fallback, as on a numpy whose BLAS lacks dgbsv
+        monkeypatch.setattr(solver, "_gbsv", lambda: solver._scipy_gbsv)
         assert np.array_equal(_solve(layout, rhs, kl), expected)
+
+    def test_numpy_openblas_binding_is_used(self):
+        # where numpy links an ILP64 scipy-openblas, as its manylinux wheels
+        # do, the binding must be taken, not the SciPy fallback
+        blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+        if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get(
+            "openblas configuration", ""
+        ):
+            pytest.skip(f"numpy links {blas.get('name')!r}, not an ILP64 scipy-openblas")
+        assert solver._gbsv() is not solver._scipy_gbsv
+
+    # unlike the random bands above, the coupled Jacobian makes LU pivot
+    @pytest.mark.parametrize("dim", [DIM3, DIM4], ids=["n3", "n4"])
+    def test_binding_equals_scipy_dgbsv_on_the_solver_layouts(self, dim, work_grid):
+        from scipy.linalg.lapack import dgbsv
+
+        binding = solver._openblas_gbsv()
+        if binding is None:
+            pytest.skip("numpy's BLAS exports no dgbsv")
+        r = work_grid.nodes
+        tau = conformal_seed(work_grid, 1.0, 1.5)
+        phi = 1.0 - 0.3 / (1.0 + r * r) ** 0.5
+        A = -0.2 * r**dim.n / (1.0 + r * r) ** 1.2
+        residual, jacobian = _coupled_system(
+            dim, work_grid, tau.values**2, differentiate(tau, 1).values, phi, A
+        )
+        coupled = _coupled_operator(dim.n, work_grid)
+        helmholtz = _helmholtz_operator(dim.n, work_grid)
+        layouts = [
+            (helmholtz.band_with_potential(1.0 / (1.0 + r * r), np.empty_like(helmholtz.band)),
+             np.exp(-r), helmholtz.kl),
+            (jacobian(np.empty_like(coupled.band)), -residual, coupled.kl),
+        ]
+        assert [layout.shape[0] - 1 - kl for layout, _, kl in layouts] == [12, 16]
+        for layout, rhs, kl in layouts:
+            ku = layout.shape[0] - 1 - 2 * kl
+            expected = dgbsv(kl, ku, layout.copy(order="F"), rhs)[2]
+            got, info = binding(layout.copy(order="F"), rhs.copy(), kl, ku)
+            assert info == 0
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("case", ["c-order", "short-rhs", "read-only", "float32", "kl-too-large"])
+    def test_bad_layout_raises_before_native_code(self, case, monkeypatch):
+        def native(*args):
+            raise AssertionError("reached the native solve")
+
+        monkeypatch.setattr(solver, "_gbsv", lambda: native)
+        kl, size = 6, 64
+        layout = np.zeros((3 * kl + 1, size), order="F")
+        rhs = np.ones(size)
+        if case == "c-order":
+            layout = np.ascontiguousarray(layout)
+        elif case == "short-rhs":
+            rhs = rhs[:-1]
+        elif case == "read-only":
+            layout.setflags(write=False)
+        elif case == "float32":
+            layout = layout.astype(np.float32, order="F")
+        else:
+            kl = 10
+        with pytest.raises(InvalidArgumentError):
+            _solve(layout, rhs, kl)
+
+    def test_negative_info_is_a_programming_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "_gbsv", lambda: lambda layout, b, kl, ku: (b, -4))
+        with pytest.raises(RuntimeError, match="argument 4"):
+            _solve(np.zeros((19, 64), order="F"), np.ones(64), 6)
 
 
 # -- reference: per-step assembly, as before the operator was cached ---------
@@ -377,7 +447,7 @@ class TestCoupledSystem:
             (operator.coupling, 2 * i[1:-1], 2 * i[1:-1] + 1),
             (operator.quad, np.broadcast_to(2 * i[1:, None] + 1, idx.shape), 2 * idx),
         ):
-            band_rows, columns = index
+            band_rows, columns = np.unravel_index(index, operator.band.shape, order="F")
             assert np.all((kl <= band_rows) & (band_rows <= 2 * kl + ku))
             assert np.array_equal(place[natural_rows], band_rows - kl - ku + columns)
             assert np.array_equal(columns, natural_columns)
