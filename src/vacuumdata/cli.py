@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -78,9 +79,6 @@ _ORDER_STEP = 1e-2
 
 _SURFACE_FRACTIONS = (0.1, 0.2, 0.4)
 
-_COMMANDS = ("smooth-schwarzschild", "free-tau", "verify", "mass", "decay")
-_CSV_COMMANDS = ("verify", "mass", "decay")
-
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
@@ -109,7 +107,7 @@ class ScenarioConfig:
     out_csv: str | None = None
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _COMMAND_TABLE:
             raise InvalidArgumentError(f"unknown command {self.command!r}")
         Dimension(self.n)
         if self.command == "smooth-schwarzschild":
@@ -128,7 +126,7 @@ class ScenarioConfig:
                     f"q must lie in ({lo:g}, {self.n}) for the decay laws"
                     f" to apply, got {self.q!r}"
                 )
-        if self.command in _CSV_COMMANDS and self.csv_path is None:
+        if _COMMAND_TABLE[self.command].reads_bundle and self.csv_path is None:
             raise InvalidArgumentError(f"{self.command} requires an input CSV bundle")
         if self.points < 1:
             raise InvalidArgumentError(f"points must be at least 1, got {self.points!r}")
@@ -173,11 +171,6 @@ def render_report(report: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
-
-
-def _grid_params(config: ScenarioConfig) -> dict:
-    points, r_max, stretch = config.grid
-    return {"points": points, "r_max": r_max, "stretch": stretch}
 
 
 def _checks_block(sol: ConformalSolution) -> dict:
@@ -245,24 +238,20 @@ _REPORT_KEYS = ("scenario", "n", "params", "mass", "residuals", "decay", "checks
 
 
 def _report(
-    config: ScenarioConfig, params: dict, mass=None, residuals=None, decay=None, checks=None, iterations=0
+    config: ScenarioConfig, mass=None, residuals=None, decay=None, checks=None, iterations=0
 ) -> dict:
     """The report skeleton of every command; blocks it does not produce are null."""
+    params = _COMMAND_TABLE[config.command].params(config)
     values = (config.command, config.n, params, mass, residuals, decay, checks, iterations)
     return dict(zip(_REPORT_KEYS, values))
 
 
 def _solution_report(
-    config: ScenarioConfig,
-    params: dict,
-    sol: ConformalSolution,
-    iterations: int,
-    refined: ConformalSolution | None = None,
+    config: ScenarioConfig, sol: ConformalSolution, iterations: int, refined: ConformalSolution | None = None
 ) -> dict:
     data = assemble_initial_data(sol)
     report = _report(
         config,
-        params,
         mass=_mass_block(config.dim, sol, data),
         residuals=_residuals_block(config, data, refined),
         decay=_decay_block(data),
@@ -272,10 +261,6 @@ def _solution_report(
     if config.out_csv:
         write_solution_csv(sol, config.out_csv)
     return report
-
-
-def _sampling_params(config: ScenarioConfig) -> dict:
-    return {"points": config.points, "h": config.h}
 
 
 def _cmd_smooth_schwarzschild(config: ScenarioConfig) -> dict:
@@ -290,8 +275,7 @@ def _cmd_smooth_schwarzschild(config: ScenarioConfig) -> dict:
         dim,
         smooth_schwarzschild_phi(dim, config.m, build_grid(2 * points, r_max, stretch)),
     )
-    params = {"m": config.m, "grid": _grid_params(config), **_sampling_params(config)}
-    return _solution_report(config, params, sol, iterations=0, refined=refined)
+    return _solution_report(config, sol, iterations=0, refined=refined)
 
 
 def _classification(mass: dict) -> str:
@@ -309,18 +293,7 @@ def _cmd_free_tau(config: ScenarioConfig) -> dict:
     grid = build_grid(points, r_max, stretch)
     seed = config.c * (1.0 + grid.nodes**2) ** (-config.q / 2.0)
     sol, trace = fixed_point_solve(dim, RadialProfile(grid, seed), config.controls)
-    params = {
-        "c": config.c,
-        "q": config.q,
-        "grid": _grid_params(config),
-        "tol": config.controls.tol,
-        "max_iter": config.controls.max_newton,
-        "continuation": config.controls.continuation_steps,
-        **_sampling_params(config),
-    }
-    report = _solution_report(
-        config, params, sol, iterations=len(trace.outer_iterates)
-    )
+    report = _solution_report(config, sol, iterations=len(trace.outer_iterates))
     report["classification"] = _classification(report["mass"])
     return report
 
@@ -329,7 +302,6 @@ def _cmd_verify(config: ScenarioConfig) -> dict:
     sol = read_solution_csv(config.csv_path, config.dim)
     return _report(
         config,
-        {"csv": config.csv_path, **_sampling_params(config)},
         residuals=_residuals_block(config, assemble_initial_data(sol)),
         checks=_checks_block(sol),
     )
@@ -355,29 +327,12 @@ def _read_bundle_at_n(config: ScenarioConfig) -> ConformalSolution:
 
 def _cmd_mass(config: ScenarioConfig) -> dict:
     sol = _read_bundle_at_n(config)
-    return _report(
-        config,
-        {"csv": config.csv_path},
-        mass=_mass_block(config.dim, sol, assemble_initial_data(sol)),
-    )
+    return _report(config, mass=_mass_block(config.dim, sol, assemble_initial_data(sol)))
 
 
 def _cmd_decay(config: ScenarioConfig) -> dict:
     sol = _read_bundle_at_n(config)
-    return _report(
-        config,
-        {"csv": config.csv_path},
-        decay=_decay_block(assemble_initial_data(sol)),
-    )
-
-
-_HANDLERS = {
-    "smooth-schwarzschild": _cmd_smooth_schwarzschild,
-    "free-tau": _cmd_free_tau,
-    "verify": _cmd_verify,
-    "mass": _cmd_mass,
-    "decay": _cmd_decay,
-}
+    return _report(config, decay=_decay_block(assemble_initial_data(sol)))
 
 
 def run(config: ScenarioConfig) -> dict:
@@ -387,7 +342,7 @@ def run(config: ScenarioConfig) -> dict:
     VacuumDataError subclasses on invalid input or solver breakdown;
     the caller maps those to exit codes.
     """
-    return _HANDLERS[config.command](config)
+    return _COMMAND_TABLE[config.command].handler(config)
 
 
 def _exit_status(report: dict) -> int:
@@ -403,58 +358,120 @@ def _exit_status(report: dict) -> int:
     return 0
 
 
-# Option defaults are the ScenarioConfig and SolveControls field defaults.
-# Each option fills the field of its own name or the one _FIELDS gives;
-# the three grid options make up ScenarioConfig.grid.
-_FIELDS = {"max_iter": "max_newton", "continuation": "continuation_steps", "csv": "csv_path",
-           "out": "out_json", "profiles": "out_csv"}
-_GRID_OPTIONS = ("grid_points", "grid_max", "stretch")
+class _SlotAction(argparse.Action):
+    """Stores the option's value in slot ``const`` of the tuple at ``dest``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        slots = list(getattr(namespace, self.dest))
+        slots[self.const] = values
+        setattr(namespace, self.dest, tuple(slots))
 
 
-def _add_defaulted(parser: argparse.ArgumentParser, *options) -> None:
-    """Add (flag, type, default, help) options; --help shows the default."""
-    for flag, kind, default, text in options:
-        parser.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)g)")
+def _field(config, dest: str):
+    """The ScenarioConfig or SolveControls field ``dest`` of ``config``;
+    its default when ``config`` is the ScenarioConfig class."""
+    return getattr(config.controls if hasattr(config.controls, dest) else config, dest)
 
 
-def _add_dimension(parser: argparse.ArgumentParser) -> None:
-    _add_defaulted(parser, ("--n", int, ScenarioConfig.n, "spatial dimension"))
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """One command-line option, or a positional when ``flag`` has no dashes.
+
+    It fills the ScenarioConfig or SolveControls field ``dest``, or slot
+    ``slot`` of that tuple field, and defaults to the field's default,
+    which --help shows unless it is None.  ``name`` keys its value in
+    the report's params block.
+    """
+
+    flag: str
+    dest: str
+    help: str
+    kind: type | None = None
+    slot: int | None = None
+
+    @property
+    def name(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if not self.flag.startswith("-"):
+            parser.add_argument(self.dest, metavar=self.flag, help=self.help)
+            return
+        default = _field(ScenarioConfig, self.dest)
+        shown = default if self.slot is None else default[self.slot]
+        text = self.help if shown is None else f"{self.help} (default {shown:g})"
+        action = {} if self.slot is None else {"action": _SlotAction, "const": self.slot}
+        parser.add_argument(
+            self.flag, dest=self.dest, type=self.kind, default=default,
+            metavar=self.name.upper(), help=text, **action,
+        )
 
 
-def _add_grid(parser: argparse.ArgumentParser) -> None:
-    points, r_max, stretch = ScenarioConfig.grid
-    _add_defaulted(
-        parser,
-        ("--grid-points", int, points, "radial grid size"),
-        ("--grid-max", float, r_max, "outer radius"),
-        ("--stretch", float, stretch, "geometric node ratio in the far field"),
-    )
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One subcommand: its --help line, its handler and its own options.
+
+    Every command also takes --n and --out, and either the path of the
+    bundle it reads or --profiles to write one.
+    """
+
+    help: str
+    handler: Callable[[ScenarioConfig], dict]
+    options: tuple[_Option, ...] = ()
+    reads_bundle: bool = False
+
+    def all_options(self) -> tuple[_Option, ...]:
+        return (_DIMENSION, *self.options, _REPORT_OUT, _BUNDLE_IN if self.reads_bundle else _BUNDLE_OUT)
+
+    def params(self, config: ScenarioConfig) -> dict:
+        """The report's params block: the value of each option but --n,
+        --out and --profiles; the grid options make up one ``grid`` block."""
+        params = {}
+        for option in ((_BUNDLE_IN,) if self.reads_bundle else ()) + self.options:
+            if option.dest == "grid":
+                params["grid"] = dict(zip(("points", "r_max", "stretch"), config.grid))
+            else:
+                params[option.name] = _field(config, option.dest)
+        return params
 
 
-def _add_solver(parser: argparse.ArgumentParser) -> None:
-    controls = ScenarioConfig.controls
-    _add_defaulted(
-        parser,
-        ("--tol", float, controls.tol, "solver tolerance"),
-        ("--max-iter", int, controls.max_newton, "Newton step budget per continuation stage"),
-        ("--continuation", int, controls.continuation_steps, "continuation stages for hard profiles"),
-    )
+_DIMENSION = _Option("--n", "n", "spatial dimension", int)
+_REPORT_OUT = _Option("--out", "out_json", "also write the JSON report to this path")
+_BUNDLE_IN = _Option("csv", "csv_path", "solution bundle written by --profiles")
+_BUNDLE_OUT = _Option("--profiles", "out_csv", "write the solution bundle CSV to this path")
+_GRID = (
+    _Option("--grid-points", "grid", "radial grid size", int, slot=0),
+    _Option("--grid-max", "grid", "outer radius", float, slot=1),
+    _Option("--stretch", "grid", "geometric node ratio in the far field", float, slot=2),
+)
+_SAMPLING = (
+    _Option("--points", "points", "Cartesian sample points", int),
+    _Option("--h", "h", "stencil step for residuals", float),
+)
 
-
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    _add_defaulted(
-        parser,
-        ("--points", int, ScenarioConfig.points, "Cartesian sample points"),
-        ("--h", float, ScenarioConfig.h, "stencil step for residuals"),
-    )
-
-
-def _add_report(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="also write the JSON report to this path")
-
-
-def _add_csv_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("csv", help="solution bundle written by --profiles")
+_COMMAND_TABLE = {
+    "smooth-schwarzschild": _Command(
+        "negative-mass exterior glued to a smooth interior",
+        _cmd_smooth_schwarzschild,
+        (_Option("--m", "m", "mass parameter, must be positive", float), *_GRID, *_SAMPLING),
+    ),
+    "free-tau": _Command(
+        "solve the constraints for a prescribed mean curvature",
+        _cmd_free_tau,
+        (
+            _Option("--c", "c", "mean-curvature amplitude, must be positive", float),
+            _Option("--q", "q", "mean-curvature tail exponent", float),
+            *_GRID,
+            _Option("--tol", "tol", "solver tolerance", float),
+            _Option("--max-iter", "max_newton", "Newton step budget per continuation stage", int),
+            _Option("--continuation", "continuation_steps", "continuation stages for hard profiles", int),
+            *_SAMPLING,
+        ),
+    ),
+    "verify": _Command("re-check a solution bundle CSV", _cmd_verify, _SAMPLING, reads_bundle=True),
+    "mass": _Command("estimate the mass of a solution bundle CSV", _cmd_mass, reads_bundle=True),
+    "decay": _Command("fit decay exponents of a solution bundle CSV", _cmd_decay, reads_bundle=True),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -472,60 +489,18 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ss = sub.add_parser(
-        "smooth-schwarzschild",
-        help="negative-mass exterior glued to a smooth interior",
-    )
-    _add_dimension(ss)
-    ss.add_argument("--m", type=float, help="mass parameter, must be positive")
-    _add_grid(ss)
-    _add_sampling(ss)
-    _add_report(ss)
-    ss.add_argument("--profiles", help="write the solution bundle CSV to this path")
-
-    ft = sub.add_parser(
-        "free-tau", help="solve the constraints for a prescribed mean curvature"
-    )
-    _add_dimension(ft)
-    ft.add_argument("--c", type=float, help="mean-curvature amplitude, must be positive")
-    ft.add_argument("--q", type=float, help="mean-curvature tail exponent")
-    _add_grid(ft)
-    _add_solver(ft)
-    _add_sampling(ft)
-    _add_report(ft)
-    ft.add_argument("--profiles", help="write the solution bundle CSV to this path")
-
-    vf = sub.add_parser("verify", help="re-check a solution bundle CSV")
-    _add_csv_input(vf)
-    _add_dimension(vf)
-    _add_sampling(vf)
-    _add_report(vf)
-
-    ms = sub.add_parser("mass", help="estimate the mass of a solution bundle CSV")
-    _add_csv_input(ms)
-    _add_dimension(ms)
-    _add_report(ms)
-
-    dc = sub.add_parser("decay", help="fit decay exponents of a solution bundle CSV")
-    _add_csv_input(dc)
-    _add_dimension(dc)
-    _add_report(dc)
-
+    for name, command in _COMMAND_TABLE.items():
+        sub_parser = sub.add_parser(name, help=command.help)
+        for option in command.all_options():
+            option.add_to(sub_parser)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     """Fields a subcommand has no option for keep their dataclass default."""
-    given = {_FIELDS.get(name, name): value for name, value in vars(args).items()}
-
-    def fields_of(cls) -> dict:
-        return {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
-
-    config = fields_of(ScenarioConfig)
-    if _GRID_OPTIONS[0] in given:
-        config["grid"] = tuple(given[name] for name in _GRID_OPTIONS)
-    return ScenarioConfig(controls=SolveControls(**fields_of(SolveControls)), **config)
+    given = dict(vars(args))
+    controls = {f.name: given.pop(f.name) for f in dataclasses.fields(SolveControls) if f.name in given}
+    return ScenarioConfig(controls=SolveControls(**controls), **given)
 
 
 def _emit_failure(exc: Exception, out_path: str | None) -> int:
@@ -546,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         config = _config_from_args(args)
     except VacuumDataError as exc:
-        return _emit_failure(exc, getattr(args, "out", None))
+        return _emit_failure(exc, getattr(args, "out_json", None))
     try:
         report = run(config)
     except (VacuumDataError, OSError, MemoryError) as exc:

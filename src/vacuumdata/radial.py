@@ -103,6 +103,8 @@ class RadialGrid:
     def derivative_matrix(self, order: int) -> np.ndarray:
         """Windowed stencil weights of d/dr (order 1) or d2/dr2 (order 2),
         shape (nodes, 7), or (nodes, 5) below seven nodes; read-only."""
+        if order not in (1, 2):
+            raise InvalidArgumentError(f"derivative order must be 1 or 2, got {order!r}")
         weights = self._cached("deriv", lambda: list(map(_slot_major, _build_derivative_weights(self.nodes))))
         return weights[order - 1]
 
@@ -356,8 +358,6 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
     The constant mode is removed before applying the stencil so constant
     profiles differentiate to exactly zero.
     """
-    if order not in (1, 2):
-        raise InvalidArgumentError(f"derivative order must be 1 or 2, got {order!r}")
     weights = profile.grid.derivative_matrix(order)
     values = profile.values - profile.values[0]
     return RadialProfile(profile.grid, _apply_window(profile.grid, weights, values))

@@ -35,7 +35,7 @@ import functools
 
 import numpy as np
 
-from .conformal import ConformalSolution, _identity_residual, _monotonicity_margin, build_solution
+from .conformal import ConformalSolution, _monotonicity_margin, build_solution
 from .errors import (
     ConstructionFailedError,
     InvalidArgumentError,
@@ -85,7 +85,6 @@ class SolveTrace:
     outer_iterates: list[float] = dataclasses.field(default_factory=list)
     newton_residuals: list[float] = dataclasses.field(default_factory=list)
     converged: bool = False
-    final_identity_residual: float = float("nan")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,31 +234,27 @@ def _openblas_gbsv():
         dgbsv = ctypes.CDLL(_umath_linalg.__file__).scipy_dgbsv_64_
     except (ImportError, OSError, AttributeError):
         return None
-    integer = ctypes.POINTER(ctypes.c_int64)
-
-    def array(dtype, ndim, order):
-        return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags=(order, "WRITEABLE"))
-
-    # n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info
-    dgbsv.argtypes = [integer] * 4 + [
-        array(np.float64, 2, "F_CONTIGUOUS"),
-        integer,
-        array(np.int64, 1, "C_CONTIGUOUS"),
-        array(np.float64, 1, "C_CONTIGUOUS"),
-        integer,
-        integer,
-    ]
+    # every argument is an address: _solve has checked the arrays, and the
+    # six integers (n, kl, ku, nrhs, ldab, info) are int64 slots of one array
+    dgbsv.argtypes = [ctypes.c_void_p] * 10
     dgbsv.restype = None
 
     def gbsv(layout, b, kl, ku):
         rows, size = layout.shape
         pivots = np.empty(size, dtype=np.int64)
-        # ctypes passes each int64 by reference, as its POINTER argtype asks
-        n, lower, upper, nrhs, ldab, info = map(ctypes.c_int64, (size, kl, ku, 1, rows, 0))
-        dgbsv(n, lower, upper, nrhs, layout, ldab, pivots, b, n, info)
-        return b, info.value
+        integers = np.array((size, kl, ku, 1, rows, 0), dtype=np.int64)
+        start = _address(integers)
+        n, lower, upper, nrhs, ldab, info = range(start, start + 48, 8)
+        dgbsv(n, lower, upper, nrhs, _address(layout), ldab, _address(pivots), _address(b), n, info)
+        return b, int(integers[5])
 
     return gbsv
+
+
+def _address(array: np.ndarray) -> int:
+    """Address of a writeable array's first element; ``array.T`` because
+    the buffer protocol exports C-ordered arrays only."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array.T))
 
 
 def _scipy_gbsv(layout, b, kl, ku):
@@ -491,7 +486,6 @@ def fixed_point_solve(
     mono_min, mono_tol = _monotonicity_margin(dim, phi)
     if mono_min < -mono_tol:
         raise NotMonotoneError("converged factor violates the monotonicity condition")
-    trace.final_identity_residual = _identity_residual(dim, phi, tau)
     return build_solution(dim, phi, tau), trace
 
 

@@ -154,8 +154,10 @@ def momentum_residual(data: InitialData, points, h: float = 1e-3) -> np.ndarray:
     h (1 + |x|), evaluated in one call on all 4n shifted copies of every
     point; Christoffel symbols of the conformally flat metric come from the
     closed form Gamma^c_ab = (L_a d_cb + L_b d_ca - L_c d_ab)/2,
-    L_a = (N-2) phi'/phi x_a/r.
+    L_a = (N-2) phi'/phi x_a/r.  The step h must lie in (0, r_max).
     """
+    if not 0 < h < data.r_max:
+        raise InvalidArgumentError(f"h must lie in (0, r_max {data.r_max:g}), got {h!r}")
     n = data.dim.n
     nf = float(data.dim.N)
     eye = np.eye(n)
@@ -192,9 +194,7 @@ def constraint_report(
 ) -> ResidualReport:
     """Assemble both residuals; with a refined evaluator, halve h as well
     and report the combined convergence order (the smaller of the two).
-    The stencil step h must lie below the grid's r_max."""
-    if not h < data.r_max:
-        raise InvalidArgumentError(f"h must lie below r_max {data.r_max:g}, got {h!r}")
+    The stencil step h must lie in (0, r_max), as momentum_residual checks."""
     points = np.asarray(points, dtype=float)
     ham = hamiltonian_residual(data, points)
     mom = momentum_residual(data, points, h)

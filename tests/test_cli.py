@@ -22,6 +22,7 @@ from vacuumdata.cli import (
 from vacuumdata.conformal import build_solution, write_solution_csv
 from vacuumdata.errors import InvalidArgumentError
 from vacuumdata.radial import Dimension, RadialProfile, build_grid
+from vacuumdata.solver import SolveControls
 
 TOP_LEVEL_KEYS = ("scenario", "n", "params", "mass", "residuals", "decay", "checks", "iterations")
 
@@ -111,6 +112,20 @@ class TestArgumentValidation:
     def test_parsed_options_default_to_dataclass_fields(self, argv, required):
         args = _build_parser().parse_args(argv)
         assert _config_from_args(args) == ScenarioConfig(command=argv[0], **required)
+
+    def test_every_free_tau_option_fills_its_field(self):
+        # each value differs from its default, so a flag wired to another
+        # field, or left at its default, changes the config
+        argv = ["free-tau", "--n", "4", "--c", "0.5", "--q", "2.5", "--grid-points", "300",
+                "--grid-max", "500", "--stretch", "1.02", "--tol", "1e-8", "--max-iter", "7",
+                "--continuation", "3", "--points", "9", "--h", "0.002", "--out", "r.json",
+                "--profiles", "b.csv"]
+        expected = ScenarioConfig(
+            command="free-tau", n=4, c=0.5, q=2.5, grid=(300, 500.0, 1.02),
+            controls=SolveControls(tol=1e-8, max_newton=7, continuation_steps=3),
+            points=9, h=0.002, out_json="r.json", out_csv="b.csv",
+        )
+        assert _config_from_args(_build_parser().parse_args(argv)) == expected
 
 
 class TestRenderReport:
@@ -320,6 +335,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "smooth-schwarzschild" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["smooth-schwarzschild", "free-tau", "verify", "mass", "decay"])
+    def test_subcommand_help_exits_zero(self, command):
+        proc = self.run_module(command, "--help")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(f"usage: vacuumdata {command} ")
 
     def test_cli_module_help_exits_zero(self):
         proc = self.run_module("--help", module="vacuumdata.cli")

@@ -158,6 +158,14 @@ class TestDifferentiate:
         with pytest.raises(InvalidArgumentError):
             differentiate(RadialProfile(work_grid, work_grid.nodes), 3)
 
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_derivative_matrix_rejects_bad_order(self, work_grid, order):
+        # order 0 used to index the d2/dr2 stencils from the end
+        with pytest.raises(InvalidArgumentError, match="order"):
+            work_grid.derivative_matrix(order)
+        with pytest.raises(InvalidArgumentError, match="order"):
+            differentiate(RadialProfile(work_grid, work_grid.nodes), order)
+
 
 def scalar_fornberg_weights(x, x0, max_order):
     """Fornberg's recursion for one node, one scalar at a time (reference)."""

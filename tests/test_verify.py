@@ -135,6 +135,13 @@ class TestConstraintResiduals:
         with pytest.raises(InvalidArgumentError, match="r_max"):
             constraint_report(data, sample_points[::8], h=scale * data.r_max)
 
+    @pytest.mark.parametrize("check", [constraint_report, momentum_residual])
+    @pytest.mark.parametrize("h", [0.0, -1e-3])
+    def test_nonpositive_step_rejected(self, mass_like_data, sample_points, check, h):
+        _, data = mass_like_data
+        with pytest.raises(InvalidArgumentError, match="r_max"):
+            check(data, sample_points[::8], h=h)
+
 
 class TestRadialMass:
     def test_flat_mass_is_zero(self, flat_data):
