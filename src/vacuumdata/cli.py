@@ -45,6 +45,7 @@ from .errors import (
 from .radial import Dimension, RadialProfile, build_grid
 from .solver import SolveControls, fixed_point_solve, smooth_schwarzschild_phi
 from .verify import (
+    _constraint_report,
     adm_mass_radial,
     adm_mass_surface,
     check_solution,
@@ -132,6 +133,9 @@ class ScenarioConfig:
             raise InvalidArgumentError(f"points must be at least 1, got {self.points!r}")
         if not self.h > 0:
             raise InvalidArgumentError(f"h must be positive, got {self.h!r}")
+        # as verify.momentum_residual checks, but before the grid is built
+        if not _COMMAND_TABLE[self.command].reads_bundle and self.h >= self.grid[1]:
+            raise InvalidArgumentError(f"h must lie in (0, r_max {self.grid[1]:g}), got {self.h!r}")
 
     @property
     def dim(self) -> Dimension:
@@ -192,9 +196,7 @@ def _residuals_block(
     level = constraint_report(data, pts, config.h)
     order = None
     if refined is not None:
-        study = constraint_report(
-            data, pts, _ORDER_STEP, refined=assemble_initial_data(refined)
-        )
+        study = _constraint_report(data, pts, level.hamiltonian, _ORDER_STEP, assemble_initial_data(refined))
         order = study.convergence_order
     return {
         "hamiltonian_sup": level.hamiltonian_sup,

@@ -40,6 +40,7 @@ from .radial import (
     fit_tail,
     integrate_from_zero,
     integrate_to_infinity,
+    _sample_profiles,
 )
 
 __all__ = [
@@ -351,16 +352,28 @@ class InitialData:
     def extrinsic_curvature(self, x) -> np.ndarray:
         """k_ij(x); the trace-free part vanishes at x = 0, where x/r has no limit."""
         pts, r = _cartesian_points(self.dim, x)
+        phi, tau, amplitude = self._fields_at(r, "phi", "tau", "trace_free")
+        k = self._curvature(pts, r, phi, _libm_pow(phi, float(self.dim.N) - 2.0), tau, amplitude)
+        return k.reshape(np.shape(x) + (self.dim.n,))
+
+    def _fields_at(self, r: np.ndarray, *names: str) -> list[np.ndarray]:
+        """The named fields ("phi", "dphi", "d2phi", "tau", "trace_free") at
+        the radii r, all interpolated with one cubic basis."""
+        profiles = {"phi": self._phim1, "dphi": self._dphi, "d2phi": self._d2phi,
+                    "tau": self._tau, "trace_free": self._trace_free}
+        values = _sample_profiles([profiles[name] for name in names], r)
+        return [1.0 + v if name == "phi" else v for name, v in zip(names, values)]
+
+    def _curvature(self, pts, r, phi, psi, tau, amplitude) -> np.ndarray:
+        """k_ij at points (M, n) of norms r from the fields there; psi = phi^{N-2}."""
         n = self.dim.n
-        phi = self.conformal_factor_at(r)
-        psi = _libm_pow(phi, float(self.dim.N) - 2.0)
         eye = np.eye(n)
-        out = ((self.mean_curvature_at(r) / n) * psi)[:, None, None] * eye
+        out = ((tau / n) * psi)[:, None, None] * eye
         off = r > 0.0
         unit = pts[off] / r[off, None]
-        amp = _libm_pow(phi[off], -2.0) * self.trace_free_amplitude_at(r[off])
+        amp = _libm_pow(phi[off], -2.0) * amplitude[off]
         out[off] += amp[:, None, None] * (unit[:, :, None] * unit[:, None, :] - eye / n)
-        return out.reshape(np.shape(x) + (n,))
+        return out
 
 
 def _cartesian_points(dim: Dimension, x) -> tuple[np.ndarray, np.ndarray]:
@@ -440,12 +453,12 @@ def _write_csv_table(path, header: str, columns) -> None:
 
     One row per index, each value as ``%.17g`` (enough digits to read back
     the same float), ``\\n`` line endings.  One format string covers a
-    whole row, and the file is written in one call.
+    whole row, and one ``%`` formats every row.
     """
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(column.tolist() for column in columns))
+    values = tuple(np.column_stack(columns).ravel().tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n" + "".join([row % values for values in rows]))
+        fh.write(header + "\n" + (row * len(columns[0])) % values)
 
 
 def write_solution_csv(solution: ConformalSolution, path) -> None:

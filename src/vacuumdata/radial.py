@@ -178,22 +178,7 @@ class RadialProfile:
         Raises EvaluationOutOfRangeError past the grid when no tail
         model is attached.
         """
-        radii_arr = np.atleast_1d(np.asarray(radii, dtype=float))
-        if np.any(radii_arr < 0):
-            raise InvalidArgumentError("radii must be nonnegative")
-        out = np.empty_like(radii_arr)
-        r_max = self.grid.r_max
-        # tolerate roundoff from norms of points nominally on the boundary
-        inside = radii_arr <= r_max * (1.0 + 1e-12)
-        if np.any(~inside):
-            if self.tail is None:
-                worst = float(radii_arr[~inside].max())
-                raise EvaluationOutOfRangeError(
-                    f"evaluation at r={worst:g} beyond r_max={r_max:g} without a tail model"
-                )
-            out[~inside] = self.tail.at(radii_arr[~inside])
-        if np.any(inside):
-            out[inside] = _interp_cubic(self.grid.nodes, self.values, np.minimum(radii_arr[inside], r_max))
+        out = _sample_profiles((self,), radii)[0]
         if np.isscalar(radii) or np.asarray(radii).ndim == 0:
             return float(out[0])
         return out
@@ -284,13 +269,15 @@ def _geometry_classes(geometry: np.ndarray):
     Rows whose every coordinate rounds to the same multiple of
     ``_GEOMETRY_TOL`` form a class, so each row lies within that tolerance
     of the class's representative, its first row; nothing chains along
-    neighbours."""
+    neighbours.  Classes come in runs of consecutive rows, so only the
+    first row of each run is sorted."""
     key = np.rint(geometry / _GEOMETRY_TOL)
-    order = np.lexsort(key.T[::-1])  # stable: equal keys keep row order
-    new = np.r_[True, np.any(np.diff(key[order], axis=0) != 0.0, axis=1)]
+    heads = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1)])
+    order = np.lexsort(key[heads].T[::-1])  # stable: equal keys keep row order
+    new = np.r_[True, np.any(np.diff(key[heads[order]], axis=0) != 0.0, axis=1)]
     label = np.empty_like(order)
     label[order] = np.cumsum(new) - 1
-    return order[new], label
+    return heads[order[new]], np.repeat(label, np.diff(np.r_[heads, len(key)]))
 
 
 def _window_starts(npts: int, width: int) -> np.ndarray:
@@ -465,21 +452,37 @@ def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) 
 # interpolation
 
 
-def _interp_cubic(nodes: np.ndarray, values: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Local 4-point Lagrange interpolation at the requested radii."""
-    npts = nodes.size
-    if npts < 4:
-        raise InvalidArgumentError("interpolation needs at least 4 nodes")
-    interval = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, npts - 2)
-    s = np.clip(interval - 1, 0, npts - 4)
-    idx = s[:, None] + np.arange(4)[None, :]
-    x = nodes[idx]
-    f = values[idx]
-    out = np.zeros_like(r)
-    for j in range(4):
-        lj = np.ones_like(r)
-        for k in range(4):
-            if k != j:
-                lj *= (r - x[:, k]) / (x[:, j] - x[:, k])
-        out += f[:, j] * lj
-    return out
+def _sample_profiles(profiles, radii) -> list[np.ndarray]:
+    """Each profile, all on one grid, at the radii (as a 1-D or larger array)
+    from one local 4-point Lagrange basis; beyond r_max each profile uses
+    its own tail."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.all(radii >= 0):  # NaN fails too
+        raise InvalidArgumentError("radii must be nonnegative")
+    nodes = profiles[0].grid.nodes
+    r_max = profiles[0].grid.r_max
+    # tolerate roundoff from norms of points nominally on the boundary
+    inside = radii <= r_max * (1.0 + 1e-12)
+    beyond = radii[~inside]
+    if beyond.size and any(p.tail is None for p in profiles):
+        raise EvaluationOutOfRangeError(
+            f"evaluation at r={float(beyond.max()):g} beyond r_max={r_max:g} without a tail model"
+        )
+    if beyond.size < radii.size:
+        if nodes.size < 4:
+            raise InvalidArgumentError("interpolation needs at least 4 nodes")
+        r = np.minimum(radii[inside], r_max)
+        s = np.clip(np.searchsorted(nodes, r, side="right") - 2, 0, nodes.size - 4)
+        idx = s + np.arange(4)[:, None]
+        x = nodes[idx]
+        basis = [np.prod([(r - x[k]) / (x[j] - x[k]) for k in range(4) if k != j], axis=0) for j in range(4)]
+    samples = []
+    for profile in profiles:
+        out = np.empty_like(radii)
+        if beyond.size:
+            out[~inside] = profile.tail.at(beyond)
+        if beyond.size < radii.size:
+            f = profile.values[idx]
+            out[inside] = sum((f[j] * basis[j] for j in range(4)), np.zeros_like(r))
+        samples.append(out)
+    return samples

@@ -135,12 +135,11 @@ def hamiltonian_residual(data: InitialData, points) -> np.ndarray:
     n = data.dim.n
     nf = float(data.dim.N)
     x, r = _cartesian_points(data.dim, points)
-    phi = data.conformal_factor_at(r)
+    phi, d1, d2, tau, amplitude = data._fields_at(r, "phi", "dphi", "d2phi", "tau", "trace_free")
     psi = _libm_pow(phi, nf - 2.0)
-    k = data.extrinsic_curvature(x)
+    k = data._curvature(x, r, phi, psi, tau, amplitude)
     tr_k = np.trace(k, axis1=1, axis2=2) / psi
     k_sq = np.sum(k * k, axis=(1, 2)) / _libm_pow(psi, 2.0)
-    d1, d2 = (data.conformal_factor_derivative_at(r, order) for order in (1, 2))
     lap = np.where(r == 0.0, n * d2, d2 + (n - 1) * d1 / np.where(r == 0.0, 1.0, r))
     scalar = -(4.0 * (n - 1.0) / (n - 2.0)) * _libm_pow(phi, 1.0 - nf) * lap
     return (scalar - k_sq + _libm_pow(tr_k, 2.0)).reshape(np.shape(points)[:-1])
@@ -165,17 +164,20 @@ def momentum_residual(data: InitialData, points, h: float = 1e-3) -> np.ndarray:
     step = h * (1.0 + r)
     # shifted[s, m, a] is point m moved by s * step along axis a
     shifted = x[:, None] + np.array([1.0, -1.0, 2.0, -2.0])[:, None, None, None] * (step[:, None, None] * eye)
-    k = data.extrinsic_curvature(np.concatenate([x, shifted.reshape(-1, n)]))
+    x_all, r_all = _cartesian_points(data.dim, np.concatenate([x, shifted.reshape(-1, n)]))
+    phi_all, dphi, tau, amplitude = data._fields_at(r_all, "phi", "dphi", "tau", "trace_free")
+    psi_all = _libm_pow(phi_all, nf - 2.0)
+    k = data._curvature(x_all, r_all, phi_all, psi_all, tau, amplitude)
     # (tr_g k) g = (trace(k)/psi) psi I: the conformal factors cancel
     p_all = k - np.trace(k, axis1=1, axis2=2)[:, None, None] * eye
     p = p_all[: len(x)]
     plus, minus, plus2, minus2 = p_all[len(x) :].reshape(4, len(x), n, n, n)
     grad_p = (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * step)[:, None, None, None]
 
-    phi = data.conformal_factor_at(r)
-    psi = _libm_pow(phi, nf - 2.0)
+    # the first len(x) rows are the points themselves
+    phi, psi = phi_all[: len(x)], psi_all[: len(x)]
     off = (r > 0.0)[:, None]
-    slope = (nf - 2.0) * data.conformal_factor_derivative_at(r, 1) / phi
+    slope = (nf - 2.0) * dphi[: len(x)] / phi
     ell = np.where(off, slope[:, None] * (x / np.where(off, r[:, None], 1.0)), 0.0)
     gamma = 0.5 * (np.einsum("ma,cb->mcab", ell, eye) + np.einsum("mb,ca->mcab", ell, eye)
                    - np.einsum("mc,ab->mcab", ell, eye))
@@ -196,7 +198,12 @@ def constraint_report(
     and report the combined convergence order (the smaller of the two).
     The stencil step h must lie in (0, r_max), as momentum_residual checks."""
     points = np.asarray(points, dtype=float)
-    ham = hamiltonian_residual(data, points)
+    return _constraint_report(data, points, hamiltonian_residual(data, points), h, refined)
+
+
+def _constraint_report(data, points, ham, h, refined) -> ResidualReport:
+    """constraint_report given ``ham``, the Hamiltonian residual of ``data``
+    at ``points``, which does not depend on h."""
     mom = momentum_residual(data, points, h)
     order = None
     if refined is not None:
@@ -294,9 +301,8 @@ def adm_mass_surface(data: InitialData, radii) -> MassReport:
     omega = sphere_area(n)
 
     raw = []
-    for r in radii:
-        phi = float(data.conformal_factor_at(r))
-        dphi = float(data.conformal_factor_derivative_at(r, 1))
+    phis, dphis = data._fields_at(np.array(radii), "phi", "dphi")
+    for r, phi, dphi in zip(radii, phis.tolist(), dphis.tolist()):
         dpsi = (nf - 2.0) * phi ** (nf - 3.0) * dphi
         raw.append(-(n - 1.0) * dpsi * omega * r ** (n - 1))
 

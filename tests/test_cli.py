@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vacuumdata
+from vacuumdata import cli, verify
 from vacuumdata.cli import (
     RESIDUAL_GATE,
     ScenarioConfig,
@@ -87,6 +88,23 @@ class TestArgumentValidation:
         assert code == 2
         code, _ = run_cli(["smooth-schwarzschild", "--m", "1", "--h", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv,got", [
+        (["smooth-schwarzschild", "--m", "1", "--h", "1e200"], "1e+200"),
+        (["smooth-schwarzschild", "--m", "1", "--h", "10000"], "10000.0"),
+        (["free-tau", "--c", "1", "--q", "1.5", "--h", "1e4"], "10000.0"),
+        (["smooth-schwarzschild", "--m", "1", "--grid-max", "50", "--h", "50"], "50.0"),
+    ], ids=["ss-1e200", "ss-at-grid-max", "free-tau-at-grid-max", "ss-at-grid-max-50"])
+    def test_step_at_or_above_grid_max_refused_before_any_work(self, argv, got, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a grid was built before the step was checked")
+
+        monkeypatch.setattr(cli, "build_grid", no_work)
+        code = main(argv)
+        r_max = "50" if "50" in argv else "10000"
+        record = {"error": {"type": "invalid-argument", "message": f"h must lie in (0, r_max {r_max}), got {got}"}}
+        assert code == 2
+        assert capsys.readouterr().out == render_report(record)
 
     def test_config_rejects_unknown_command(self):
         with pytest.raises(InvalidArgumentError, match="command"):
@@ -192,6 +210,22 @@ class TestSchwarzschildScenario:
         code = main(["smooth-schwarzschild", "--m", "1.0"])
         assert code == 0
         assert capsys.readouterr().out == schw_run[3].read_text()
+
+
+def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
+    """The order study reuses the level report's coarse Hamiltonian residual,
+    which does not depend on the stencil step."""
+    grids = []
+    original = verify.hamiltonian_residual
+
+    def counted(data, points):
+        grids.append(len(data.solution.grid))
+        return original(data, points)
+
+    monkeypatch.setattr(verify, "hamiltonian_residual", counted)
+    code, report = run_cli(["smooth-schwarzschild", "--m", "1"], capsys)
+    assert code == 0 and report["residuals"]["order"] > 2
+    assert grids == [4000, 8000]
 
 
 class TestFreeTauScenarios:

@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vacuumdata import (
     ConformalSolution,
@@ -38,7 +41,7 @@ from vacuumdata import (
     vector_potential,
     write_solution_csv,
 )
-from vacuumdata.conformal import _read_csv_table
+from vacuumdata.conformal import _read_csv_table, _write_csv_table
 
 DIM3 = Dimension(3)
 
@@ -436,3 +439,37 @@ class TestSolutionBundleCsv:
             path.write_text(f"r,phi,dphi,tau,A,w,lw\n0,1,0,0,0,0,0\n{row}\n")
             with pytest.raises(ProfileParseError, match="line 3"):
                 read_solution_csv(path, DIM3)
+
+
+
+def per_row_csv_table(path, header, columns):
+    """The table writer as it was before all rows went through one ``%``:
+    the row format applied to each row in turn."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(column.tolist() for column in columns))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n" + "".join([row % values for values in rows]))
+
+
+def assert_table_bytes_equal_per_row(directory, columns):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    _write_csv_table(directory / "table.csv", header, columns)
+    per_row_csv_table(directory / "reference.csv", header, columns)
+    assert (directory / "table.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+class TestCsvTable:
+    def test_special_values_match_per_row_writer(self, tmp_path):
+        special = np.array([-0.0, 5e-324, 1e16, 1e17, 1e-5, 0.1, 3.0, -42.0, 1e22, 2.0**53])
+        assert_table_bytes_equal_per_row(tmp_path, [np.roll(special, k) for k in range(7)])
+        lines = (tmp_path / "table.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "-0", "4.9406564584124654e-324", "10000000000000000", "1e+17", "1.0000000000000001e-05",
+            "0.10000000000000001", "3", "-42", "1e+22", "9007199254740992",
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 8)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_finite_columns_match_per_row_writer(self, tmp_path_factory, table):
+        assert_table_bytes_equal_per_row(tmp_path_factory.mktemp("table"), list(table.T))

@@ -33,11 +33,14 @@ from vacuumdata.radial import (
 )
 from vacuumdata.conformal import _derived_tail, _read_csv_table
 from vacuumdata.conformal import build_solution, read_solution_csv, write_solution_csv
+from vacuumdata import radial
 from vacuumdata.radial import (
     _GEOMETRY_TOL,
     _apply_window,
+    _build_derivative_weights,
     _build_quadrature,
     _geometry_classes,
+    _sample_profiles,
     _window_starts,
 )
 from vacuumdata.solver import smooth_schwarzschild_phi
@@ -429,6 +432,66 @@ class TestGeometryClasses:
         assert np.array_equal(reps[label], np.arange(len(index)))
 
 
+def all_rows_geometry_classes(geometry):
+    """The class finder as it was before runs of equal keys were collapsed:
+    a stable sort of every row."""
+    key = np.rint(geometry / _GEOMETRY_TOL)
+    order = np.lexsort(key.T[::-1])
+    new = np.r_[True, np.any(np.diff(key[order], axis=0) != 0.0, axis=1)]
+    label = np.empty_like(order)
+    label[order] = np.cumsum(new) - 1
+    return order[new], label
+
+
+def assert_classes_equal_all_rows_sort(geometry):
+    reps, label = _geometry_classes(geometry)
+    ref_reps, ref_label = all_rows_geometry_classes(geometry)
+    assert np.array_equal(reps, ref_reps) and np.array_equal(label, ref_label)
+    assert label.dtype == ref_label.dtype
+
+
+def bundle_nodes(tmp_path):
+    dim = Dimension(3)
+    sol = build_solution(dim, smooth_schwarzschild_phi(dim, 1.0, build_grid(4000, 1e4, 1.01)))
+    write_solution_csv(sol, tmp_path / "bundle.csv")
+    return read_solution_csv(tmp_path / "bundle.csv", dim).grid.nodes
+
+
+class TestRunLengthGeometryClasses:
+    @pytest.mark.parametrize("nodes", [
+        lambda tmp: build_grid(4000, 1e4, 1.01).nodes,
+        lambda tmp: build_grid(8000, 1e4, 1.01).nodes,
+        lambda tmp: build_grid(4000, 1e3, 1.01).nodes,
+        lambda tmp: build_grid(8000, 1e3, 1.01).nodes,
+        lambda tmp: build_grid(1000, 50.0, 1.0).nodes,
+        lambda tmp: irregular_nodes(400),
+        bundle_nodes,
+    ], ids=["4000-1e4", "8000-1e4", "4000-1e3", "8000-1e3", "uniform", "irregular", "bundle"])
+    def test_stencil_and_quadrature_classes_match_all_rows_sort(self, tmp_path, monkeypatch, nodes):
+        nodes = nodes(tmp_path)
+        seen = []
+
+        def checked(geometry):
+            assert_classes_equal_all_rows_sort(geometry)
+            seen.append(geometry.shape[1])
+            return all_rows_geometry_classes(geometry)
+
+        monkeypatch.setattr(radial, "_geometry_classes", checked)
+        _build_derivative_weights(nodes)
+        _build_quadrature(nodes)
+        assert seen == [8, 5]  # the stencil geometry, then the quadrature one
+
+    def test_drifting_rows_match_all_rows_sort(self):
+        geometry = np.arange(400.0)[:, None] * np.array([0.3, -0.7]) * _GEOMETRY_TOL + 0.25
+        assert_classes_equal_all_rows_sort(geometry)
+
+    def test_recurring_keys_in_separate_runs_share_a_class(self):
+        geometry = np.array([[0.0], [1.0], [1.0], [0.0], [2.0], [1.0], [0.0]])
+        reps, label = _geometry_classes(geometry)
+        assert reps.tolist() == [0, 1, 4] and label.tolist() == [0, 1, 1, 0, 2, 1, 0]
+        assert_classes_equal_all_rows_sort(geometry)
+
+
 class TestWeightsFromBundle:
     @pytest.mark.parametrize("n,grid_args", [(3, (4000, 1e4, 1.01)), (4, (4000, 1e3, 1.01))],
                              ids=["n3-4000-1e4", "n4-4000-1e3"])
@@ -563,6 +626,81 @@ class TestInterpolation:
         profile = positive_power_profile(work_grid, -3.0)
         with pytest.raises(EvaluationOutOfRangeError):
             profile.at(2e4)
+
+    @pytest.mark.parametrize("tailed", [False, True], ids=["no-tail", "tail"])
+    @pytest.mark.parametrize("radii", [math.nan, [1.0, math.nan, 2e4]], ids=["scalar", "array"])
+    def test_nan_radius_rejected(self, work_grid, tailed, radii):
+        profile = positive_power_profile(work_grid, -3.0)
+        if tailed:
+            profile = profile.with_tail(fit_tail(profile))
+        with pytest.raises(InvalidArgumentError, match="nonnegative"):
+            profile.at(radii)
+
+    def test_infinite_radius_gets_tail_limit(self, work_grid):
+        profile = positive_power_profile(work_grid, -3.0)
+        profile = profile.with_tail(fit_tail(profile))
+        assert profile.at(math.inf) == 0.0
+        assert np.array_equal(profile.at([math.inf, 2e4]), [0.0, profile.tail.at(2e4)])
+
+
+def per_profile_cubic(nodes, values, r):
+    """Local 4-point Lagrange interpolation as it was before the basis was
+    shared between profiles."""
+    npts = nodes.size
+    interval = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, npts - 2)
+    s = np.clip(interval - 1, 0, npts - 4)
+    idx = s[:, None] + np.arange(4)[None, :]
+    x = nodes[idx]
+    f = values[idx]
+    out = np.zeros_like(r)
+    for j in range(4):
+        lj = np.ones_like(r)
+        for k in range(4):
+            if k != j:
+                lj *= (r - x[:, k]) / (x[:, j] - x[:, k])
+        out += f[:, j] * lj
+    return out
+
+
+class TestSharedBasis:
+    @pytest.fixture(scope="class")
+    def profiles(self, work_grid):
+        rng = np.random.default_rng(5)
+        tailed = [positive_power_profile(work_grid, p, c) for p, c in ((-3.0, 1.0), (-1.5, -2.0))]
+        tailed = [p.with_tail(fit_tail(p)) for p in tailed]
+        noisy = RadialProfile(work_grid, rng.normal(size=len(work_grid)))
+        return tailed + [noisy.with_tail(TailModel(0.5, 2.0, (100.0, 1e4), 0.0))]
+
+    @pytest.fixture(scope="class")
+    def radii(self, work_grid):
+        nodes = work_grid.nodes
+        rng = np.random.default_rng(7)
+        between = nodes[:-1] + rng.uniform(0.0, 1.0, nodes.size - 1) * np.diff(nodes)
+        r_max = work_grid.r_max
+        return np.concatenate([[0.0], nodes[::7], between[::3], [r_max, r_max * (1 + 1e-12)]])
+
+    def test_equals_per_profile_at_bitwise(self, profiles, radii):
+        radii = np.concatenate([radii, [1.5e4, 2e4, 1e7, np.inf]])
+        shared = _sample_profiles(profiles, radii)
+        for profile, values in zip(profiles, shared):
+            assert np.array_equal(values.view(np.int64), profile.at(radii).view(np.int64))
+
+    def test_inside_equals_per_profile_interpolation_bitwise(self, profiles, radii):
+        r_max = profiles[0].grid.r_max
+        shared = _sample_profiles(profiles, radii)
+        for profile, values in zip(profiles, shared):
+            reference = per_profile_cubic(profile.grid.nodes, profile.values, np.minimum(radii, r_max))
+            assert np.array_equal(values.view(np.int64), reference.view(np.int64))
+
+    def test_beyond_uses_each_profiles_own_tail(self, profiles):
+        radii = np.array([2e4, 1e6])
+        for profile, values in zip(profiles, _sample_profiles(profiles, radii)):
+            assert np.array_equal(values, profile.tail.at(radii))
+
+    def test_one_profile_without_tail_refuses_radii_beyond(self, profiles, work_grid):
+        bare = positive_power_profile(work_grid, -3.0)
+        with pytest.raises(EvaluationOutOfRangeError, match="r=20000 beyond"):
+            _sample_profiles(profiles + [bare], np.array([5.0, 2e4]))
 
 
 class TestDerivativeIntegralInverse:
