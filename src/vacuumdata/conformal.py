@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DegenerateFitError,
+    EvaluationOutOfRangeError,
     InvalidArgumentError,
     NegativeRadicandError,
     NotMonotoneError,
@@ -295,8 +296,9 @@ class InitialData:
 
     ``metric`` and ``extrinsic_curvature`` map one point (n,) to (n, n) and
     points (M, n) to (M, n, n) by interpolating the radial profiles; beyond
-    the grid they use fitted tails, or raise EvaluationOutOfRangeError.
-    Instances are immutable and safe for concurrent evaluation.
+    the grid they use tails, fitted on the first evaluation there, or raise
+    EvaluationOutOfRangeError.  Instances are immutable and safe for
+    concurrent evaluation: concurrent first fits compute equal tails.
     """
 
     def __init__(self, solution: ConformalSolution):
@@ -305,18 +307,17 @@ class InitialData:
         grid = solution.grid
         n = self.dim.n
 
-        phim1 = _with_tail(RadialProfile(grid, solution.phi.values - 1.0))
-        self._phim1 = phim1
-        self._dphi = RadialProfile(
-            grid, differentiate(solution.phi, 1).values, _derived_tail(phim1.tail, 1)
-        )
-        self._d2phi = RadialProfile(
-            grid, differentiate(solution.phi, 2).values, _derived_tail(phim1.tail, 2)
-        )
-        self._tau = solution.tau if solution.tau.tail is not None else _with_tail(solution.tau)
         trace_free = np.zeros(len(grid))
         trace_free[1:] = solution.A.values[1:] / grid.nodes[1:] ** n
-        self._trace_free = _with_tail(RadialProfile(grid, trace_free))
+        # fields by name: "phi" holds phi - 1, which decays like the others
+        self._profiles = {
+            "phi": RadialProfile(grid, solution.phi.values - 1.0),
+            "dphi": differentiate(solution.phi, 1),
+            "d2phi": differentiate(solution.phi, 2),
+            "tau": solution.tau,
+            "trace_free": RadialProfile(grid, trace_free),
+        }
+        self._tailed = None
 
     @property
     def r_max(self) -> float:
@@ -325,21 +326,21 @@ class InitialData:
     # -- radial accessors (scalar or array radii) --------------------------
 
     def conformal_factor_at(self, radii):
-        return 1.0 + self._phim1.at(radii)
+        return self._radial_at("phi", radii)
 
     def conformal_factor_derivative_at(self, radii, order: int = 1):
         if order == 1:
-            return self._dphi.at(radii)
+            return self._radial_at("dphi", radii)
         if order == 2:
-            return self._d2phi.at(radii)
+            return self._radial_at("d2phi", radii)
         raise InvalidArgumentError(f"derivative order must be 1 or 2, got {order!r}")
 
     def mean_curvature_at(self, radii):
-        return self._tau.at(radii)
+        return self._radial_at("tau", radii)
 
     def trace_free_amplitude_at(self, radii):
         """A(r)/r^n, the radial amplitude of the trace-free part of k."""
-        return self._trace_free.at(radii)
+        return self._radial_at("trace_free", radii)
 
     # -- Cartesian evaluator ------------------------------------------------
 
@@ -356,13 +357,38 @@ class InitialData:
         k = self._curvature(pts, r, phi, _libm_pow(phi, float(self.dim.N) - 2.0), tau, amplitude)
         return k.reshape(np.shape(x) + (self.dim.n,))
 
-    def _fields_at(self, r: np.ndarray, *names: str) -> list[np.ndarray]:
+    def _radial_at(self, name: str, radii):
+        """One named field at scalar radii (a float) or array radii (their shape)."""
+        (out,) = self._fields_at(radii, name)
+        return float(out[0]) if np.ndim(radii) == 0 else out
+
+    def _fields_at(self, r, *names: str) -> list[np.ndarray]:
         """The named fields ("phi", "dphi", "d2phi", "tau", "trace_free") at
-        the radii r, all interpolated with one cubic basis."""
-        profiles = {"phi": self._phim1, "dphi": self._dphi, "d2phi": self._d2phi,
-                    "tau": self._tau, "trace_free": self._trace_free}
-        values = _sample_profiles([profiles[name] for name in names], r)
+        the radii r, all interpolated with one cubic basis.  Only a radius
+        beyond r_max makes the profiles take their tails."""
+        try:
+            values = _sample_profiles([self._profiles[name] for name in names], r)
+        except EvaluationOutOfRangeError:
+            tailed = self._tailed_profiles()
+            values = _sample_profiles([tailed[name] for name in names], r)
         return [1.0 + v if name == "phi" else v for name, v in zip(names, values)]
+
+    def _tailed_profiles(self) -> dict:
+        """The fields of ``_profiles`` with their tails, made on first use:
+        phi - 1, tau (unless it has one) and the trace-free amplitude get
+        fitted tails, phi' and phi'' the derivatives of phi - 1's."""
+        if self._tailed is None:
+            plain = self._profiles
+            phim1 = _with_tail(plain["phi"])
+            tau = plain["tau"]
+            self._tailed = {
+                "phi": phim1,
+                "dphi": plain["dphi"].with_tail(_derived_tail(phim1.tail, 1)),
+                "d2phi": plain["d2phi"].with_tail(_derived_tail(phim1.tail, 2)),
+                "tau": tau if tau.tail is not None else _with_tail(tau),
+                "trace_free": _with_tail(plain["trace_free"]),
+            }
+        return self._tailed
 
     def _curvature(self, pts, r, phi, psi, tau, amplitude) -> np.ndarray:
         """k_ij at points (M, n) of norms r from the fields there; psi = phi^{N-2}."""
@@ -453,12 +479,14 @@ def _write_csv_table(path, header: str, columns) -> None:
 
     One row per index, each value as ``%.17g`` (enough digits to read back
     the same float), ``\\n`` line endings.  One format string covers a
-    whole row, and one ``%`` formats every row.
+    whole row, and one ``%`` formats every row; the header goes in a write
+    of its own, so the rows' text is never copied behind it.
     """
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     values = tuple(np.column_stack(columns).ravel().tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n" + (row * len(columns[0])) % values)
+        fh.write(header + "\n")
+        fh.write((row * len(columns[0])) % values)
 
 
 def write_solution_csv(solution: ConformalSolution, path) -> None:

@@ -68,14 +68,15 @@ class Dimension:
 class RadialGrid:
     """Strictly increasing nodes 0 = r_0 < r_1 < ... < r_max.
 
-    Instances are immutable and cache their differentiation and
-    quadrature operators as windowed weights (row i weighs a short run of
-    consecutive values), built once per class of scaled local geometry (see
-    ``_geometry_classes``) from the nodes alone; profiles refer to grids by identity.
+    Instances are immutable (the nodes are copied as ``_frozen`` says) and
+    cache their differentiation and quadrature operators as windowed
+    weights (row i weighs a short run of consecutive values), built once
+    per class of scaled local geometry (see ``_geometry_classes``) from the
+    nodes alone; profiles refer to grids by identity.
     """
 
     def __init__(self, nodes: np.ndarray):
-        nodes = np.ascontiguousarray(nodes, dtype=float)
+        nodes = _frozen(nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise InvalidArgumentError("grid needs a 1-D array of at least two nodes")
         if not np.all(np.isfinite(nodes)):
@@ -84,7 +85,6 @@ class RadialGrid:
             raise InvalidArgumentError("first grid node must be exactly 0")
         if np.any(np.diff(nodes) <= 0):
             raise InvalidArgumentError("grid nodes must be strictly increasing")
-        nodes.setflags(write=False)
         self.nodes = nodes
         self._cache: dict = {}
 
@@ -148,21 +148,27 @@ class TailModel:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """Samples of a radial function on a grid, plus an optional tail model."""
+    """Samples of a radial function on a grid, plus an optional tail model.
+
+    The values are copied on construction unless they already are an
+    owned, read-only float array, so neither side can change the other's.
+    Derivatives are cached per profile (see ``differentiate``).
+    """
 
     grid: RadialGrid
     values: np.ndarray
     tail: TailModel | None = None
+    # derivative profiles by order; shared with the profiles ``with_tail`` makes
+    _derivatives: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = _frozen(self.values)
         if values.shape != self.grid.nodes.shape:
             raise InvalidArgumentError(
                 f"profile has {values.size} values for a grid of {len(self.grid)} nodes"
             )
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("profile values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -170,7 +176,10 @@ class RadialProfile:
         return self.grid.nodes
 
     def with_tail(self, tail: TailModel | None) -> "RadialProfile":
-        return RadialProfile(self.grid, self.values, tail)
+        """The same values with another tail; the two share derivatives."""
+        profile = RadialProfile(self.grid, self.values, tail)
+        object.__setattr__(profile, "_derivatives", self._derivatives)
+        return profile
 
     def at(self, radii):
         """Evaluate by local cubic interpolation; use the tail beyond r_max.
@@ -182,6 +191,22 @@ class RadialProfile:
         if np.isscalar(radii) or np.asarray(radii).ndim == 0:
             return float(out[0])
         return out
+
+
+def _frozen(values) -> np.ndarray:
+    """The values as a read-only C-contiguous float64 array that no other
+    array can write to: the input itself when it already is one, else a copy,
+    which leaves the caller's array writable."""
+    if not (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.c_contiguous
+        and not values.flags.writeable
+        and values.base is None
+    ):
+        values = np.array(values, dtype=float, order="C")
+        values.setflags(write=False)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +368,15 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
     """Derivative of the given order (1 or 2) on the profile's grid.
 
     The constant mode is removed before applying the stencil so constant
-    profiles differentiate to exactly zero.
+    profiles differentiate to exactly zero.  The result is computed once
+    per profile and returned again on later calls.
     """
-    weights = profile.grid.derivative_matrix(order)
-    values = profile.values - profile.values[0]
-    return RadialProfile(profile.grid, _apply_window(profile.grid, weights, values))
+    cache = profile._derivatives
+    if order not in (1, 2) or order not in cache:
+        weights = profile.grid.derivative_matrix(order)  # raises on any other order
+        values = profile.values - profile.values[0]
+        cache[order] = RadialProfile(profile.grid, _apply_window(profile.grid, weights, values))
+    return cache[order]
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +398,13 @@ def _build_quadrature(nodes: np.ndarray):
     widths = np.diff(nodes)
     t = (nodes[idx] - 0.5 * (nodes[:-1] + nodes[1:])[:, None]) / widths[:, None]
     reps, label = _geometry_classes(t)
-    # 3-point Gauss-Legendre on [-1/2, 1/2] (exact through degree 5) of the interpolant
-    gauss = zip((-np.sqrt(0.15), 0.0, np.sqrt(0.15)), (5 / 18, 8 / 18, 5 / 18))
-    weights = sum(g_w * _fornberg_weights(t[reps] - g_t)[:, :, 0] for g_t, g_w in gauss)
+    # 3-point Gauss-Legendre on [-1/2, 1/2] (exact through degree 5) of the interpolant;
+    # the recursion works row by row, so one call on the three shifted copies
+    # gives each point's weights bitwise as a call of its own would
+    gauss_t = (-np.sqrt(0.15), 0.0, np.sqrt(0.15))
+    at_points = _fornberg_weights(np.concatenate([t[reps] - g_t for g_t in gauss_t]))[:, :, 0]
+    per_point = np.split(at_points, len(gauss_t))
+    weights = sum(g_w * w for g_w, w in zip((5 / 18, 8 / 18, 5 / 18), per_point))
     return idx, weights[label] * widths[:, None]
 
 
@@ -417,14 +450,10 @@ def integrate_to_infinity(profile: RadialProfile) -> RadialProfile:
 # tail fits
 
 
-def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) -> TailModel:
-    """Least-squares power-law fit of the profile on a log-log window.
-
-    The window defaults to the last two decades [r_max/100, r_max].  The
-    data must be single-signed and nonvanishing there; otherwise the fit
-    is degenerate.
-    """
-    grid = profile.grid
+def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float] | None = None):
+    """((lo, hi), radii, values) of the nodes in the fit window of
+    ``fit_tail``, once the window and the sign of the values there pass
+    its checks; raises InvalidArgumentError or DegenerateFitError."""
     if window is None:
         window = (grid.r_max / 100.0, grid.r_max)
     lo, hi = float(window[0]), float(window[1])
@@ -433,12 +462,22 @@ def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) 
     mask = (grid.nodes >= lo) & (grid.nodes <= hi)
     if int(mask.sum()) < 4:
         raise InvalidArgumentError("fit window contains fewer than 4 grid nodes")
-    rw = grid.nodes[mask]
-    vw = profile.values[mask]
+    vw = values[mask]
     if np.all(vw == 0.0):
         raise DegenerateFitError("profile vanishes identically on the fit window")
     if np.any(vw == 0.0) or (np.any(vw > 0.0) and np.any(vw < 0.0)):
         raise DegenerateFitError("profile vanishes or changes sign on the fit window")
+    return (lo, hi), grid.nodes[mask], vw
+
+
+def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) -> TailModel:
+    """Least-squares power-law fit of the profile on a log-log window.
+
+    The window defaults to the last two decades [r_max/100, r_max].  The
+    data must be single-signed and nonvanishing there; otherwise the fit
+    is degenerate.
+    """
+    (lo, hi), rw, vw = _fit_window(profile.grid, profile.values, window)
     sign = 1.0 if vw[0] > 0 else -1.0
     slope, intercept = np.polyfit(np.log(rw), np.log(np.abs(vw)), 1)
     exponent = -float(slope)

@@ -32,7 +32,7 @@ from .errors import (
     TailTooSlowError,
     VacuumDataError,
 )
-from .radial import Dimension, RadialProfile, differentiate, fit_tail
+from .radial import Dimension, RadialProfile, _fit_window, differentiate, fit_tail
 
 __all__ = [
     "ResidualReport",
@@ -246,7 +246,7 @@ def adm_mass_radial(dim: Dimension, phi: RadialProfile) -> MassReport:
     if float(np.max(np.abs(shifted))) < 1e-13:
         return MassReport(0.0, 0.0, math.nan, (), extrapolated=False)
     try:
-        fit_tail(RadialProfile(grid, shifted))
+        _fit_window(grid, shifted)  # a power-law tail needs a single-signed far field
     except (DegenerateFitError, InvalidArgumentError) as exc:
         raise NoTailError(f"no power-law far field for the factor: {exc}") from None
 

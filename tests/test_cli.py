@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vacuumdata
-from vacuumdata import cli, verify
+from vacuumdata import cli, radial, verify
 from vacuumdata.cli import (
     RESIDUAL_GATE,
     ScenarioConfig,
@@ -226,6 +226,32 @@ def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
     code, report = run_cli(["smooth-schwarzschild", "--m", "1"], capsys)
     assert code == 0 and report["residuals"]["order"] > 2
     assert grids == [4000, 8000]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["smooth-schwarzschild", "--m", "1"], {"stencil": 7, "polyfit": 5, "fornberg": 4}),
+    (["free-tau", "--c", "1", "--q", "1.5"], {"stencil": 4, "polyfit": 4, "fornberg": 2}),
+], ids=["smooth-schwarzschild", "free-tau"])
+def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, argv, expected):
+    """Each derivative is taken once per profile (phi', phi'', tau' of every
+    solution and the coarse w'), only the read tails are fitted, and each
+    grid runs Fornberg's recursion once for its stencils and once for its
+    quadrature.  The solver's own _apply_window (the Lichnerowicz residual,
+    no derivative) is not counted."""
+    counts = dict.fromkeys(expected, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(radial, "_apply_window", counted("stencil", radial._apply_window))
+    monkeypatch.setattr(radial, "_fornberg_weights", counted("fornberg", radial._fornberg_weights))
+    monkeypatch.setattr(np, "polyfit", counted("polyfit", np.polyfit))
+    code, _ = run_cli([*argv, "--profiles", str(tmp_path / "bundle.csv")], capsys)
+    assert code == 0
+    assert counts == expected
 
 
 class TestFreeTauScenarios:

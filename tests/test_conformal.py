@@ -10,6 +10,8 @@ tie the three potentials together independently of how each is computed.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -41,7 +43,10 @@ from vacuumdata import (
     vector_potential,
     write_solution_csv,
 )
-from vacuumdata.conformal import _read_csv_table, _write_csv_table
+from vacuumdata import conformal
+from vacuumdata.conformal import _derived_tail, _libm_pow, _read_csv_table, _write_csv_table
+from vacuumdata.errors import DegenerateFitError
+from vacuumdata.radial import TailModel, _sample_profiles, fit_tail
 
 DIM3 = Dimension(3)
 
@@ -351,7 +356,7 @@ class TestInitialDataEvaluator:
         zeros = RadialProfile(grid, np.zeros(len(grid)))
         sol = ConformalSolution(DIM3, phi, zeros, zeros, zeros, zeros)
         data = assemble_initial_data(sol)
-        with pytest.raises(EvaluationOutOfRangeError):
+        with pytest.raises(EvaluationOutOfRangeError, match="^evaluation at r=20 beyond r_max=10 without a tail model$"):
             data.conformal_factor_at(20.0)
 
     def test_derivative_order_validated(self, data):
@@ -473,3 +478,137 @@ class TestCsvTable:
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_finite_columns_match_per_row_writer(self, tmp_path_factory, table):
         assert_table_bytes_equal_per_row(tmp_path_factory.mktemp("table"), list(table.T))
+
+
+def eager_tailed_profiles(solution):
+    """(phi - 1, phi', phi'', tau, A/r^n) with every tail fitted or derived
+    up front, as InitialData once built them on construction."""
+    grid = solution.grid
+
+    def with_tail(profile):
+        if not np.any(profile.values):
+            return profile.with_tail(TailModel(0.0, 2.0, (grid.r_max / 100.0, grid.r_max), 0.0))
+        try:
+            return profile.with_tail(fit_tail(profile))
+        except (DegenerateFitError, InvalidArgumentError):
+            return profile
+
+    phim1 = with_tail(RadialProfile(grid, solution.phi.values - 1.0))
+    dphi = RadialProfile(grid, differentiate(solution.phi, 1).values, _derived_tail(phim1.tail, 1))
+    d2phi = RadialProfile(grid, differentiate(solution.phi, 2).values, _derived_tail(phim1.tail, 2))
+    tau = solution.tau if solution.tau.tail is not None else with_tail(solution.tau)
+    trace_free = np.zeros(len(grid))
+    trace_free[1:] = solution.A.values[1:] / grid.nodes[1:] ** solution.dim.n
+    return phim1, dphi, d2phi, tau, with_tail(RadialProfile(grid, trace_free))
+
+
+def eager_reference(solution, data, what, arg):
+    """``what`` evaluated at ``arg`` from the eagerly tailed profiles."""
+    phim1, dphi, d2phi, tau, trace_free = eager_tailed_profiles(solution)
+    scalar = np.ndim(arg) == 0
+    if what in ("metric", "extrinsic_curvature"):
+        pts = np.asarray(arg, dtype=float).reshape(-1, 3)
+        r = np.sqrt(np.vecdot(pts, pts))
+        phi_m1, tau_r, amp = _sample_profiles([phim1, tau, trace_free], r)
+        phi = 1.0 + phi_m1
+        psi = _libm_pow(phi, float(DIM3.N) - 2.0)
+        if what == "metric":
+            out = psi[:, None, None] * np.eye(3)
+        else:
+            out = data._curvature(pts, r, phi, psi, tau_r, amp)
+        return out.reshape(np.shape(arg) + (3,))
+    profile = {"conformal_factor_at": phim1, "d1": dphi, "d2": d2phi,
+               "mean_curvature_at": tau, "trace_free_amplitude_at": trace_free}[what]
+    value = profile.at(arg)
+    return 1.0 + value if what == "conformal_factor_at" else value
+
+
+def evaluate(data, what, arg):
+    if what == "d1":
+        return data.conformal_factor_derivative_at(arg, 1)
+    if what == "d2":
+        return data.conformal_factor_derivative_at(arg, 2)
+    return getattr(data, what)(arg)
+
+
+@pytest.fixture(scope="module", params=["fitted-tau-tail", "tau-without-tail"])
+def lazy_case(request, mass_like_solution):
+    sol = mass_like_solution
+    if request.param == "tau-without-tail":
+        tau = RadialProfile(sol.grid, sol.tau.values)
+        sol = ConformalSolution(DIM3, sol.phi, tau, sol.A, sol.w, sol.lw_norm)
+    return sol
+
+
+class TestTailsOnDemand:
+    ACCESSORS = ("conformal_factor_at", "d1", "d2", "mean_curvature_at", "trace_free_amplitude_at")
+
+    def test_fits_no_tail_until_evaluated_beyond_r_max(self, lazy_case, monkeypatch):
+        fits = []
+        monkeypatch.setattr(conformal, "fit_tail", lambda *a: fits.append(a) or fit_tail(*a))
+        data = assemble_initial_data(lazy_case)
+        inside = 0.5 * data.r_max
+        for what in self.ACCESSORS:
+            evaluate(data, what, inside)
+        data.metric([inside, 0.0, 0.0])
+        data.extrinsic_curvature([[inside, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert fits == []
+        data.conformal_factor_at(2.0 * data.r_max)
+        assert len(fits) == (2 if lazy_case.tau.tail is not None else 3)
+        data.mean_curvature_at([1.5 * data.r_max, 2.0 * data.r_max])
+        assert len(fits) == (2 if lazy_case.tau.tail is not None else 3)
+
+    @pytest.mark.parametrize("what", ACCESSORS)
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_accessors_beyond_r_max_equal_eager_construction(self, lazy_case, what, shape):
+        data = assemble_initial_data(lazy_case)
+        r_max = data.r_max
+        args = [1.5 * r_max, 2.0 * r_max] if shape == "scalar" else [np.array([0.5, 1.5, 2.0]) * r_max]
+        for arg in args:
+            got = evaluate(data, what, arg)
+            expected = eager_reference(lazy_case, data, what, arg)
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("what", ["metric", "extrinsic_curvature"])
+    @pytest.mark.parametrize("shape", ["one-point", "points"])
+    def test_cartesian_beyond_r_max_equals_eager_construction(self, lazy_case, what, shape):
+        data = assemble_initial_data(lazy_case)
+        unit = np.array([2.0, -1.0, 2.0]) / 3.0
+        if shape == "one-point":
+            args = [1.5 * data.r_max * unit, 2.0 * data.r_max * unit]
+        else:
+            args = [np.array([0.5, 1.5, 2.0])[:, None] * data.r_max * unit]
+        for arg in args:
+            got = getattr(data, what)(arg)
+            assert np.array_equal(got, eager_reference(lazy_case, data, what, arg))
+
+    def test_concurrent_first_evaluations_agree(self):
+        # the tails and derivatives are filled in on first use; threads that
+        # race to fill them must all read the sequential result
+        grid = build_grid(200, 100.0, 1.02)
+        sol = build_solution(DIM3, RadialProfile(grid, 1.0 - 0.5 / np.sqrt(1.0 + grid.nodes**2)))
+        radii = np.array([0.5, 1.5, 2.0]) * grid.r_max
+        expected = assemble_initial_data(sol).extrinsic_curvature(radii[:, None] * np.eye(3)[0])
+        expected_dphi = differentiate(RadialProfile(grid, sol.phi.values), 1).values
+        rounds = [(assemble_initial_data(sol), RadialProfile(grid, sol.phi.values)) for _ in range(20)]
+        failures = []
+
+        def work():
+            for data, phi in rounds:
+                k = data.extrinsic_curvature(radii[:, None] * np.eye(3)[0])
+                if not (np.array_equal(k, expected) and np.array_equal(differentiate(phi, 1).values, expected_dphi)):
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

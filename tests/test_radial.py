@@ -39,6 +39,7 @@ from vacuumdata.radial import (
     _apply_window,
     _build_derivative_weights,
     _build_quadrature,
+    _fornberg_weights,
     _geometry_classes,
     _sample_profiles,
     _window_starts,
@@ -129,6 +130,45 @@ class TestRadialGridValidation:
             RadialProfile(grid, np.zeros(63))
 
 
+class TestValuesCopiedOnConstruction:
+    def test_grid_does_not_follow_callers_array(self):
+        base = np.linspace(0.0, 10.0, 64)
+        grid = RadialGrid(base[:])
+        before = grid.derivative_matrix(1).copy()
+        base[5] = 7.0
+        assert grid.nodes[5] == np.linspace(0.0, 10.0, 64)[5]
+        assert np.array_equal(grid.derivative_matrix(1), before)
+        assert np.array_equal(grid._quadrature()[1], _build_quadrature(np.linspace(0.0, 10.0, 64))[1])
+
+    def test_grid_leaves_callers_array_writable(self):
+        nodes = np.linspace(0.0, 10.0, 64)
+        RadialGrid(nodes)
+        assert nodes.flags.writeable
+
+    def test_profile_does_not_follow_callers_array(self):
+        grid = build_grid(64, 10.0, 1.0)
+        base = np.cos(grid.nodes)
+        profile = RadialProfile(grid, base[:])
+        first = differentiate(profile, 1)
+        base[5] = 7.0
+        assert profile.values[5] == np.cos(grid.nodes[5])
+        assert differentiate(profile, 1) is first
+        assert np.array_equal(first.values, differentiate(RadialProfile(grid, np.cos(grid.nodes)), 1).values)
+
+    def test_profile_leaves_callers_array_writable(self):
+        grid = build_grid(64, 10.0, 1.0)
+        values = np.cos(grid.nodes)
+        RadialProfile(grid, values)
+        assert values.flags.writeable
+
+    def test_read_only_owned_values_are_shared(self):
+        grid = build_grid(64, 10.0, 1.0)
+        profile = RadialProfile(grid, np.cos(grid.nodes))
+        assert not profile.values.flags.writeable
+        assert RadialProfile(grid, profile.values).values is profile.values
+        assert RadialGrid(grid.nodes).nodes is grid.nodes
+
+
 class TestDifferentiate:
     def test_quadratic_exact(self):
         grid = build_grid(64, 10.0, 1.0)
@@ -160,6 +200,38 @@ class TestDifferentiate:
     def test_rejects_bad_order(self, work_grid):
         with pytest.raises(InvalidArgumentError):
             differentiate(RadialProfile(work_grid, work_grid.nodes), 3)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_cached_derivative_equals_stencil_application(self, work_grid, order):
+        profile = RadialProfile(work_grid, (1.0 + work_grid.nodes**2) ** -0.5)
+        values = profile.values - profile.values[0]
+        direct = _apply_window(work_grid, work_grid.derivative_matrix(order), values)
+        first = differentiate(profile, order)
+        assert np.array_equal(first.values, direct)
+        assert differentiate(profile, order) is first
+        tailed = profile.with_tail(TailModel(1.0, 1.0, (1e2, 1e4), 0.0))
+        assert differentiate(tailed, order) is first
+
+    def test_with_tail_shares_derivatives_both_ways(self, work_grid):
+        profile = RadialProfile(work_grid, np.cos(work_grid.nodes / 100.0))
+        tailed = profile.with_tail(None)
+        assert differentiate(profile, 2) is differentiate(tailed, 2)
+
+    def test_equal_values_do_not_share_a_cache(self, work_grid):
+        values = np.cos(work_grid.nodes / 100.0)
+        one, two = RadialProfile(work_grid, values), RadialProfile(work_grid, values)
+        assert differentiate(one, 1) is not differentiate(two, 1)
+        assert np.array_equal(differentiate(one, 1).values, differentiate(two, 1).values)
+        three = RadialProfile(work_grid, values)
+        differentiate(one, 2)
+        assert three._derivatives == {}
+
+    def test_cache_is_no_constructor_or_repr_field(self, work_grid):
+        profile = RadialProfile(work_grid, work_grid.nodes)
+        differentiate(profile, 1)
+        assert "_derivatives" not in repr(profile)
+        with pytest.raises(TypeError):
+            RadialProfile(work_grid, work_grid.nodes, None, {})
 
     @pytest.mark.parametrize("order", [0, 3])
     def test_derivative_matrix_rejects_bad_order(self, work_grid, order):
@@ -375,6 +447,17 @@ QUADRATURE_GRIDS = pytest.mark.parametrize("n_points,r_max,stretch", [
 ], ids=["64-10.0-1.0", "4000-10000.0-1.01", "8000-1000.0-1.01", "300-50.0-1.05", "irregular-400"])
 
 
+def three_call_quadrature(nodes):
+    """The quadrature as built with one Fornberg call per Gauss point."""
+    idx = _window_starts(nodes.size, 5)[:-1, None] + np.arange(5)
+    widths = np.diff(nodes)
+    t = (nodes[idx] - 0.5 * (nodes[:-1] + nodes[1:])[:, None]) / widths[:, None]
+    reps, label = _geometry_classes(t)
+    gauss = zip((-np.sqrt(0.15), 0.0, np.sqrt(0.15)), (5 / 18, 8 / 18, 5 / 18))
+    weights = sum(g_w * _fornberg_weights(t[reps] - g_t)[:, :, 0] for g_t, g_w in gauss)
+    return idx, weights[label] * widths[:, None]
+
+
 def quadrature_nodes(n_points, r_max, stretch):
     return irregular_nodes(n_points) if r_max is None else build_grid(n_points, r_max, stretch).nodes
 
@@ -386,6 +469,14 @@ def interval_offsets(nodes, index):
 
 
 class TestQuadratureWeights:
+    @QUADRATURE_GRIDS
+    def test_equal_three_call_construction_bitwise(self, n_points, r_max, stretch):
+        nodes = quadrature_nodes(n_points, r_max, stretch)
+        index, weights = _build_quadrature(nodes)
+        ref_index, ref_weights = three_call_quadrature(nodes)
+        assert np.array_equal(index, ref_index)
+        assert np.array_equal(weights, ref_weights)
+
     @QUADRATURE_GRIDS
     def test_match_full_power_reference(self, n_points, r_max, stretch):
         nodes = quadrature_nodes(n_points, r_max, stretch)

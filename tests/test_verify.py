@@ -178,8 +178,29 @@ class TestRadialMass:
 
     def test_oscillating_far_field_rejected(self, work_grid):
         osc = RadialProfile(work_grid, 1.0 + 1e-3 * np.cos(work_grid.nodes))
-        with pytest.raises(NoTailError):
+        with pytest.raises(NoTailError) as info:
             adm_mass_radial(DIM3, osc)
+        assert str(info.value) == (
+            "no power-law far field for the factor: profile vanishes or changes sign on the fit window"
+        )
+
+    @pytest.mark.parametrize("far_field,reason", [
+        (lambda r: 1e-3 * np.where(r < 5e3, r**-1.0, 0.0), "profile vanishes or changes sign on the fit window"),
+        (lambda r: 0.1 * np.exp(-r * r), "profile vanishes identically on the fit window"),
+    ], ids=["vanishes-on-part", "vanishes-identically"])
+    def test_no_tail_messages(self, work_grid, monkeypatch, far_field, reason):
+        # the window and sign checks of a tail fit, without fitting one
+        monkeypatch.setattr(np, "polyfit", None)
+        phi = RadialProfile(work_grid, 1.0 + far_field(np.maximum(work_grid.nodes, 1.0)))
+        with pytest.raises(NoTailError) as info:
+            adm_mass_radial(DIM3, phi)
+        assert str(info.value) == f"no power-law far field for the factor: {reason}"
+
+    def test_fits_no_power_law(self, schwarzschild, monkeypatch):
+        sol, _ = schwarzschild
+        expected = adm_mass_radial(DIM3, sol.phi)
+        monkeypatch.setattr(np, "polyfit", None)
+        assert adm_mass_radial(DIM3, sol.phi) == expected
 
 
 def reference_sphere_weights(n):
