@@ -10,8 +10,8 @@ byte-identical output.
 Exit status is 0 when every boolean in the report's ``checks`` block is
 true and the constraint residual sup norms stay below ``RESIDUAL_GATE``,
 1 on a failed gate or a solver breakdown, and 2 on invalid arguments or
-unreadable input.  Failures print ``{"error": {"type": ..., "message":
-...}}`` with the machine code carried by the raised exception.
+input (out-of-range arithmetic included).  Failures print ``{"error":
+{"type": ..., "message": ...}}`` with the machine code of the exception.
 """
 
 from __future__ import annotations
@@ -525,10 +525,15 @@ def main(argv: list[str] | None = None) -> int:
     except VacuumDataError as exc:
         return _emit_failure(exc, getattr(args, "out_json", None))
     try:
-        report = run(config)
+        # arithmetic that leaves the double range raises instead of warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = run(config)
     except (VacuumDataError, OSError, MemoryError) as exc:
         # MemoryError: a size option asked for more memory than the host has
         return _emit_failure(exc, config.out_json)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        failure = InvalidArgumentError(f"arithmetic on the input failed: {exc}")
+        return _emit_failure(failure, config.out_json)
     text = render_report(report)
     if config.out_json:
         try:

@@ -41,6 +41,7 @@ from .radial import (
     fit_tail,
     integrate_from_zero,
     integrate_to_infinity,
+    _default_fit_window,
     _sample_profiles,
 )
 
@@ -108,9 +109,8 @@ def _with_tail(profile: RadialProfile) -> RadialProfile:
     Identically zero profiles get an exact zero tail so that flat data
     stays evaluable beyond the grid.
     """
-    r_max = profile.grid.r_max
     if not np.any(profile.values):
-        return profile.with_tail(TailModel(0.0, 2.0, (r_max / 100.0, r_max), 0.0))
+        return profile.with_tail(TailModel(0.0, 2.0, _default_fit_window(profile.grid), 0.0))
     try:
         return profile.with_tail(fit_tail(profile))
     except (DegenerateFitError, InvalidArgumentError):

@@ -450,12 +450,17 @@ def integrate_to_infinity(profile: RadialProfile) -> RadialProfile:
 # tail fits
 
 
+def _default_fit_window(grid: RadialGrid) -> tuple[float, float]:
+    """The default fit window of ``fit_tail``: the last two decades [r_max/100, r_max]."""
+    return (grid.r_max / 100.0, grid.r_max)
+
+
 def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float] | None = None):
     """((lo, hi), radii, values) of the nodes in the fit window of
     ``fit_tail``, once the window and the sign of the values there pass
     its checks; raises InvalidArgumentError or DegenerateFitError."""
     if window is None:
-        window = (grid.r_max / 100.0, grid.r_max)
+        window = _default_fit_window(grid)
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi <= grid.r_max * (1.0 + 1e-12)):
         raise InvalidArgumentError(f"bad fit window ({lo:g}, {hi:g}) for r_max={grid.r_max:g}")

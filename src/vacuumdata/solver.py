@@ -22,9 +22,10 @@ the last three node pairs: their three phi rows (the Robin row last) come
 before their three A rows.  Those phi rows reach six, five and four nodes
 inward; placed earlier, they fit a band of kl = 10 diagonals below the
 main one, and the interior rows need ku = 6 above it (the band is read
-off the stencils' nonzero pattern).  The Helmholtz band is (6, 6).  Fixed
-band entries are cached on the grid per dimension; a Newton step copies
-them and writes the iterate-dependent ones.
+off the stencils' nonzero pattern).  The Helmholtz band is (6, 6) and is
+built once per Lichnerowicz solve; only the coupled band is cached on the
+grid, per dimension.  A Newton step copies its band and writes the
+iterate-dependent entries.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .errors import (
     SingularSystemError,
 )
 from .radial import Dimension, RadialGrid, RadialProfile, _apply_window, _slot_major, differentiate
+from .verify import _FAR_FIELD_FRACTIONS
 
 __all__ = [
     "SolveControls",
@@ -88,33 +90,6 @@ class SolveTrace:
 
 
 @dataclasses.dataclass(frozen=True)
-class _HelmholtzOperator:
-    """Zero-potential system of u'' + (n-1) u'/r - V u on one grid, read-only.
-
-    ``rows`` are stencil rows in the windowed layout of
-    ``RadialGrid.derivative_matrix``: row 0 holds the regular limit
-    n u''(0) and the last row the Robin functional u' + (n-2) u / r at
-    r_max (decaying far field).  The Lichnerowicz residual applies them,
-    and so do the phi rows of the free-tau Jacobian.  ``band`` is the
-    same matrix as a gbsv layout with ``kl`` diagonals on each side (see
-    ``_solve``); each Lichnerowicz Newton step solves it with V the
-    step's Frechet diagonal.
-    """
-
-    rows: np.ndarray
-    band: np.ndarray
-    kl: int
-
-    def band_with_potential(self, v_values: np.ndarray, work: np.ndarray):
-        """The band minus V on the diagonal, written into the gbsv layout
-        ``work``.  The Robin entry stays fixed."""
-        np.copyto(work, self.band)
-        diag = 2 * self.kl
-        np.subtract(self.band[diag, :-1], v_values[:-1], out=work[diag, :-1])
-        return work
-
-
-@dataclasses.dataclass(frozen=True)
 class _CoupledOperator:
     """Fixed entries of the free-tau Jacobian on one grid.
 
@@ -153,13 +128,16 @@ def _band_layout(kl: int, ku: int, size: int, *entries) -> np.ndarray:
     return band
 
 
-def _helmholtz_operator(n: int, grid: RadialGrid) -> _HelmholtzOperator:
-    """The grid's cached Helmholtz operator for dimension n."""
+def _helmholtz_operator(n: int, grid: RadialGrid) -> np.ndarray:
+    """The grid's cached, read-only stencil rows of u'' + (n-1) u'/r for
+    dimension n in the windowed layout of ``RadialGrid.derivative_matrix``;
+    row 0 is the regular limit n u''(0), the last the Robin functional
+    u' + (n-2) u / r at r_max (decaying far field)."""
 
     def build():
         d1 = grid.derivative_matrix(1)
         d2 = grid.derivative_matrix(2)
-        npts, width = d1.shape
+        npts = len(grid)
         scale = np.ones(npts)
         scale[0] = float(n)
         coupling = np.zeros(npts)
@@ -167,9 +145,7 @@ def _helmholtz_operator(n: int, grid: RadialGrid) -> _HelmholtzOperator:
         rows = scale[:, None] * d2 + coupling[:, None] * d1
         rows[-1] = d1[-1]
         rows[-1, -1] += float(n - 2) / grid.r_max
-        columns = grid._window_index(width).T
-        band = _band_layout(width - 1, width - 1, npts, (np.arange(npts)[:, None], columns, rows))
-        return _HelmholtzOperator(_slot_major(rows), band, width - 1)
+        return _slot_major(rows)
 
     return grid._cached(("helmholtz", n), build)
 
@@ -178,7 +154,7 @@ def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
     """The grid's cached free-tau Jacobian entries for dimension n."""
 
     def build():
-        rows = _helmholtz_operator(n, grid).rows
+        rows = _helmholtz_operator(n, grid)
         npts, width = rows.shape
         phi = 2 * np.arange(npts)
         # layout row of each equation (see the module docstring)
@@ -321,7 +297,7 @@ def _lichnerowicz_rows(dim: Dimension, grid: RadialGrid, phi, tau_sq, lw_sq):
     nf = float(dim.N)
     weight = (n - 1.0) / n
     up, down = phi ** (nf - 1.0), phi ** (-nf - 1.0)
-    applied = _apply_window(grid, _helmholtz_operator(n, grid).rows, phi - 1.0)
+    applied = _apply_window(grid, _helmholtz_operator(n, grid), phi - 1.0)
     out = -_laplacian_weight(n) * applied + weight * tau_sq * up - lw_sq * down
     out[-1] = applied[-1]
     v_hat = (nf - 1.0) * weight * tau_sq * phi ** (nf - 2.0) + (
@@ -391,8 +367,11 @@ def solve_lichnerowicz(
     if np.any(start <= 0):
         raise InvalidArgumentError("initial guess must be positive")
     a = _laplacian_weight(dim.n)
-    operator = _helmholtz_operator(dim.n, grid)
-    work = np.empty_like(operator.band)
+    rows = _helmholtz_operator(dim.n, grid)
+    npts, width = rows.shape
+    kl = width - 1
+    band = _band_layout(kl, kl, npts, (np.arange(npts)[:, None], grid._window_index(width).T, rows))
+    work = np.empty_like(band)
 
     def linearize(phi):
         f, v_hat, _ = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
@@ -400,7 +379,9 @@ def solve_lichnerowicz(
         def solve_step():
             b = f / a
             b[-1] = -f[-1]
-            return _solve(operator.band_with_potential(v_hat / a, work), b, operator.kl)
+            np.copyto(work, band)
+            np.subtract(band[2 * kl, :-1], v_hat[:-1] / a, out=work[2 * kl, :-1])
+            return _solve(work, b, kl)
 
         return float(np.max(np.abs(f))), solve_step
 
@@ -499,16 +480,18 @@ def smooth_schwarzschild_phi(dim: Dimension, m: float, grid: RadialGrid) -> Radi
     curvature twice differentiable across R, so downstream quadratures
     see no kink.  The derivative is x^j (A + b1(1-x) + b2(1-x)^2 +
     b3(1-x)^3) with j raised until the factor is both monotone and
-    positive at the origin.
+    positive at the origin.  R may not exceed r_max/16, the innermost
+    radius sampled by the radial mass limit, which assumes the exterior.
     """
     if not m > 0:
         raise InvalidArgumentError(f"mass parameter must be positive, got {m!r}")
     n = dim.n
     p = (n - 2) / 2.0
     radius = m ** (1.0 / (n - 2))
-    if radius >= grid.r_max:
+    inner = grid.r_max * _FAR_FIELD_FRACTIONS[0]
+    if radius > inner:
         raise InvalidArgumentError(
-            f"matching radius {radius:g} must sit inside the grid (r_max {grid.r_max:g})"
+            f"matching radius {radius:g} must not exceed {inner:g}, the inner far-field radius"
         )
     r = grid.nodes
     exterior = r >= radius

@@ -32,7 +32,7 @@ from .errors import (
     TailTooSlowError,
     VacuumDataError,
 )
-from .radial import Dimension, RadialProfile, _fit_window, differentiate, fit_tail
+from .radial import Dimension, RadialGrid, RadialProfile, _fit_window, differentiate, fit_tail
 
 __all__ = [
     "ResidualReport",
@@ -53,6 +53,12 @@ __all__ = [
 # relative curvature threshold under which Richardson extrapolation would
 # divide noise by noise; the last sample is then used directly
 _FLAT_SEQUENCE = 1e-9
+
+# sup |phi - 1| under which the data count as flat: zero mass, zero tail limit
+_FLAT_FACTOR = 1e-13
+
+# radii, as fractions of r_max, of the samples of the far-field limits
+_FAR_FIELD_FRACTIONS = (1.0 / 16.0, 1.0 / 4.0, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,18 +225,22 @@ def _constraint_report(data, points, ham, h, refined) -> ResidualReport:
     return ResidualReport(points, ham, mom, h, order)
 
 
-def _extrapolate_geometric(radii: np.ndarray, samples: np.ndarray) -> tuple[float, bool]:
-    """Richardson limit of y(r) = L + a/r + b/r^2 through three samples,
-    skipped when the second difference is below noise (constant sequences
-    would fit noise)."""
-    y0, y1, y2 = samples
-    curvature = y2 - 2.0 * y1 + y0
-    scale = max(1.0, abs(y2))
-    if abs(curvature) < _FLAT_SEQUENCE * scale:
-        return float(y2), False
+def _richardson(radii, samples) -> float:
+    """Limit L of y(r) = L + a/r + b/r^2 through three samples."""
     vander = np.vander(1.0 / np.asarray(radii, dtype=float), 3, increasing=True)
-    coeffs = np.linalg.solve(vander, np.asarray(samples, dtype=float))
-    return float(coeffs[0]), True
+    return float(np.linalg.solve(vander, np.asarray(samples, dtype=float))[0])
+
+
+def _far_field_limit(grid: RadialGrid, y: np.ndarray) -> tuple[float, bool, np.ndarray]:
+    """Richardson limit of the node values y at the first nodes at or past
+    the far-field radii, whether it extrapolated, and those nodes; the last
+    sample when the second difference is below noise (flat sequences)."""
+    r = grid.nodes
+    idx = np.searchsorted(r, tuple(grid.r_max * f for f in _FAR_FIELD_FRACTIONS))
+    y0, y1, y2 = y[idx]
+    if abs(y2 - 2.0 * y1 + y0) < _FLAT_SEQUENCE * max(1.0, abs(y2)):
+        return float(y2), False, r[idx]
+    return _richardson(r[idx], y[idx]), True, r[idx]
 
 
 def adm_mass_radial(dim: Dimension, phi: RadialProfile) -> MassReport:
@@ -243,7 +253,7 @@ def adm_mass_radial(dim: Dimension, phi: RadialProfile) -> MassReport:
     grid = phi.grid
     r = grid.nodes
     shifted = phi.values - 1.0
-    if float(np.max(np.abs(shifted))) < 1e-13:
+    if float(np.max(np.abs(shifted))) < _FLAT_FACTOR:
         return MassReport(0.0, 0.0, math.nan, (), extrapolated=False)
     try:
         _fit_window(grid, shifted)  # a power-law tail needs a single-signed far field
@@ -264,14 +274,12 @@ def adm_mass_radial(dim: Dimension, phi: RadialProfile) -> MassReport:
         radii = (float(r[decade][0]), grid.r_max)
         return MassReport(inf, inf, math.nan, radii, extrapolated=False, diverges=True)
 
-    radii = (grid.r_max / 16.0, grid.r_max / 4.0, grid.r_max)
-    idx = np.searchsorted(r, radii)
-    limit, used = _extrapolate_geometric(r[idx], y[idx])
+    limit, used, radii = _far_field_limit(grid, y)
     return MassReport(
         mass_standard=-2.0 * limit / (n - 2),
         mass_paper_radial=-(n - 1.0) / (2.0 * (n - 2)) * limit,
         mass_paper_surface=math.nan,
-        radii_used=tuple(float(r[i]) for i in idx),
+        radii_used=tuple(radii.tolist()),
         extrapolated=used,
     )
 
@@ -309,9 +317,7 @@ def adm_mass_surface(data: InitialData, radii) -> MassReport:
     extrapolated = False
     flux = raw[-1]
     if len(radii) >= 3:
-        vander = np.vander(1.0 / np.asarray(radii[-3:]), 3, increasing=True)
-        coeffs = np.linalg.solve(vander, np.asarray(raw[-3:]))
-        flux = float(coeffs[0])
+        flux = _richardson(radii[-3:], raw[-3:])
         extrapolated = True
     standard = flux / (2.0 * (n - 1.0) * omega)
     paper = flux / (2.0 * (n - 2.0) * omega)
@@ -358,14 +364,10 @@ def tail_limit_check(dim: Dimension, phi: RadialProfile, c: float, q: float) -> 
     """Measured limit of phi' r^{2q-1} on the tail, for comparison with
     the predicted (c sqrt(n-2)/(2(n-q)))^2."""
     del c
-    grid = phi.grid
-    r = grid.nodes
-    if float(np.max(np.abs(phi.values - 1.0))) < 1e-13:
+    if float(np.max(np.abs(phi.values - 1.0))) < _FLAT_FACTOR:
         return 0.0
-    y = differentiate(phi, 1).values * r ** (2.0 * q - 1.0)
-    idx = np.searchsorted(r, (grid.r_max / 16.0, grid.r_max / 4.0, grid.r_max))
-    limit, _ = _extrapolate_geometric(r[idx], y[idx])
-    return float(limit)
+    y = differentiate(phi, 1).values * phi.grid.nodes ** (2.0 * q - 1.0)
+    return _far_field_limit(phi.grid, y)[0]
 
 
 def check_solution(sol: ConformalSolution) -> SolutionChecks:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,66 @@ class TestGeneralDimension:
         assert code == 1
         assert report["residuals"]["momentum_sup"] > RESIDUAL_GATE
         assert report["residuals"]["hamiltonian_sup"] < RESIDUAL_GATE
+
+
+# one column of the smooth-schwarzschild bundle edited: (column, new text)
+CRAFTED_BUNDLES = {
+    "tau-1e308": (3, lambda text: "1e308"),
+    "phi-times-1e200": (1, lambda text: repr(float(text) * 1e200)),
+    "r-times-1e300": (0, lambda text: repr(float(text) * 1e300)),
+    "r-times-1e-300": (0, lambda text: repr(float(text) * 1e-300)),
+}
+
+
+class TestOutOfRangeInput:
+    """Input whose arithmetic leaves the double range ends in an error
+    record, with nothing on stderr even when warnings are errors."""
+
+    @pytest.mark.parametrize("command", ["verify", "mass", "decay"])
+    @pytest.mark.parametrize("edit", list(CRAFTED_BUNDLES))
+    def test_crafted_bundle_gives_error_record(self, edit, command, schw_run, tmp_path, capsys):
+        column, change = CRAFTED_BUNDLES[edit]
+        header, *lines = schw_run[2].read_text().splitlines()
+        rows = []
+        for line in lines:
+            fields = line.split(",")
+            fields[column] = change(fields[column])
+            rows.append(",".join(fields))
+        bundle = tmp_path / f"{edit}.csv"
+        bundle.write_text("\n".join([header, *rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(bundle)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == 2
+        # at tau = 1e308 mass and decay refuse the bundle on its identity first
+        assert json.loads(captured.out)["error"]["type"] in ("invalid-argument", "schema-error")
+
+    def test_singular_matrix_gives_invalid_argument_record(self, monkeypatch, capsys):
+        def singular(config):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "run", singular)
+        code, record = run_cli(["smooth-schwarzschild", "--m", "1"], capsys)
+        assert code == 2
+        assert record["error"]["type"] == "invalid-argument"
+        assert "Singular matrix" in record["error"]["message"]
+
+
+class TestMatchingRadius:
+    """The radial mass limit samples from r_max/16 out, so the matching
+    radius m^{1/(n-2)} must lie inside it."""
+
+    def test_radius_past_the_far_field_refused(self, capsys):
+        code, record = run_cli(["smooth-schwarzschild", "--m", "2000"], capsys)
+        assert code == 2
+        assert record["error"]["type"] == "invalid-argument"
+        assert "matching radius" in record["error"]["message"]
+
+    def test_radius_inside_the_far_field_gives_the_mass(self, capsys):
+        _, report = run_cli(["smooth-schwarzschild", "--m", "600"], capsys)
+        assert report["mass"]["standard"] == pytest.approx(-600.0, rel=1e-8)
 
 
 class TestModuleEntryPoint:

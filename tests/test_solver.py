@@ -5,11 +5,11 @@ right-hand sides are exact, so the measured error is pure scheme error.
 Convergence rates are asserted between two uniform grids.  The
 Schwarzschild construction is checked against its closed-form exterior
 bitwise, and the free-tau solver against the mean-curvature identity it
-is required to restore.  The cached Helmholtz operator is checked
-bitwise against per-step assembly, and the coupled (phi, A) Newton
-solve against the damped Picard loop it replaced and against a Newton
-solve on the natural-order (12, 12) band; the references are kept
-below.
+is required to restore.  The Lichnerowicz solve on the cached Helmholtz
+rows is checked bitwise against per-step assembly, and the coupled
+(phi, A) Newton solve against the damped Picard loop it replaced and
+against a Newton solve on the natural-order (12, 12) band; the
+references are kept below.
 """
 
 from __future__ import annotations
@@ -41,7 +41,13 @@ from vacuumdata import solver
 from vacuumdata.conformal import build_solution, lw_norm, momentum_potential
 from vacuumdata.errors import SingularSystemError, VacuumDataError
 from vacuumdata.radial import _apply_window, _window_starts, differentiate
-from vacuumdata.solver import _coupled_operator, _coupled_system, _helmholtz_operator, _solve
+from vacuumdata.solver import (
+    _band_layout,
+    _coupled_operator,
+    _coupled_system,
+    _helmholtz_operator,
+    _solve,
+)
 
 DIM3 = Dimension(3)
 DIM4 = Dimension(4)
@@ -55,6 +61,19 @@ def work_grid():
 def conformal_seed(grid, c, q):
     r = grid.nodes
     return RadialProfile(grid, c * (1.0 + r * r) ** (-q / 2.0))
+
+
+def helmholtz_layout(n, grid, potential):
+    """The cached Helmholtz rows minus the potential on the diagonal (the
+    Robin entry kept) as a writeable gbsv layout, and its kl: the system
+    of one Lichnerowicz Newton step."""
+    rows = _helmholtz_operator(n, grid)
+    npts, width = rows.shape
+    kl = width - 1
+    band = _band_layout(kl, kl, npts, (np.arange(npts)[:, None], grid._window_index(width).T, rows))
+    layout = band.copy(order="F")
+    layout[2 * kl, :-1] -= potential[:-1]
+    return layout, kl
 
 
 class TestHelmholtzSolve:
@@ -80,7 +99,7 @@ class TestHelmholtzSolve:
     def test_harmonic_function_in_operator_kernel(self, work_grid):
         # 1/r is harmonic away from the origin; apply the assembled
         # operator rows directly since the function is singular at r = 0
-        rows = _helmholtz_operator(3, work_grid).rows
+        rows = _helmholtz_operator(3, work_grid)
         u = np.zeros(len(work_grid))
         u[1:] = 1.0 / work_grid.nodes[1:]
         image = _apply_window(work_grid, rows, u)
@@ -94,16 +113,16 @@ class TestBandedSolve:
         grid = build_grid(200, 50.0, 1.05)
         r = grid.nodes
         potential = 1.0 / (1.0 + r * r)
-        operator = _helmholtz_operator(3, grid)
-        npts, width = operator.rows.shape
+        rows = _helmholtz_operator(3, grid)
+        npts, width = rows.shape
         dense = np.zeros((npts, npts))
         columns = _window_starts(npts, width)[:, None] + np.arange(width)
-        dense[np.arange(npts)[:, None], columns] = operator.rows
+        dense[np.arange(npts)[:, None], columns] = rows
         dense[np.arange(npts - 1), np.arange(npts - 1)] -= potential[:-1]
         rhs = np.exp(-r)
         expected = np.linalg.solve(dense, rhs)
-        work = np.empty_like(operator.band)
-        got = _solve(operator.band_with_potential(potential, work), rhs, operator.kl)
+        layout, kl = helmholtz_layout(3, grid, potential)
+        got = _solve(layout, rhs, kl)
         assert float(np.max(np.abs(got - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
 
     def test_zero_rows_raise_singular(self):
@@ -154,10 +173,9 @@ class TestBandedSolve:
             dim, work_grid, tau.values**2, differentiate(tau, 1).values, phi, A
         )
         coupled = _coupled_operator(dim.n, work_grid)
-        helmholtz = _helmholtz_operator(dim.n, work_grid)
+        helmholtz, kl = helmholtz_layout(dim.n, work_grid, 1.0 / (1.0 + r * r))
         layouts = [
-            (helmholtz.band_with_potential(1.0 / (1.0 + r * r), np.empty_like(helmholtz.band)),
-             np.exp(-r), helmholtz.kl),
+            (helmholtz, np.exp(-r), kl),
             (jacobian(np.empty_like(coupled.band)), -residual, coupled.kl),
         ]
         assert [layout.shape[0] - 1 - kl for layout, _, kl in layouts] == [12, 16]
@@ -427,7 +445,7 @@ class TestCoupledSystem:
         # every fixed entry: the Helmholtz stencil rows of phi (Robin row
         # unscaled) and the +-1 of the A rows, nothing else
         rows, columns, values = layout_entries(operator.band, kl, place)
-        helmholtz = _helmholtz_operator(dim.n, grid).rows
+        helmholtz = _helmholtz_operator(dim.n, grid)
         phi = rows % 2 == 0
         assert np.all(columns[phi] % 2 == 0)
         i, j = rows[phi] // 2, columns[phi] // 2
@@ -520,15 +538,24 @@ class TestCoupledSystem:
 
 class TestOperatorCache:
     def test_cached_arrays_are_read_only(self, work_grid):
-        operator = _helmholtz_operator(3, work_grid)
-        assert _helmholtz_operator(3, work_grid) is operator
+        rows = _helmholtz_operator(3, work_grid)
+        assert _helmholtz_operator(3, work_grid) is rows
         coupled = _coupled_operator(3, work_grid)
         assert _coupled_operator(3, work_grid) is coupled
-        for array in (
-            operator.rows, operator.band, coupled.band, work_grid.derivative_matrix(1)
-        ):
+        for array in (rows, coupled.band, work_grid.derivative_matrix(1)):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+
+    def test_lichnerowicz_solve_caches_no_band(self):
+        grid = build_grid(200, 50.0, 1.05)
+        tau = conformal_seed(grid, 1.0, 1.5)
+        solve_lichnerowicz(DIM3, tau, RadialProfile(grid, np.zeros(len(grid))))
+        assert grid._cache[("helmholtz", 3)].shape == (len(grid), 7)
+        # a (6, 6) gbsv layout has 19 rows
+        assert not [
+            value for value in grid._cache.values()
+            if isinstance(value, np.ndarray) and value.shape == (19, len(grid))
+        ]
 
     def test_dimension_switches_match_fresh_grids(self):
         shared = build_grid(2000, 1e3, 1.01)
@@ -542,7 +569,7 @@ class TestOperatorCache:
                     (
                         solve_lichnerowicz(dim, tau, lw).values,
                         fixed_point_solve(dim, tau)[0].phi.values,
-                        _helmholtz_operator(dim.n, grid).band,
+                        _helmholtz_operator(dim.n, grid),
                         _coupled_operator(dim.n, grid).band,
                     )
                 )
@@ -550,14 +577,15 @@ class TestOperatorCache:
                 assert np.array_equal(got, fresh)
 
     def test_singular_diagonal_raises_and_leaves_cache(self, work_grid):
-        operator = _helmholtz_operator(3, work_grid)
-        before = operator.band.copy()
+        rows = _helmholtz_operator(3, work_grid)
+        before = rows.copy()
         potential = np.zeros(len(work_grid))
         potential[len(work_grid) // 2] = np.inf
-        work = np.empty_like(operator.band)
+        layout, kl = helmholtz_layout(3, work_grid, potential)
         with pytest.raises(SingularSystemError):
-            _solve(operator.band_with_potential(potential, work), np.ones(len(work_grid)), operator.kl)
-        assert np.array_equal(operator.band, before)
+            _solve(layout, np.ones(len(work_grid)), kl)
+        assert _helmholtz_operator(3, work_grid) is rows
+        assert np.array_equal(rows, before)
 
 
 class TestLichnerowiczSolve:
