@@ -45,7 +45,6 @@ from .errors import (
 from .radial import Dimension, RadialProfile, build_grid
 from .solver import SolveControls, fixed_point_solve, smooth_schwarzschild_phi
 from .verify import (
-    _constraint_report,
     adm_mass_radial,
     adm_mass_surface,
     check_solution,
@@ -74,11 +73,10 @@ LW_GATE = 1e-10
 DIVW_GATE = 1e-6
 ZERO_MASS_GATE = 1e-2
 
-# Step for the 2x-refinement order study; large enough that truncation,
-# not interpolant rounding, dominates the stencil error.
-_ORDER_STEP = 1e-2
-
 _SURFACE_FRACTIONS = (0.1, 0.2, 0.4)
+
+# dimensions at which mass and decay try a bundle that fails the identity
+_PROBED_DIMENSIONS = range(3, 11)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,18 +188,13 @@ def _checks_block(sol: ConformalSolution) -> dict:
 def _residuals_block(
     config: ScenarioConfig,
     data: InitialData,
-    refined: ConformalSolution | None = None,
+    refined: InitialData | None = None,
 ) -> dict:
-    pts = default_sample_points(data.dim, config.points)
-    level = constraint_report(data, pts, config.h)
-    order = None
-    if refined is not None:
-        study = _constraint_report(data, pts, level.hamiltonian, _ORDER_STEP, assemble_initial_data(refined))
-        order = study.convergence_order
+    report = constraint_report(data, default_sample_points(data.dim, config.points), config.h, refined)
     return {
-        "hamiltonian_sup": level.hamiltonian_sup,
-        "momentum_sup": level.momentum_sup,
-        "order": order,
+        "hamiltonian_sup": report.hamiltonian_sup,
+        "momentum_sup": report.momentum_sup,
+        "order": report.convergence_order,
     }
 
 
@@ -249,7 +242,7 @@ def _report(
 
 
 def _solution_report(
-    config: ScenarioConfig, sol: ConformalSolution, iterations: int, refined: ConformalSolution | None = None
+    config: ScenarioConfig, sol: ConformalSolution, iterations: int, refined: InitialData | None = None
 ) -> dict:
     data = assemble_initial_data(sol)
     report = _report(
@@ -277,7 +270,7 @@ def _cmd_smooth_schwarzschild(config: ScenarioConfig) -> dict:
         dim,
         smooth_schwarzschild_phi(dim, config.m, build_grid(2 * points, r_max, stretch)),
     )
-    return _solution_report(config, sol, iterations=0, refined=refined)
+    return _solution_report(config, sol, iterations=0, refined=assemble_initial_data(refined))
 
 
 def _classification(mass: dict) -> str:
@@ -313,18 +306,32 @@ def _read_bundle_at_n(config: ScenarioConfig) -> ConformalSolution:
     """The bundle read at ``config.n``, refused unless it passes the
     mean-curvature identity there.  A bundle does not record its
     dimension, and one read at another n fails the identity by orders of
-    magnitude while its mass may even change sign."""
+    magnitude while its mass may even change sign; a refusal names the
+    dimensions in _PROBED_DIMENSIONS at which the bundle does pass."""
     sol = read_solution_csv(config.csv_path, config.dim)
     try:
         residual = _identity_residual(config.dim, sol.phi, sol.tau)
     except VacuumDataError:
         residual = math.inf
     if not residual < IDENTITY_GATE:
+        passes = [n for n in _PROBED_DIMENSIONS if n != config.n and _passes_identity(Dimension(n), sol)]
+        if passes:
+            hint = f" but passes it at n={', '.join(map(str, passes))}; was it written with --n {passes[0]}?"
+        else:
+            hint = f" and at every other n from {_PROBED_DIMENSIONS[0]} to {_PROBED_DIMENSIONS[-1]}"
         raise SchemaError(
-            f"bundle fails the mean-curvature identity at n={config.n} (residual {residual:.3g});"
-            " was it written with another --n?"
+            f"bundle fails the mean-curvature identity at n={config.n} (residual {residual:.3g}){hint}"
         )
     return sol
+
+
+def _passes_identity(dim: Dimension, sol: ConformalSolution) -> bool:
+    """Whether the bundle passes the mean-curvature identity read at
+    ``dim``; a probe that raises does not."""
+    try:
+        return _identity_residual(dim, sol.phi, sol.tau) < IDENTITY_GATE
+    except (VacuumDataError, ArithmeticError):
+        return False
 
 
 def _cmd_mass(config: ScenarioConfig) -> dict:

@@ -417,8 +417,13 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
     """base ** exponent per element through Python floats (libm pow).  On
     AVX-512 hosts np.power differs from libm in the last bit for about 5 %
     of elements, and the momentum residual's finite differences amplify that
-    to 3e-6 relative, enough to flip gate verdicts near the threshold."""
-    return np.power(base.astype(object), exponent).astype(float)
+    to 3e-6 relative, enough to flip gate verdicts near the threshold.
+    A result past the double range raises FloatingPointError, as np.power
+    does under np.errstate(over="raise")."""
+    try:
+        return np.power(base.astype(object), exponent).astype(float)
+    except OverflowError:
+        raise FloatingPointError("overflow encountered in power") from None
 
 
 def _derived_tail(tail: TailModel | None, order: int) -> TailModel | None:

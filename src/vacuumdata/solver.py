@@ -60,7 +60,7 @@ __all__ = [
 @dataclasses.dataclass(frozen=True)
 class SolveControls:
     """Tolerance, Newton step budget per continuation stage, and the
-    number of continuation stages of the nonlinear solvers."""
+    number of continuation stages of fixed_point_solve."""
 
     tol: float = 1e-10
     max_newton: int = 40
@@ -350,15 +350,15 @@ def solve_lichnerowicz(
     dim: Dimension,
     tau: RadialProfile,
     lw: RadialProfile,
-    controls: SolveControls | None = None,
     phi0: RadialProfile | None = None,
 ) -> RadialProfile:
     """Solve the radial Lichnerowicz equation for phi at fixed (tau, |LW|).
 
     Newton on the full discrete residual, including the Robin row.  Each
     step solves a radial Helmholtz problem whose potential is the Frechet
-    diagonal (N-1)(n-1)/n tau^2 phi^{N-2} + (N+1)|LW|^2 phi^{-N-2}; the
-    default initial guess is phi == 1.
+    diagonal (N-1)(n-1)/n tau^2 phi^{N-2} + (N+1)|LW|^2 phi^{-N-2}, to
+    the default SolveControls' tolerance and step budget; the default
+    initial guess is phi == 1.
     """
     if tau.grid is not lw.grid:
         raise InvalidArgumentError("tau and lw must share one grid")
@@ -385,11 +385,10 @@ def solve_lichnerowicz(
 
         return float(np.max(np.abs(f))), solve_step
 
-    controls = controls if controls is not None else SolveControls()
     # an overflow ends in _newton's SingularSystemError, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
         tau_sq, lw_sq = tau.values**2, lw.values**2
-        return RadialProfile(grid, _newton(start, 1, linearize, controls, SolveTrace()))
+        return RadialProfile(grid, _newton(start, 1, linearize, SolveControls(), SolveTrace()))
 
 
 def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):

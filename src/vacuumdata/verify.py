@@ -60,12 +60,18 @@ _FLAT_FACTOR = 1e-13
 # radii, as fractions of r_max, of the samples of the far-field limits
 _FAR_FIELD_FRACTIONS = (1.0 / 16.0, 1.0 / 4.0, 1.0)
 
+# span of the radii of the residual sample points
+_SAMPLE_RADII = (0.1, 50.0)
+
+# Step for the 2x-refinement order study; large enough that truncation,
+# not interpolant rounding, dominates the stencil error.
+_ORDER_STEP = 1e-2
+
 
 @dataclasses.dataclass(frozen=True)
 class ResidualReport:
     """Pointwise Hamiltonian and momentum constraint residuals."""
 
-    points: np.ndarray
     hamiltonian: np.ndarray
     momentum: np.ndarray
     stencil_h: float
@@ -121,11 +127,11 @@ class SolutionChecks:
     notes: tuple[str, ...] = ()
 
 
-def default_sample_points(dim: Dimension, count: int = 64, r_lo: float = 0.1, r_hi: float = 50.0) -> np.ndarray:
-    """Deterministic Cartesian sample points: log-spaced radii along
-    fixed pseudo-random unit directions."""
+def default_sample_points(dim: Dimension, count: int = 64) -> np.ndarray:
+    """Deterministic Cartesian sample points: radii log-spaced over
+    _SAMPLE_RADII along fixed pseudo-random unit directions."""
     rng = np.random.default_rng(12021)
-    radii = np.logspace(math.log10(r_lo), math.log10(r_hi), count)
+    radii = np.logspace(*map(math.log10, _SAMPLE_RADII), count)
     directions = rng.normal(size=(count, dim.n))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     return radii[:, None] * directions
@@ -200,29 +206,26 @@ def constraint_report(
     h: float = 1e-3,
     refined: InitialData | None = None,
 ) -> ResidualReport:
-    """Assemble both residuals; with a refined evaluator, halve h as well
-    and report the combined convergence order (the smaller of the two).
-    The stencil step h must lie in (0, r_max), as momentum_residual checks."""
-    points = np.asarray(points, dtype=float)
-    return _constraint_report(data, points, hamiltonian_residual(data, points), h, refined)
-
-
-def _constraint_report(data, points, ham, h, refined) -> ResidualReport:
-    """constraint_report given ``ham``, the Hamiltonian residual of ``data``
-    at ``points``, which does not depend on h."""
+    """Both residuals at stencil step h, which must lie in (0, r_max), as
+    momentum_residual checks.  Given data on a refined grid, also the
+    convergence order of a 2x-refinement study: the smaller of the two
+    residuals' log2 sup-norm ratios, with momentum steps _ORDER_STEP on
+    ``data`` and half that on ``refined``."""
+    ham = hamiltonian_residual(data, points)
     mom = momentum_residual(data, points, h)
     order = None
     if refined is not None:
+        coarse_mom = mom if h == _ORDER_STEP else momentum_residual(data, points, _ORDER_STEP)
         ham2 = hamiltonian_residual(refined, points)
-        mom2 = momentum_residual(refined, points, h / 2.0)
+        mom2 = momentum_residual(refined, points, _ORDER_STEP / 2.0)
         orders = []
-        for coarse, fine in ((ham, ham2), (mom, mom2)):
+        for coarse, fine in ((ham, ham2), (coarse_mom, mom2)):
             sup_c = float(np.max(np.abs(coarse)))
             sup_f = float(np.max(np.abs(fine)))
             if sup_c > 0 and sup_f > 0:
                 orders.append(math.log2(sup_c / sup_f))
         order = min(orders) if orders else None
-    return ResidualReport(points, ham, mom, h, order)
+    return ResidualReport(ham, mom, h, order)
 
 
 def _richardson(radii, samples) -> float:

@@ -213,6 +213,15 @@ class TestSchwarzschildScenario:
         assert capsys.readouterr().out == schw_run[3].read_text()
 
 
+def test_library_order_study_equals_the_report(schw_run, schwarzschild_data, schwarzschild_refined_data):
+    """constraint_report at its default step runs the same order study as
+    the CLI: the momentum residual at 1e-2 and 5e-3, whatever h is."""
+    pts = verify.default_sample_points(Dimension(3))
+    rep = verify.constraint_report(schwarzschild_data, pts, refined=schwarzschild_refined_data)
+    assert rep.convergence_order == schw_run[1]["residuals"]["order"]
+    assert rep.convergence_order == pytest.approx(3.8956386102723033, rel=1e-12)
+
+
 def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
     """The order study reuses the level report's coarse Hamiltonian residual,
     which does not depend on the stencil step."""
@@ -292,6 +301,28 @@ class TestFreeTauScenarios:
         assert params["q"] == 1.5
         assert params["tol"] == 1e-10
         assert params["grid"] == {"points": 4000, "r_max": 10000.0, "stretch": 1.01}
+
+
+def _assert_same_report(documented, live, where="report"):
+    """Same keys in the same order, floats within 1e-12 relative."""
+    if isinstance(documented, dict):
+        assert isinstance(live, dict) and list(documented) == list(live), where
+        for key in documented:
+            _assert_same_report(documented[key], live[key], f"{where}.{key}")
+    elif isinstance(documented, float) or isinstance(live, float):
+        assert math.isclose(documented, live, rel_tol=1e-12), where
+    else:
+        assert documented == live, where
+
+
+def test_readme_output_matches_a_live_run(free_tau_runs):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    intro = readme.index("Output of `free-tau --c 1 --q 1.5`")
+    start = readme.index("```json\n", intro) + len("```json\n")
+    documented = json.loads(readme[start:readme.index("```", start)])
+    code, live = free_tau_runs["1.5"]
+    assert code == 0
+    _assert_same_report(documented, live)
 
 
 class TestCsvSubcommands:
@@ -387,6 +418,29 @@ CRAFTED_BUNDLES = {
 }
 
 
+def crafted_bundle(schw_run, edit, directory):
+    """The smooth-schwarzschild --m 1 bundle with one column edited."""
+    column, change = CRAFTED_BUNDLES[edit]
+    header, *lines = schw_run[2].read_text().splitlines()
+    rows = []
+    for line in lines:
+        fields = line.split(",")
+        fields[column] = change(fields[column])
+        rows.append(",".join(fields))
+    bundle = directory / f"{edit}.csv"
+    bundle.write_text("\n".join([header, *rows]) + "\n")
+    return bundle
+
+
+def run_warnings_as_errors(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, json.loads(captured.out)
+
+
 class TestOutOfRangeInput:
     """Input whose arithmetic leaves the double range ends in an error
     record, with nothing on stderr even when warnings are errors."""
@@ -394,23 +448,31 @@ class TestOutOfRangeInput:
     @pytest.mark.parametrize("command", ["verify", "mass", "decay"])
     @pytest.mark.parametrize("edit", list(CRAFTED_BUNDLES))
     def test_crafted_bundle_gives_error_record(self, edit, command, schw_run, tmp_path, capsys):
-        column, change = CRAFTED_BUNDLES[edit]
-        header, *lines = schw_run[2].read_text().splitlines()
-        rows = []
-        for line in lines:
-            fields = line.split(",")
-            fields[column] = change(fields[column])
-            rows.append(",".join(fields))
-        bundle = tmp_path / f"{edit}.csv"
-        bundle.write_text("\n".join([header, *rows]) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main([command, str(bundle)])
-        captured = capsys.readouterr()
-        assert captured.err == ""
+        bundle = crafted_bundle(schw_run, edit, tmp_path)
+        code, record = run_warnings_as_errors([command, str(bundle)], capsys)
         assert code == 2
         # at tau = 1e308 mass and decay refuse the bundle on its identity first
-        assert json.loads(captured.out)["error"]["type"] in ("invalid-argument", "schema-error")
+        assert record["error"]["type"] in ("invalid-argument", "schema-error")
+
+    def test_overflowing_power_gives_numpy_style_message(self, schw_run, tmp_path, capsys):
+        bundle = crafted_bundle(schw_run, "phi-times-1e200", tmp_path)
+        code, record = run_warnings_as_errors(["verify", str(bundle)], capsys)
+        assert code == 2
+        assert record == {"error": {
+            "type": "invalid-argument",
+            "message": "arithmetic on the input failed: overflow encountered in power",
+        }}
+
+    @pytest.mark.parametrize("command", ["mass", "decay"])
+    def test_bundle_failing_at_every_dimension_names_none(self, command, schw_run, tmp_path, capsys):
+        bundle = crafted_bundle(schw_run, "tau-1e308", tmp_path)
+        code, record = run_warnings_as_errors([command, str(bundle)], capsys)
+        assert code == 2
+        assert record == {"error": {
+            "type": "schema-error",
+            "message": "bundle fails the mean-curvature identity at n=3 (residual 1e+308)"
+                       " and at every other n from 3 to 10",
+        }}
 
     def test_singular_matrix_gives_invalid_argument_record(self, monkeypatch, capsys):
         def singular(config):
@@ -421,6 +483,20 @@ class TestOutOfRangeInput:
         assert code == 2
         assert record["error"]["type"] == "invalid-argument"
         assert "Singular matrix" in record["error"]["message"]
+
+
+def test_dimension_probe_that_raises_counts_as_a_failure(schw_run, monkeypatch, capsys):
+    def identity(dim, phi, tau):
+        if dim.n == 3:
+            return 1.0
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(cli, "_identity_residual", identity)
+    code, record = run_cli(["mass", str(schw_run[2])], capsys)
+    assert code == 2
+    assert record["error"]["message"] == (
+        "bundle fails the mean-curvature identity at n=3 (residual 1) and at every other n from 3 to 10"
+    )
 
 
 class TestMatchingRadius:
@@ -539,7 +615,10 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr == ""
         record = json.loads(proc.stdout)["error"]
-        assert record["type"] == "schema-error" and f"n={read}" in record["message"]
+        assert record["type"] == "schema-error"
+        assert record["message"].startswith(f"bundle fails the mean-curvature identity at n={read} (residual ")
+        # the writer's n is the only one from 3 to 10 at which the bundle passes
+        assert record["message"].endswith(f" but passes it at n={written}; was it written with --n {written}?")
 
     def test_bundle_read_at_its_dimension_reproduces_the_report(self, n4_run):
         report, bundle = n4_run

@@ -34,6 +34,7 @@ from vacuumdata import (
     smooth_schwarzschild_phi,
     tail_limit_check,
 )
+from vacuumdata import verify
 from vacuumdata.verify import sphere_area
 
 DIM3 = Dimension(3)
@@ -76,11 +77,11 @@ class TestSamplePoints:
         assert np.array_equal(a, b)
         assert a.shape == (64, 3)
 
-    def test_radii_span_requested_range(self):
-        pts = default_sample_points(DIM3, count=16, r_lo=0.5, r_hi=20.0)
+    def test_radii_span_fixed_range(self):
+        pts = default_sample_points(DIM3, count=16)
         radii = np.linalg.norm(pts, axis=1)
-        assert radii[0] == pytest.approx(0.5)
-        assert radii[-1] == pytest.approx(20.0)
+        assert radii[0] == pytest.approx(0.1)
+        assert radii[-1] == pytest.approx(50.0)
         assert np.all(np.diff(radii) > 0)
 
 
@@ -128,6 +129,28 @@ class TestConstraintResiduals:
         assert rep.convergence_order is None
         assert rep.hamiltonian_sup > 0
         assert rep.momentum_sup > 0
+
+    @pytest.mark.parametrize("h,coarse_steps", [(1e-2, [1e-2]), (1e-3, [1e-3, 1e-2])])
+    def test_order_study_reuses_coarse_momentum_at_its_step(
+        self, mass_like_data, flat_data, sample_points, monkeypatch, h, coarse_steps
+    ):
+        """The order study runs the momentum residual at step 1e-2 on the
+        coarse data and 5e-3 on the refined data; at h = 1e-2 the report's
+        own coarse residual serves."""
+        _, data = mass_like_data
+        _, refined = flat_data
+        calls = []
+        original = verify.momentum_residual
+
+        def counted(evaluator, points, step):
+            calls.append((evaluator is data, step))
+            return original(evaluator, points, step)
+
+        monkeypatch.setattr(verify, "momentum_residual", counted)
+        rep = constraint_report(data, sample_points[::8], h=h, refined=refined)
+        assert calls == [(True, step) for step in coarse_steps] + [(False, 5e-3)]
+        assert rep.stencil_h == h
+        assert rep.momentum_sup == float(np.max(np.abs(original(data, sample_points[::8], h))))
 
     @pytest.mark.parametrize("scale", [1.0, 1e196])
     def test_step_at_or_above_r_max_rejected(self, mass_like_data, sample_points, scale):
