@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -491,7 +492,11 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgumentError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Parsing leaves no state in
+    it: each subcommand parses into a fresh namespace, and grid slots
+    replace the tuple they write to."""
     parser = _Parser(
         prog="vacuumdata",
         description="Build, solve, and verify conformally flat vacuum initial data.",

@@ -20,6 +20,10 @@ with A(r) = integral_0^r s^n phi^N tau' ds.
 from __future__ import annotations
 
 import dataclasses
+import fractions
+import functools
+import math
+import typing
 
 import numpy as np
 
@@ -483,15 +487,217 @@ def _write_csv_table(path, header: str, columns) -> None:
     """Write equal-length float arrays as columns under a fixed header.
 
     One row per index, each value as ``%.17g`` (enough digits to read back
-    the same float), ``\\n`` line endings.  One format string covers a
-    whole row, and one ``%`` formats every row; the header goes in a write
-    of its own, so the rows' text is never copied behind it.
+    the same float), ``\\n`` line endings.  numpy decides the 17 digits
+    and lays out the text (:func:`_g17_slots`); Python's ``%`` formats,
+    one at a time, the rare values whose digits float64 arithmetic cannot
+    decide, so every byte is the one ``%.17g`` gives.  The whole text is
+    formatted before the file is opened: a failure while formatting
+    leaves no file, or the old one as it was.
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = tuple(np.column_stack(columns).ravel().tolist())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write((row * len(columns[0])) % values)
+    text = header.encode("ascii") + b"\n" + _g17_rows(np.column_stack(columns))
+    with open(path, "wb") as fh:
+        fh.write(text)
+
+
+# ``%.17g`` text of float64 tables.  A value x with 1e-250 < |x| < 1e250
+# and decimal exponent k has the 17-digit significand
+# D = round(|x| 10^(16-k)).  k comes from log10, corrected once against
+# the smallest doubles at or above 10^k.  The product with 10^(16-k),
+# held as a double-double, is exact to about 1e-13 through Dekker's
+# error-free split products ("A floating-point technique for extending
+# the available precision", 1971), so only a fraction within 1e-9 of
+# one half leaves the rounding of D undecided.  Those values, zeros,
+# non-finite values and values outside the range take Python's ``%``.
+#
+# Each value's text is laid out in a slot of four little-endian 64-bit
+# words, padded with NUL bytes, then the NULs are dropped:
+#   word 0   sign, and "0." with leading zeros, right-aligned
+#   word 1   digits 0-7     \  with the point inserted after digit q:
+#   word 2   digits 8-15     > digits past q move up one byte, and
+#   word 3   digit 16       /  digits past the kept ones are dropped
+#   word 3   exponent and separator, right-aligned in bytes 2-7
+
+_G17_K_MIN, _G17_K_MAX = -251, 251  # decimal exponents the tables cover
+_G17_N_K = _G17_K_MAX - _G17_K_MIN + 1
+_G17_NO_POINT = 17
+_G17_BLOCK = 4096  # values formatted together; bounds the temporaries
+_WORD = np.dtype("<u8")
+_SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split into 26-bit halves
+
+
+def _word(text: bytes, at: int = 0) -> int:
+    """A little-endian 64-bit word holding ``text`` from byte ``at``."""
+    return int.from_bytes(bytes(at) + text, "little")
+
+
+def _low_bytes(count: int) -> int:
+    """A word whose ``count`` low bytes (clipped to 0..8) are all ones."""
+    return _word(b"\xff" * min(8, max(0, count)))
+
+
+class _G17Tables(typing.NamedTuple):
+    floor: np.ndarray  # [k] smallest double >= 10^k
+    scale_hi: np.ndarray  # [k] 10^(16-k) = scale_hi + scale_lo
+    scale_lo: np.ndarray
+    scale_hi_hi: np.ndarray  # [k] Dekker halves of scale_hi
+    scale_hi_lo: np.ndarray
+    int_len: np.ndarray  # [k] digits before the point in fixed notation
+    point: np.ndarray  # [k] digit the point follows, if any digit follows it
+    prefix: np.ndarray  # [k + N_K * negative] word 0
+    suffix: np.ndarray  # [k + N_K * last column] exponent and separator
+    quads: np.ndarray  # [0..9999] four ASCII digits as a word
+    quad_zeros: np.ndarray  # [0..9999] trailing zeros of four digits
+    stay: np.ndarray  # [word, 18 keep + q] digit bytes that stay in place
+    move: np.ndarray  # [word, 18 keep + q] digit bytes that move up one
+    dot: np.ndarray  # [word, 18 keep + q] the point
+
+
+@functools.cache
+def _g17_tables() -> _G17Tables:
+    """Built on first use, from exact fractions and ``%.17g``'s rules:
+    positional notation for -4 <= k < 17, trailing zeros dropped."""
+    ks = range(_G17_K_MIN, _G17_K_MAX + 1)
+    floor, scale_hi, scale_lo, int_len, point = [], [], [], [], []
+    prefix, suffix = ([], []), ([], [])
+    for k in ks:
+        power = fractions.Fraction(10) ** k
+        below = float(power)
+        floor.append(below if below >= power else math.nextafter(below, math.inf))
+        scale = fractions.Fraction(10) ** (16 - k)
+        scale_hi.append(float(scale))
+        scale_lo.append(float(scale - fractions.Fraction(scale_hi[-1])))
+        fixed = -4 <= k < 17
+        int_len.append(k + 1 if fixed and k >= 0 else 0)
+        point.append(k if fixed and k >= 0 else _G17_NO_POINT if fixed else 0)
+        lead = b"0." + b"0" * (-k - 1) if fixed and k < 0 else b""
+        exponent = b"" if fixed else f"e{k:+03d}".encode()
+        for negative, sign in enumerate((b"", b"-")):
+            prefix[negative].append(_word(sign + lead, 8 - len(sign + lead)))
+        for last, separator in enumerate((b",", b"\n")):
+            suffix[last].append(_word(exponent + separator, 8 - len(exponent + separator)))
+    stay, move, dot = (np.zeros((3, 18 * 18), dtype=_WORD) for _ in range(3))
+    for keep in range(18):
+        for q in range(18):
+            in_place = 18 if q == _G17_NO_POINT else q + 1
+            for w in range(3):
+                kept = _low_bytes(keep - 8 * w)
+                stay[w, 18 * keep + q] = kept & _low_bytes(in_place - 8 * w)
+                move[w, 18 * keep + q] = kept & ~_low_bytes(in_place - 8 * w)
+            if q != _G17_NO_POINT:
+                dot[(q + 1) // 8, 18 * keep + q] = _word(b".", (q + 1) % 8)
+    scale_hi = np.array(scale_hi)
+    split = scale_hi * _SPLITTER
+    scale_hi_hi = split - (split - scale_hi)
+    four_digits = np.arange(10000)
+    return _G17Tables(
+        floor=np.array(floor),
+        scale_hi=scale_hi,
+        scale_lo=np.array(scale_lo),
+        scale_hi_hi=scale_hi_hi,
+        scale_hi_lo=scale_hi - scale_hi_hi,
+        int_len=np.array(int_len, dtype=np.intp),
+        point=np.array(point, dtype=np.intp),
+        prefix=np.array(prefix, dtype=_WORD).ravel(),
+        suffix=np.array(suffix, dtype=_WORD).ravel(),
+        quads=np.frombuffer("".join(f"{v:04d}" for v in range(10000)).encode(), dtype="<u4").astype(_WORD),
+        quad_zeros=sum((four_digits % 10**e == 0).astype(np.intp) for e in (1, 2, 3, 4)),
+        stay=stay,
+        move=move,
+        dot=dot,
+    )
+
+
+def _g17_rows(table: np.ndarray) -> bytes:
+    """The rows of a 2-D float64 table as ``%.17g`` text: values joined
+    by commas, each row ended by ``\\n``."""
+    rows, cols = table.shape
+    block = max(1, _G17_BLOCK // cols)
+    last_column = np.zeros((block, cols), dtype=np.intp)
+    last_column[:, -1] = _G17_N_K
+    parts = []
+    for start in range(0, rows, block):
+        x = table[start:start + block].ravel()
+        text = _g17_slots(x, last_column.ravel()[: x.size]).view(np.uint8).ravel()
+        parts.append(text[text != 0].tobytes())
+    return b"".join(parts)
+
+
+def _g17_slots(x: np.ndarray, last_column: np.ndarray) -> np.ndarray:
+    """(len(x), 4) words: the NUL-padded ``%.17g`` text of each value of
+    x and its separator.  ``last_column`` is _G17_N_K for a value that
+    ends its row (a newline follows it) and 0 for the others (a comma)."""
+    tab = _g17_tables()
+    ax = np.abs(x)
+    fast = (ax > 1e-250) & (ax < 1e250)
+    ax[~fast] = 1.0
+    # log10 truncated toward zero is within one of k; i = k - K_MIN
+    i = np.log10(ax).astype(np.intp) - _G17_K_MIN
+    below = ax < tab.floor[i]
+    i += ax >= tab.floor[i + 1]
+    i -= below
+    # |x| 10^(16-k) = high + t exactly but for about 1e-13 in t; high is
+    # an integer, as every double at or above 2^53 is
+    high = ax * tab.scale_hi[i]
+    split = ax * _SPLITTER
+    ax_hi = split - (split - ax)
+    ax_lo = ax - ax_hi
+    s_hi, s_lo = tab.scale_hi_hi[i], tab.scale_hi_lo[i]
+    t = ax_hi * s_hi - high
+    t += ax_hi * s_lo
+    t += ax_lo * s_hi
+    t += ax_lo * s_lo
+    t += ax * tab.scale_lo[i]
+    # D rounds high + t; a fraction of t this close to one half is a tie
+    # or too close to call, and goes to ``%``
+    whole = np.floor(t)
+    t -= whole
+    d = high.astype(np.int64) + whole.astype(np.int64)
+    d += t > 0.5
+    fast &= np.abs(t - 0.5) > 1e-9
+    # 99...9.5 and up rounds to 10^17: one digit more, so 10^16 at k + 1
+    carry = d == 10**17
+    d[carry] = 10**16
+    i += carry
+    # the digits as words 0-7, 8-15 and 16, four at a time
+    first8 = d // 10**9
+    last9 = d - first8 * 10**9
+    mid8 = last9 // 10
+    digit16 = last9 - mid8 * 10
+    q0 = first8 // 10**4
+    q1 = first8 - q0 * 10**4
+    q2 = mid8 // 10**4
+    q3 = mid8 - q2 * 10**4
+    zeros = tab.quad_zeros
+    trailing = (digit16 == 0) * (
+        1 + zeros[q3] + (q3 == 0) * (zeros[q2] + (q2 == 0) * (zeros[q1] + (q1 == 0) * zeros[q0]))
+    )
+    significant = 17 - trailing
+    # no point when no digit would follow it
+    point = tab.point[i]
+    point[significant <= point + 1] = _G17_NO_POINT
+    j = 18 * np.maximum(significant, tab.int_len[i]) + point
+    w0 = tab.quads[q0] | (tab.quads[q1] << np.uint64(32))
+    w1 = tab.quads[q2] | (tab.quads[q3] << np.uint64(32))
+    w2 = digit16.astype(_WORD) + np.uint64(ord("0"))
+    moved0 = w0 & tab.move[0][j]
+    moved1 = w1 & tab.move[1][j]
+    byte, top_byte = np.uint64(8), np.uint64(56)
+    slots = np.empty((x.size, 4), dtype=_WORD)
+    slots[:, 0] = tab.prefix[i + _G17_N_K * (x < 0)]
+    slots[:, 1] = (w0 & tab.stay[0][j]) | (moved0 << byte) | tab.dot[0][j]
+    slots[:, 2] = (w1 & tab.stay[1][j]) | (moved1 << byte) | (moved0 >> top_byte) | tab.dot[1][j]
+    slots[:, 3] = ((w2 & tab.stay[2][j]) | ((w2 & tab.move[2][j]) << byte) | (moved1 >> top_byte)
+                   | tab.dot[2][j] | tab.suffix[i + last_column])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # the separator stays in the last byte
+        slots.view(np.uint8)[slow, :31] = _percent_g17(x[slow]).view(np.uint8).reshape(-1, 31)
+    return slots
+
+
+def _percent_g17(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each value, one at a time, NUL-padded to 31 bytes."""
+    return np.array([b"%.17g" % v for v in values.tolist()], dtype="S31")
 
 
 def write_solution_csv(solution: ConformalSolution, path) -> None:

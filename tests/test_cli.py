@@ -146,6 +146,26 @@ class TestArgumentValidation:
         )
         assert _config_from_args(_build_parser().parse_args(argv)) == expected
 
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert _build_parser() is _build_parser()
+        argv = ["smooth-schwarzschild", "--m", "1"]
+        code, report = run_cli([*argv, "--grid-max", "1e3"], capsys)
+        assert code in (0, 1) and report["params"]["grid"]["r_max"] == 1000.0
+        code, report = run_cli(argv, capsys)
+        assert code in (0, 1) and report["params"]["grid"]["r_max"] == 10000.0
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMAND_TABLE])
+    def test_help_text_equals_a_fresh_parser(self, command, capsys):
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit):
+            _build_parser.__wrapped__().parse_args(argv)
+        fresh = capsys.readouterr().out
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == fresh
+
 
 class TestRenderReport:
     def test_scalar_formats(self):

@@ -480,6 +480,90 @@ class TestCsvTable:
         assert_table_bytes_equal_per_row(tmp_path_factory.mktemp("table"), list(table.T))
 
 
+def per_value_g17(table):
+    """The rows of ``table`` with each value formatted by its own ``%.17g``."""
+    cols = table.shape[1]
+    seps = [b","] * (cols - 1) + [b"\n"]
+    return b"".join(b"%.17g" % v + seps[k % cols] for k, v in enumerate(table.ravel().tolist()))
+
+
+def assert_g17_equals_per_value(values, cols=7):
+    table = np.resize(np.asarray(values, dtype=float), (-(-len(values) // cols), cols))
+    assert conformal._g17_rows(table) == per_value_g17(table)
+
+
+@pytest.fixture
+def per_value_calls(monkeypatch):
+    """Counts the values the formatter hands to Python's ``%``."""
+    calls = []
+
+    def counted(values):
+        calls.append(values.copy())
+        return percent_g17(values)
+
+    percent_g17 = conformal._percent_g17
+    monkeypatch.setattr(conformal, "_percent_g17", counted)
+    return calls
+
+
+class TestG17Formatter:
+    def test_random_bits_match_per_value_percent(self):
+        rng = np.random.default_rng(1971)
+        values = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+        values[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308]
+        assert np.count_nonzero(np.abs(values) < 2.2250738585072014e-308) > 100  # subnormals
+        assert_g17_equals_per_value(values)
+
+    @pytest.mark.parametrize("log10_error", [0.0, -0.9])
+    def test_powers_of_ten_and_their_neighbours(self, log10_error, monkeypatch):
+        # a double next to 10^k decides k against the exact power, also
+        # when log10 errs low and its truncation falls one short of k
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + log10_error)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        steps = 1.0 + np.arange(-4, 5) * 2.0**-52
+        values = (powers[:, None] * steps).ravel()
+        assert_g17_equals_per_value(np.concatenate([values, -values]))
+
+    def test_exact_ties_round_half_even_through_percent(self, per_value_calls):
+        assert conformal._g17_rows(np.array([[2.0**-25]])) == b"2.9802322387695312e-08\n"
+        # odd m 2^-j: its exact decimal digits m 5^j are 18 and end in 5
+        rng = np.random.default_rng(1990)
+        ties = []
+        for j in range(2, 26):
+            low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+            for m in rng.integers(low, high, 20).tolist():
+                m |= 1
+                if len(str(m * 5**j)) == 18:
+                    ties += [m * 2.0**-j, -m * 2.0**-j]
+        assert len(ties) > 500
+        per_value_calls.clear()
+        assert_g17_equals_per_value(ties)
+        passed = np.concatenate(per_value_calls)
+        assert np.isin(ties, passed).all() and np.isin(passed, ties).all()
+
+    def test_few_bundle_values_take_the_per_value_path(self, tmp_path, schwarzschild_solution, per_value_calls):
+        write_solution_csv(schwarzschild_solution, tmp_path / "bundle.csv")
+        values = 7 * len(schwarzschild_solution.grid)
+        assert sum(len(v) for v in per_value_calls) < 1e-3 * values
+
+    def test_failed_formatting_leaves_no_new_file_and_keeps_an_old_one(
+            self, tmp_path, monkeypatch, mass_like_solution):
+        def out_of_memory(table):
+            raise MemoryError
+
+        monkeypatch.setattr(conformal, "_g17_rows", out_of_memory)
+        new = tmp_path / "new.csv"
+        with pytest.raises(MemoryError):
+            write_solution_csv(mass_like_solution, new)
+        assert not new.exists()
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"r,phi,dphi,tau,A,w,lw\n1,1,0,0,0,0,0\n")
+        with pytest.raises(MemoryError):
+            write_solution_csv(mass_like_solution, old)
+        assert old.read_bytes() == b"r,phi,dphi,tau,A,w,lw\n1,1,0,0,0,0,0\n"
+
+
 def eager_tailed_profiles(solution):
     """(phi - 1, phi', phi'', tau, A/r^n) with every tail fitted or derived
     up front, as InitialData once built them on construction."""
