@@ -473,8 +473,7 @@ _COMMAND_TABLE = {
             _Option("--q", "q", "mean-curvature tail exponent", float),
             *_GRID,
             _Option("--tol", "tol", "solver tolerance", float),
-            _Option("--max-iter", "max_newton", "Newton step budget per continuation stage", int),
-            _Option("--continuation", "continuation_steps", "continuation stages for hard profiles", int),
+            _Option("--max-iter", "max_newton", "Newton step budget", int),
             *_SAMPLING,
         ),
     ),

@@ -216,11 +216,12 @@ def _frozen(values) -> np.ndarray:
 def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
     """Graded grid on [0, r_max]: uniform head, geometric tail.
 
-    ``stretch`` bounds the ratio of adjacent spacings.  For stretch = 1 the
-    grid is uniform.  Otherwise the tail nodes follow r_t * rho**i with a
-    node ratio rho <= stretch, and the number of uniform head cells is
-    chosen so the spacing is continuous at the seam and the head covers
-    radius ~1 (the inner scale; r_max must exceed it).
+    ``stretch`` bounds the ratio of adjacent spacings.  The tail nodes
+    follow r_t * rho**i with a node ratio rho <= stretch, and the number
+    of uniform head cells is chosen so the spacing is continuous at the
+    seam and the head covers radius ~1 (the inner scale; r_max must
+    exceed it).  A stretch too small for any such split, stretch = 1
+    among them, gives the uniform grid.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 64:
         raise InvalidArgumentError(f"need at least 64 grid points, got {n_points!r}")
@@ -230,9 +231,6 @@ def build_grid(n_points: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
         raise InvalidArgumentError(f"stretch must be finite and >= 1, got {stretch!r}")
 
     intervals = int(n_points) - 1
-    if stretch == 1.0:
-        return RadialGrid(np.linspace(0.0, r_max, n_points))
-
     # Tail of K_g geometric intervals with node ratio rho = 1 + 1/K_u makes
     # the first tail spacing equal the head spacing exactly.  Pick the split
     # whose head radius r_t = r_max * rho**-K_g is closest to 1.

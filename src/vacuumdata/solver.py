@@ -59,20 +59,16 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class SolveControls:
-    """Tolerance, Newton step budget per continuation stage, and the
-    number of continuation stages of fixed_point_solve."""
+    """Tolerance and Newton step budget of the radial solves."""
 
     tol: float = 1e-10
     max_newton: int = 40
-    continuation_steps: int = 1
 
     def __post_init__(self):
         if not (self.tol > 0 and np.isfinite(self.tol)):
             raise InvalidArgumentError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_newton < 1:
-            raise InvalidArgumentError("iteration limits must be at least 1")
-        if self.continuation_steps < 1:
-            raise InvalidArgumentError("continuation_steps must be at least 1")
+            raise InvalidArgumentError(f"max_newton must be at least 1, got {self.max_newton!r}")
 
 
 @dataclasses.dataclass
@@ -81,7 +77,7 @@ class SolveTrace:
 
     ``outer_iterates`` holds the relative phi step of every Newton step;
     ``newton_residuals`` the residual sup norm before every step and at
-    the converged iterate of each continuation stage.
+    the converged iterate.
     """
 
     outer_iterates: list[float] = dataclasses.field(default_factory=list)
@@ -429,9 +425,7 @@ def fixed_point_solve(
 
     Newton on the coupled (phi, A) system of the module docstring, from
     phi == 1, A == 0; its solution is the discrete fixed point of the
-    Lichnerowicz solve at |LW|(A) and the quadrature of A at phi.  With
-    continuation, earlier stages solve for the scaled field t^N tau and
-    warm-start the next stage with their (phi, A).
+    Lichnerowicz solve at |LW|(A) and the quadrature of A at phi.
     """
     controls = controls if controls is not None else SolveControls()
     grid = tau.grid
@@ -442,24 +436,21 @@ def fixed_point_solve(
     x[0::2] = 1.0
     # an overflow ends in _newton's SingularSystemError, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for stage in range(1, controls.continuation_steps + 1):
-            t = stage / controls.continuation_steps
-            stage_tau = tau if t == 1.0 else RadialProfile(grid, t ** float(dim.N) * tau.values)
-            tau_sq = stage_tau.values**2
-            try:
-                dtau = differentiate(stage_tau, 1).values
-            except InvalidArgumentError as exc:  # tau' overflows
-                raise SingularSystemError("radial system overflows: tau' is not finite") from exc
+        tau_sq = tau.values**2
+        try:
+            dtau = differentiate(tau, 1).values
+        except InvalidArgumentError as exc:  # tau' overflows
+            raise SingularSystemError("radial system overflows: tau' is not finite") from exc
 
-            def linearize(x):
-                residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])
+        def linearize(x):
+            residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])
 
-                def solve_step():
-                    return _solve(jacobian(work), -residual, operator.kl)
+            def solve_step():
+                return _solve(jacobian(work), -residual, operator.kl)
 
-                return float(np.max(np.abs(residual))), solve_step
+            return float(np.max(np.abs(residual))), solve_step
 
-            x = _newton(x, 2, linearize, controls, trace)
+        x = _newton(x, 2, linearize, controls, trace)
     trace.converged = True
 
     phi = RadialProfile(grid, x[0::2])

@@ -80,6 +80,13 @@ class TestArgumentValidation:
         assert code == 2
         assert record["error"]["type"] == "invalid-argument"
 
+    def test_zero_step_budget_rejected(self, capsys):
+        code, record = run_cli(["free-tau", "--c", "1", "--q", "1.5", "--max-iter", "0"], capsys)
+        assert code == 2
+        assert record["error"] == {
+            "type": "invalid-argument", "message": "max_newton must be at least 1, got 0"
+        }
+
     def test_low_dimension_rejected(self, capsys):
         code, record = run_cli(["smooth-schwarzschild", "--n", "2", "--m", "1"], capsys)
         assert code == 2
@@ -137,11 +144,11 @@ class TestArgumentValidation:
         # field, or left at its default, changes the config
         argv = ["free-tau", "--n", "4", "--c", "0.5", "--q", "2.5", "--grid-points", "300",
                 "--grid-max", "500", "--stretch", "1.02", "--tol", "1e-8", "--max-iter", "7",
-                "--continuation", "3", "--points", "9", "--h", "0.002", "--out", "r.json",
+                "--points", "9", "--h", "0.002", "--out", "r.json",
                 "--profiles", "b.csv"]
         expected = ScenarioConfig(
             command="free-tau", n=4, c=0.5, q=2.5, grid=(300, 500.0, 1.02),
-            controls=SolveControls(tol=1e-8, max_newton=7, continuation_steps=3),
+            controls=SolveControls(tol=1e-8, max_newton=7),
             points=9, h=0.002, out_json="r.json", out_csv="b.csv",
         )
         assert _config_from_args(_build_parser().parse_args(argv)) == expected
@@ -579,8 +586,9 @@ class TestModuleEntryPoint:
         ("plot",),
         (),
         ("free-tau", "--c", "1", "--q", "1.5", "--tol", "inf"),
+        ("free-tau", "--c", "1", "--q", "1.5", "--continuation", "2"),
     ], ids=["removed-damping", "non-numeric", "unknown-flag", "unknown-command", "no-command",
-            "infinite-tol"])
+            "infinite-tol", "removed-continuation"])
     def test_usage_errors_give_invalid_argument_record(self, argv):
         proc = self.run_module(*argv)
         assert proc.returncode == 2

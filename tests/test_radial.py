@@ -85,11 +85,11 @@ class TestDimension:
 
 class TestBuildGrid:
     def test_stretch_one_is_uniform(self):
-        grid = build_grid(64, 10.0, 1.0)
-        assert len(grid) == 64
-        assert grid.nodes[0] == 0.0
-        assert grid.nodes[-1] == 10.0
-        np.testing.assert_allclose(np.diff(grid.nodes), 10.0 / 63, rtol=1e-14)
+        np.testing.assert_array_equal(build_grid(64, 10.0, 1.0).nodes, np.linspace(0.0, 10.0, 64))
+
+    def test_stretch_too_small_for_a_graded_split_is_uniform(self):
+        # the finest split of 63 intervals has rho = 1 + 1/62 > 1.0001
+        np.testing.assert_array_equal(build_grid(64, 10.0, 1.0001).nodes, np.linspace(0.0, 10.0, 64))
 
     @pytest.mark.parametrize("n_points,r_max,stretch", [(128, 100.0, 1.05), (4000, 1e4, 1.01), (256, 50.0, 1.2)])
     def test_spacing_ratio_bound(self, n_points, r_max, stretch):

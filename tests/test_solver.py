@@ -510,14 +510,6 @@ class TestCoupledSystem:
         )
         assert trace.newton_residuals[-1] == float(np.max(np.abs(residual)))
 
-    def test_continuation_matches_single_stage(self):
-        grid = build_grid(2000, 1e4, 1.01)
-        tau = conformal_seed(grid, 1.0, 1.5)
-        single, _ = fixed_point_solve(DIM3, tau)
-        staged, trace = fixed_point_solve(DIM3, tau, SolveControls(continuation_steps=3))
-        assert float(np.max(np.abs(staged.phi.values - single.phi.values))) <= 1e-9
-        assert trace.converged
-
     @settings(deadline=None, derandomize=True, max_examples=20)
     @given(
         n=st.sampled_from([3, 4]),
@@ -646,7 +638,6 @@ class TestSolveControls:
             {"tol": 0.0},
             {"tol": -1e-3},
             {"max_newton": 0},
-            {"continuation_steps": 0},
             {"tol": math.inf},
         ],
     )
