@@ -28,8 +28,6 @@ import typing
 import numpy as np
 
 from .errors import (
-    DegenerateFitError,
-    EvaluationOutOfRangeError,
     InvalidArgumentError,
     NegativeRadicandError,
     NotMonotoneError,
@@ -45,7 +43,6 @@ from .radial import (
     fit_tail,
     integrate_from_zero,
     integrate_to_infinity,
-    _default_fit_window,
     _sample_profiles,
 )
 
@@ -72,7 +69,8 @@ _BRANCH_EPS = 1e-12
 class ConformalSolution:
     """A consistent radial tuple (phi, tau, A, w, |LW|) on one grid.
 
-    Only tau carries a fitted tail model; the other profiles end at r_max.
+    Every profile ends at r_max; only divergence_source reads a fitted
+    tail, tau's, for the remainder of its improper integral.
     The constructor checks positivity of phi and grid consistency only;
     monotonicity and the defining identities are examined by
     ``verify.check_solution`` so that deliberately broken inputs can be
@@ -105,20 +103,6 @@ def _require_same_grid(*profiles: RadialProfile) -> RadialGrid:
         if p.grid is not grid:
             raise InvalidArgumentError("profiles must share one grid")
     return grid
-
-
-def _with_tail(profile: RadialProfile) -> RadialProfile:
-    """Attach a fitted tail when the data admits one; identity otherwise.
-
-    Identically zero profiles get an exact zero tail so that flat data
-    stays evaluable beyond the grid.
-    """
-    if not np.any(profile.values):
-        return profile.with_tail(TailModel(0.0, 2.0, _default_fit_window(profile.grid), 0.0))
-    try:
-        return profile.with_tail(fit_tail(profile))
-    except (DegenerateFitError, InvalidArgumentError):
-        return profile
 
 
 def tau_from_phi(dim: Dimension, phi: RadialProfile) -> RadialProfile:
@@ -219,9 +203,10 @@ def divergence_source(dim: Dimension, phi: RadialProfile, tau: RadialProfile) ->
     # Fitting the differentiated integrand directly is fragile: for
     # n >= 4 the stencil noise on tau' flips signs across the far tail.
     # Derive the remainder model from tau's own tail instead; phi^N
-    # approaches 1 out there, so tau = a r^-p gives a (p+1)-tail.
-    tail = tau.tail if tau.tail is not None else fit_tail(tau)
-    improper = integrate_to_infinity(profile.with_tail(_derived_tail(tail, 1)))
+    # approaches 1 out there, so tau = a r^-p gives tau' = -a p r^-(p+1).
+    tail = fit_tail(tau)
+    c, p = tail.coefficient, tail.exponent
+    improper = integrate_to_infinity(profile, TailModel(-c * p, p + 1.0, tail.window, tail.misfit))
     return RadialProfile(grid, -improper.values)
 
 
@@ -285,11 +270,9 @@ def build_solution(
     dim: Dimension, phi: RadialProfile, tau: RadialProfile | None = None
 ) -> ConformalSolution:
     """Complete a conformal factor (optionally with a prescribed tau) to a
-    full ConformalSolution.  Only tau gets a fitted power-law tail (when
-    the data admits one): divergence_source reads it."""
+    full ConformalSolution."""
     if tau is None:
         tau = tau_from_phi(dim, phi)
-    tau = tau if tau.tail is not None else _with_tail(tau)
     A = momentum_potential(dim, phi, tau)
     w = vector_potential(dim, phi, tau)
     return ConformalSolution(dim, phi, tau, A, w, lw_norm(dim, A))
@@ -299,10 +282,9 @@ class InitialData:
     """Cartesian evaluator for the assembled vacuum data (g, k).
 
     ``metric`` and ``extrinsic_curvature`` map one point (n,) to (n, n) and
-    points (M, n) to (M, n, n) by interpolating the radial profiles; beyond
-    the grid they use tails, fitted on the first evaluation there, or raise
-    EvaluationOutOfRangeError.  Instances are immutable and safe for
-    concurrent evaluation: concurrent first fits compute equal tails.
+    points (M, n) to (M, n, n) by interpolating the radial profiles; past
+    r_max they raise EvaluationOutOfRangeError.  Instances are immutable
+    and safe for concurrent evaluation.
     """
 
     def __init__(self, solution: ConformalSolution):
@@ -321,7 +303,6 @@ class InitialData:
             "tau": solution.tau,
             "trace_free": RadialProfile(grid, trace_free),
         }
-        self._tailed = None
 
     @property
     def r_max(self) -> float:
@@ -368,31 +349,9 @@ class InitialData:
 
     def _fields_at(self, r, *names: str) -> list[np.ndarray]:
         """The named fields ("phi", "dphi", "d2phi", "tau", "trace_free") at
-        the radii r, all interpolated with one cubic basis.  Only a radius
-        beyond r_max makes the profiles take their tails."""
-        try:
-            values = _sample_profiles([self._profiles[name] for name in names], r)
-        except EvaluationOutOfRangeError:
-            tailed = self._tailed_profiles()
-            values = _sample_profiles([tailed[name] for name in names], r)
+        the radii r, all interpolated with one cubic basis."""
+        values = _sample_profiles([self._profiles[name] for name in names], r)
         return [1.0 + v if name == "phi" else v for name, v in zip(names, values)]
-
-    def _tailed_profiles(self) -> dict:
-        """The fields of ``_profiles`` with their tails, made on first use:
-        phi - 1, tau (unless it has one) and the trace-free amplitude get
-        fitted tails, phi' and phi'' the derivatives of phi - 1's."""
-        if self._tailed is None:
-            plain = self._profiles
-            phim1 = _with_tail(plain["phi"])
-            tau = plain["tau"]
-            self._tailed = {
-                "phi": phim1,
-                "dphi": plain["dphi"].with_tail(_derived_tail(phim1.tail, 1)),
-                "d2phi": plain["d2phi"].with_tail(_derived_tail(phim1.tail, 2)),
-                "tau": tau if tau.tail is not None else _with_tail(tau),
-                "trace_free": _with_tail(plain["trace_free"]),
-            }
-        return self._tailed
 
     def _curvature(self, pts, r, phi, psi, tau, amplitude) -> np.ndarray:
         """k_ij at points (M, n) of norms r from the fields there; psi = phi^{N-2}."""
@@ -428,16 +387,6 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
         return np.power(base.astype(object), exponent).astype(float)
     except OverflowError:
         raise FloatingPointError("overflow encountered in power") from None
-
-
-def _derived_tail(tail: TailModel | None, order: int) -> TailModel | None:
-    """Tail model of the derivative of a power-law tail."""
-    if tail is None:
-        return None
-    c, p = tail.coefficient, tail.exponent
-    if order == 1:
-        return TailModel(-c * p, p + 1.0, tail.window, tail.misfit)
-    return TailModel(c * p * (p + 1.0), p + 2.0, tail.window, tail.misfit)
 
 
 def assemble_initial_data(solution: ConformalSolution) -> InitialData:
@@ -728,6 +677,5 @@ def read_solution_csv(path, dim: Dimension) -> ConformalSolution:
     table = _read_csv_table(path, _BUNDLE_HEADER)
     grid = RadialGrid(table[:, 0])
     phi = RadialProfile(grid, table[:, 1])
-    tau = _with_tail(RadialProfile(grid, table[:, 3]))
-    A, w, lw = (RadialProfile(grid, table[:, k]) for k in (4, 5, 6))
+    tau, A, w, lw = (RadialProfile(grid, table[:, k]) for k in (3, 4, 5, 6))
     return ConformalSolution(dim, phi, tau, A, w, lw)

@@ -47,7 +47,7 @@ class DegenerateFitError(VacuumDataError, ValueError):
 
 
 class NoTailError(VacuumDataError, ValueError):
-    """Operation needs a fitted tail model and none is available."""
+    """The data have no power-law far field for a fit to read."""
 
     code = "no-tail"
 
@@ -85,7 +85,7 @@ class ConstructionFailedError(VacuumDataError, RuntimeError):
 
 
 class EvaluationOutOfRangeError(VacuumDataError, ValueError):
-    """Evaluation beyond the grid with no tail model attached."""
+    """Evaluation at a radius past the grid's r_max."""
 
     code = "evaluation-out-of-range"
 

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateFitError,
     EvaluationOutOfRangeError,
     InvalidArgumentError,
-    NoTailError,
     TailTooSlowError,
 )
 
@@ -142,24 +141,21 @@ class TailModel:
     window: tuple[float, float]
     misfit: float
 
-    def at(self, r):
-        return self.coefficient * np.asarray(r, dtype=float) ** (-self.exponent)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """Samples of a radial function on a grid, plus an optional tail model.
+    """Samples of a radial function on a grid, which ends at r_max.
 
     The values are copied on construction unless they already are an
     owned, read-only float array, so neither side can change the other's.
-    Derivatives are cached per profile (see ``differentiate``).
+    Derived values are cached per profile: its derivatives (see
+    ``differentiate``) and its default tail fit (see ``fit_tail``).
     """
 
     grid: RadialGrid
     values: np.ndarray
-    tail: TailModel | None = None
-    # derivative profiles by order; shared with the profiles ``with_tail`` makes
-    _derivatives: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    # derivative profiles by order, and the default tail fit under "tail"
+    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = _frozen(self.values)
@@ -175,18 +171,9 @@ class RadialProfile:
     def r(self) -> np.ndarray:
         return self.grid.nodes
 
-    def with_tail(self, tail: TailModel | None) -> "RadialProfile":
-        """The same values with another tail; the two share derivatives."""
-        profile = RadialProfile(self.grid, self.values, tail)
-        object.__setattr__(profile, "_derivatives", self._derivatives)
-        return profile
-
     def at(self, radii):
-        """Evaluate by local cubic interpolation; use the tail beyond r_max.
-
-        Raises EvaluationOutOfRangeError past the grid when no tail
-        model is attached.
-        """
+        """Evaluate by local cubic interpolation; raises
+        EvaluationOutOfRangeError past r_max."""
         out = _sample_profiles((self,), radii)[0]
         if np.isscalar(radii) or np.asarray(radii).ndim == 0:
             return float(out[0])
@@ -369,7 +356,7 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
     profiles differentiate to exactly zero.  The result is computed once
     per profile and returned again on later calls.
     """
-    cache = profile._derivatives
+    cache = profile._memo
     if order not in (1, 2) or order not in cache:
         weights = profile.grid.derivative_matrix(order)  # raises on any other order
         values = profile.values - profile.values[0]
@@ -421,21 +408,19 @@ def integrate_from_zero(profile: RadialProfile) -> RadialProfile:
     return RadialProfile(profile.grid, out)
 
 
-def integrate_to_infinity(profile: RadialProfile) -> RadialProfile:
+def integrate_to_infinity(profile: RadialProfile, tail: TailModel) -> RadialProfile:
     """Improper integral J(r) = int_r^inf p via grid quadrature plus the
-    fitted power-law remainder beyond r_max.
+    remainder beyond r_max of ``tail``, the caller's power-law model of p.
 
-    Requires a tail model with exponent > 1; slower decay makes the
-    integral diverge (TailTooSlowError).
+    The tail's exponent must exceed 1; slower decay makes the integral
+    diverge (TailTooSlowError).
     """
-    if profile.tail is None:
-        raise NoTailError("integrate_to_infinity needs a profile with a fitted tail model")
-    p = profile.tail.exponent
+    p = tail.exponent
     if not p > 1.0:
         raise TailTooSlowError(f"tail exponent {p:g} <= 1: integral to infinity diverges")
     increments = _interval_integrals(profile)
     r_max = profile.grid.r_max
-    remainder = profile.tail.coefficient * r_max ** (1.0 - p) / (p - 1.0)
+    remainder = tail.coefficient * r_max ** (1.0 - p) / (p - 1.0)
     # reverse accumulation: no cancellation against the near-origin bulk
     values = np.empty(len(profile.grid))
     values[-1] = 0.0
@@ -448,17 +433,12 @@ def integrate_to_infinity(profile: RadialProfile) -> RadialProfile:
 # tail fits
 
 
-def _default_fit_window(grid: RadialGrid) -> tuple[float, float]:
-    """The default fit window of ``fit_tail``: the last two decades [r_max/100, r_max]."""
-    return (grid.r_max / 100.0, grid.r_max)
-
-
 def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float] | None = None):
     """((lo, hi), radii, values) of the nodes in the fit window of
     ``fit_tail``, once the window and the sign of the values there pass
     its checks; raises InvalidArgumentError or DegenerateFitError."""
     if window is None:
-        window = _default_fit_window(grid)
+        window = (grid.r_max / 100.0, grid.r_max)
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi <= grid.r_max * (1.0 + 1e-12)):
         raise InvalidArgumentError(f"bad fit window ({lo:g}, {hi:g}) for r_max={grid.r_max:g}")
@@ -476,10 +456,13 @@ def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float
 def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) -> TailModel:
     """Least-squares power-law fit of the profile on a log-log window.
 
-    The window defaults to the last two decades [r_max/100, r_max].  The
-    data must be single-signed and nonvanishing there; otherwise the fit
-    is degenerate.
+    The window defaults to the last two decades [r_max/100, r_max]; that
+    default fit is computed once per profile and returned again on later
+    calls.  The data must be single-signed and nonvanishing on the window;
+    otherwise the fit is degenerate.
     """
+    if window is None and "tail" in profile._memo:
+        return profile._memo["tail"]
     (lo, hi), rw, vw = _fit_window(profile.grid, profile.values, window)
     sign = 1.0 if vw[0] > 0 else -1.0
     slope, intercept = np.polyfit(np.log(rw), np.log(np.abs(vw)), 1)
@@ -487,7 +470,10 @@ def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) 
     coefficient = sign * float(np.exp(intercept))
     model = coefficient * rw ** (-exponent)
     misfit = float(np.max(np.abs(model / vw - 1.0)))
-    return TailModel(coefficient, exponent, (lo, hi), misfit)
+    tail = TailModel(coefficient, exponent, (lo, hi), misfit)
+    if window is None:
+        profile._memo["tail"] = tail
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -496,35 +482,25 @@ def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) 
 
 def _sample_profiles(profiles, radii) -> list[np.ndarray]:
     """Each profile, all on one grid, at the radii (as a 1-D or larger array)
-    from one local 4-point Lagrange basis; beyond r_max each profile uses
-    its own tail."""
+    from one local 4-point Lagrange basis; raises EvaluationOutOfRangeError
+    past r_max."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all(radii >= 0):  # NaN fails too
         raise InvalidArgumentError("radii must be nonnegative")
     nodes = profiles[0].grid.nodes
     r_max = profiles[0].grid.r_max
     # tolerate roundoff from norms of points nominally on the boundary
-    inside = radii <= r_max * (1.0 + 1e-12)
-    beyond = radii[~inside]
-    if beyond.size and any(p.tail is None for p in profiles):
-        raise EvaluationOutOfRangeError(
-            f"evaluation at r={float(beyond.max()):g} beyond r_max={r_max:g} without a tail model"
-        )
-    if beyond.size < radii.size:
-        if nodes.size < 4:
-            raise InvalidArgumentError("interpolation needs at least 4 nodes")
-        r = np.minimum(radii[inside], r_max)
-        s = np.clip(np.searchsorted(nodes, r, side="right") - 2, 0, nodes.size - 4)
-        idx = s + np.arange(4)[:, None]
-        x = nodes[idx]
-        basis = [np.prod([(r - x[k]) / (x[j] - x[k]) for k in range(4) if k != j], axis=0) for j in range(4)]
+    if np.any(radii > r_max * (1.0 + 1e-12)):
+        raise EvaluationOutOfRangeError(f"evaluation at r={float(radii.max()):g} beyond r_max={r_max:g}")
+    if nodes.size < 4:
+        raise InvalidArgumentError("interpolation needs at least 4 nodes")
+    r = np.minimum(radii.ravel(), r_max)
+    s = np.clip(np.searchsorted(nodes, r, side="right") - 2, 0, nodes.size - 4)
+    idx = s + np.arange(4)[:, None]
+    x = nodes[idx]
+    basis = [np.prod([(r - x[k]) / (x[j] - x[k]) for k in range(4) if k != j], axis=0) for j in range(4)]
     samples = []
     for profile in profiles:
-        out = np.empty_like(radii)
-        if beyond.size:
-            out[~inside] = profile.tail.at(beyond)
-        if beyond.size < radii.size:
-            f = profile.values[idx]
-            out[inside] = sum((f[j] * basis[j] for j in range(4)), np.zeros_like(r))
-        samples.append(out)
+        f = profile.values[idx]
+        samples.append(sum((f[j] * basis[j] for j in range(4)), np.zeros_like(r)).reshape(radii.shape))
     return samples

@@ -34,6 +34,16 @@ def run_cli(argv, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
+def flat_bundle(tmp_path, r_max):
+    """A bundle of flat data (phi = 1, tau = 0) on a 200-node grid ending at r_max."""
+    grid = build_grid(200, r_max, 1.05)
+    ones = RadialProfile(grid, np.ones(len(grid)))
+    zero = RadialProfile(grid, np.zeros(len(grid)))
+    path = tmp_path / "flat.csv"
+    write_solution_csv(build_solution(Dimension(3), ones, zero), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def schw_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("schw")
@@ -268,13 +278,18 @@ def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
 @pytest.mark.parametrize("argv,expected", [
     (["smooth-schwarzschild", "--m", "1"], {"stencil": 7, "polyfit": 5, "fornberg": 4}),
     (["free-tau", "--c", "1", "--q", "1.5"], {"stencil": 4, "polyfit": 4, "fornberg": 2}),
-], ids=["smooth-schwarzschild", "free-tau"])
-def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, argv, expected):
+    (["verify", "{bundle}"], {"stencil": 4, "polyfit": 1, "fornberg": 2}),
+    (["mass", "{bundle}"], {"stencil": 2, "polyfit": 0, "fornberg": 1}),
+    (["decay", "{bundle}"], {"stencil": 2, "polyfit": 3, "fornberg": 1}),
+], ids=["smooth-schwarzschild", "free-tau", "verify", "mass", "decay"])
+def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, schw_run, argv, expected):
     """Each derivative is taken once per profile (phi', phi'', tau' of every
-    solution and the coarse w'), only the read tails are fitted, and each
-    grid runs Fornberg's recursion once for its stencils and once for its
-    quadrature.  The solver's own _apply_window (the Lichnerowicz residual,
-    no derivative) is not counted."""
+    solution and the coarse w'), a tail is fitted only where a reported
+    number reads it (tau's for the remainder of divergence_source, and the
+    decay fits), and each grid runs Fornberg's recursion once for its
+    stencils and once for its quadrature.  The bundle commands read the
+    smooth-schwarzschild --m 1 bundle.  The solver's own _apply_window (the
+    Lichnerowicz residual, no derivative) is not counted."""
     counts = dict.fromkeys(expected, 0)
 
     def counted(name, fn):
@@ -286,7 +301,11 @@ def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, argv, e
     monkeypatch.setattr(radial, "_apply_window", counted("stencil", radial._apply_window))
     monkeypatch.setattr(radial, "_fornberg_weights", counted("fornberg", radial._fornberg_weights))
     monkeypatch.setattr(np, "polyfit", counted("polyfit", np.polyfit))
-    code, _ = run_cli([*argv, "--profiles", str(tmp_path / "bundle.csv")], capsys)
+    if argv[1] == "{bundle}":
+        argv = [argv[0], str(schw_run[2])]
+    else:
+        argv = [*argv, "--profiles", str(tmp_path / "bundle.csv")]
+    code, _ = run_cli(argv, capsys)
     assert code == 0
     assert counts == expected
 
@@ -375,12 +394,7 @@ class TestCsvSubcommands:
         assert out["decay"] == report["decay"]
 
     def test_flat_bundle_has_zero_residuals(self, tmp_path, capsys):
-        grid = build_grid(200, 50.0, 1.05)
-        ones = RadialProfile(grid, np.ones(len(grid)))
-        zero = RadialProfile(grid, np.zeros(len(grid)))
-        path = tmp_path / "flat.csv"
-        write_solution_csv(build_solution(Dimension(3), ones, zero), path)
-        code, report = run_cli(["verify", str(path)], capsys)
+        code, report = run_cli(["verify", str(flat_bundle(tmp_path, 100.0))], capsys)
         assert code == 0
         assert report["residuals"]["hamiltonian_sup"] == 0.0
         assert report["residuals"]["momentum_sup"] == 0.0
@@ -524,6 +538,30 @@ def test_dimension_probe_that_raises_counts_as_a_failure(schw_run, monkeypatch, 
     assert record["error"]["message"] == (
         "bundle fails the mean-curvature identity at n=3 (residual 1) and at every other n from 3 to 10"
     )
+
+
+class TestResidualSampleOffTheGrid:
+    """The residual sample reaches r = 50, and the momentum stencil steps
+    2h(1 + r) past it; a grid that ends before that gives an
+    evaluation-out-of-range record, never values read off fitted tails."""
+
+    @pytest.mark.parametrize("argv,r", [
+        (["free-tau", "--c", "1", "--q", "1.5", "--grid-max", "40"], "50"),
+        (["smooth-schwarzschild", "--m", "1", "--grid-max", "40"], "50"),
+        (["smooth-schwarzschild", "--m", "1", "--h", "200"], "20441"),
+    ], ids=["free-tau-grid-max-40", "smooth-schwarzschild-grid-max-40", "smooth-schwarzschild-h-200"])
+    def test_build_gives_error_record(self, argv, r, capsys):
+        r_max = "40" if "--grid-max" in argv else "10000"
+        code, record = run_cli(argv, capsys)
+        assert code == 2
+        assert record == {"error": {"type": "evaluation-out-of-range",
+                                    "message": f"evaluation at r={r} beyond r_max={r_max}"}}
+
+    def test_verify_on_a_bundle_ending_at_50_gives_error_record(self, tmp_path, capsys):
+        code, record = run_cli(["verify", str(flat_bundle(tmp_path, 50.0))], capsys)
+        assert code == 2
+        assert record == {"error": {"type": "evaluation-out-of-range",
+                                    "message": "evaluation at r=50.0836 beyond r_max=50"}}
 
 
 class TestMatchingRadius:

@@ -44,9 +44,8 @@ from vacuumdata import (
     write_solution_csv,
 )
 from vacuumdata import conformal
-from vacuumdata.conformal import _derived_tail, _libm_pow, _read_csv_table, _write_csv_table
-from vacuumdata.errors import DegenerateFitError
-from vacuumdata.radial import TailModel, _sample_profiles, fit_tail
+from vacuumdata.conformal import _read_csv_table, _write_csv_table
+from vacuumdata.radial import fit_tail
 
 DIM3 = Dimension(3)
 
@@ -140,7 +139,7 @@ class TestFlatData:
 
     def test_evaluator_gives_exact_flat_data(self, flat):
         data = assemble_initial_data(flat)
-        for x in ([0.3, -0.4, 1.2], [0.0, 0.0, 0.0], [2e4, 0.0, 0.0]):
+        for x in ([0.3, -0.4, 1.2], [0.0, 0.0, 0.0], [flat.grid.r_max, 0.0, 0.0]):
             assert np.array_equal(data.metric(x), np.eye(3))
             assert not np.any(data.extrinsic_curvature(x))
 
@@ -343,21 +342,18 @@ class TestInitialDataEvaluator:
         k = data.extrinsic_curvature([0.0, 0.0, 0.0])
         assert np.array_equal(k, k[0, 0] * np.eye(3))
 
-    def test_far_field_uses_fitted_tails(self, data):
+    @pytest.mark.parametrize("what", ["conformal_factor_at", "d1", "d2", "mean_curvature_at",
+                                      "trace_free_amplitude_at", "metric", "extrinsic_curvature"])
+    @pytest.mark.parametrize("shape", ["one", "many"])
+    def test_evaluation_past_r_max_raises(self, data, what, shape):
+        # the far field is a clean power law here, and still nothing is extrapolated
         r = 2.0 * data.r_max
-        phi = data.conformal_factor_at(r)
-        assert phi == pytest.approx(1.0 - 0.5 / r, abs=1e-6)
-
-    def test_no_tail_evaluation_raises(self):
-        grid = build_grid(64, 10.0, 1.0)
-        r = grid.nodes
-        # sign-changing deviation from 1 admits no power-law tail
-        phi = RadialProfile(grid, 1.0 + 0.1 * np.sin(r) * np.exp(-r))
-        zeros = RadialProfile(grid, np.zeros(len(grid)))
-        sol = ConformalSolution(DIM3, phi, zeros, zeros, zeros, zeros)
-        data = assemble_initial_data(sol)
-        with pytest.raises(EvaluationOutOfRangeError, match="^evaluation at r=20 beyond r_max=10 without a tail model$"):
-            data.conformal_factor_at(20.0)
+        if what in ("metric", "extrinsic_curvature"):
+            arg = [0.0, 0.0, r] if shape == "one" else [[1.0, 0.0, 0.0], [0.0, 0.0, r]]
+        else:
+            arg = r if shape == "one" else [1.0, r]
+        with pytest.raises(EvaluationOutOfRangeError, match="^evaluation at r=20000 beyond r_max=10000$"):
+            evaluate(data, what, arg)
 
     def test_derivative_order_validated(self, data):
         with pytest.raises(InvalidArgumentError):
@@ -421,13 +417,6 @@ class TestSolutionBundleCsv:
             assert np.array_equal(
                 getattr(back, name).values, getattr(mass_like_solution, name).values
             )
-
-    def test_reader_restores_tail_models(self, tmp_path, mass_like_solution):
-        path = tmp_path / "bundle.csv"
-        write_solution_csv(mass_like_solution, path)
-        back = read_solution_csv(path, DIM3)
-        assert back.tau.tail is not None
-        assert back.tau.tail.exponent == pytest.approx(1.5, abs=0.05)
 
     def test_header_mismatch_rejected(self, tmp_path):
         # a wrong header, an empty file, and a header without data rows
@@ -564,49 +553,6 @@ class TestG17Formatter:
         assert old.read_bytes() == b"r,phi,dphi,tau,A,w,lw\n1,1,0,0,0,0,0\n"
 
 
-def eager_tailed_profiles(solution):
-    """(phi - 1, phi', phi'', tau, A/r^n) with every tail fitted or derived
-    up front, as InitialData once built them on construction."""
-    grid = solution.grid
-
-    def with_tail(profile):
-        if not np.any(profile.values):
-            return profile.with_tail(TailModel(0.0, 2.0, (grid.r_max / 100.0, grid.r_max), 0.0))
-        try:
-            return profile.with_tail(fit_tail(profile))
-        except (DegenerateFitError, InvalidArgumentError):
-            return profile
-
-    phim1 = with_tail(RadialProfile(grid, solution.phi.values - 1.0))
-    dphi = RadialProfile(grid, differentiate(solution.phi, 1).values, _derived_tail(phim1.tail, 1))
-    d2phi = RadialProfile(grid, differentiate(solution.phi, 2).values, _derived_tail(phim1.tail, 2))
-    tau = solution.tau if solution.tau.tail is not None else with_tail(solution.tau)
-    trace_free = np.zeros(len(grid))
-    trace_free[1:] = solution.A.values[1:] / grid.nodes[1:] ** solution.dim.n
-    return phim1, dphi, d2phi, tau, with_tail(RadialProfile(grid, trace_free))
-
-
-def eager_reference(solution, data, what, arg):
-    """``what`` evaluated at ``arg`` from the eagerly tailed profiles."""
-    phim1, dphi, d2phi, tau, trace_free = eager_tailed_profiles(solution)
-    scalar = np.ndim(arg) == 0
-    if what in ("metric", "extrinsic_curvature"):
-        pts = np.asarray(arg, dtype=float).reshape(-1, 3)
-        r = np.sqrt(np.vecdot(pts, pts))
-        phi_m1, tau_r, amp = _sample_profiles([phim1, tau, trace_free], r)
-        phi = 1.0 + phi_m1
-        psi = _libm_pow(phi, float(DIM3.N) - 2.0)
-        if what == "metric":
-            out = psi[:, None, None] * np.eye(3)
-        else:
-            out = data._curvature(pts, r, phi, psi, tau_r, amp)
-        return out.reshape(np.shape(arg) + (3,))
-    profile = {"conformal_factor_at": phim1, "d1": dphi, "d2": d2phi,
-               "mean_curvature_at": tau, "trace_free_amplitude_at": trace_free}[what]
-    value = profile.at(arg)
-    return 1.0 + value if what == "conformal_factor_at" else value
-
-
 def evaluate(data, what, arg):
     if what == "d1":
         return data.conformal_factor_derivative_at(arg, 1)
@@ -615,73 +561,86 @@ def evaluate(data, what, arg):
     return getattr(data, what)(arg)
 
 
-@pytest.fixture(scope="module", params=["fitted-tau-tail", "tau-without-tail"])
-def lazy_case(request, mass_like_solution):
-    sol = mass_like_solution
-    if request.param == "tau-without-tail":
-        tau = RadialProfile(sol.grid, sol.tau.values)
-        sol = ConformalSolution(DIM3, sol.phi, tau, sol.A, sol.w, sol.lw_norm)
-    return sol
+RADIAL_ACCESSORS = ("conformal_factor_at", "d1", "d2", "mean_curvature_at", "trace_free_amplitude_at")
 
 
-class TestTailsOnDemand:
-    ACCESSORS = ("conformal_factor_at", "d1", "d2", "mean_curvature_at", "trace_free_amplitude_at")
+@pytest.fixture(scope="module")
+def read_back(mass_like_solution, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "bundle.csv"
+    write_solution_csv(mass_like_solution, path)
+    return read_solution_csv(path, DIM3)
 
-    def test_fits_no_tail_until_evaluated_beyond_r_max(self, lazy_case, monkeypatch):
-        fits = []
-        monkeypatch.setattr(conformal, "fit_tail", lambda *a: fits.append(a) or fit_tail(*a))
-        data = assemble_initial_data(lazy_case)
-        inside = 0.5 * data.r_max
-        for what in self.ACCESSORS:
-            evaluate(data, what, inside)
-        data.metric([inside, 0.0, 0.0])
-        data.extrinsic_curvature([[inside, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert fits == []
-        data.conformal_factor_at(2.0 * data.r_max)
-        assert len(fits) == (2 if lazy_case.tau.tail is not None else 3)
-        data.mean_curvature_at([1.5 * data.r_max, 2.0 * data.r_max])
-        assert len(fits) == (2 if lazy_case.tau.tail is not None else 3)
 
-    @pytest.mark.parametrize("what", ACCESSORS)
+class TestReadBackEvaluation:
+    """A bundle read back evaluates as the solution it was written from,
+    bit for bit, everywhere on the grid."""
+
+    @staticmethod
+    def radii(r_max):
+        # interior, a node's neighbourhood, r_max itself and roundoff past it
+        return np.array([0.0, 0.37, 1.0, 12.5, 0.5 * r_max, r_max, r_max * (1.0 + 1e-13)])
+
+    @pytest.mark.parametrize("what", RADIAL_ACCESSORS)
     @pytest.mark.parametrize("shape", ["scalar", "array"])
-    def test_accessors_beyond_r_max_equal_eager_construction(self, lazy_case, what, shape):
-        data = assemble_initial_data(lazy_case)
-        r_max = data.r_max
-        args = [1.5 * r_max, 2.0 * r_max] if shape == "scalar" else [np.array([0.5, 1.5, 2.0]) * r_max]
+    def test_accessors_equal_the_built_solution(self, mass_like_solution, read_back, what, shape):
+        built, back = assemble_initial_data(mass_like_solution), assemble_initial_data(read_back)
+        radii = self.radii(built.r_max)
+        args = list(radii) if shape == "scalar" else [radii, radii.reshape(7, 1)]
         for arg in args:
-            got = evaluate(data, what, arg)
-            expected = eager_reference(lazy_case, data, what, arg)
+            got, expected = evaluate(back, what, arg), evaluate(built, what, arg)
             assert type(got) is type(expected)
-            assert np.array_equal(got, expected)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
 
     @pytest.mark.parametrize("what", ["metric", "extrinsic_curvature"])
     @pytest.mark.parametrize("shape", ["one-point", "points"])
-    def test_cartesian_beyond_r_max_equals_eager_construction(self, lazy_case, what, shape):
-        data = assemble_initial_data(lazy_case)
+    def test_cartesian_equals_the_built_solution(self, mass_like_solution, read_back, what, shape):
+        built, back = assemble_initial_data(mass_like_solution), assemble_initial_data(read_back)
         unit = np.array([2.0, -1.0, 2.0]) / 3.0
-        if shape == "one-point":
-            args = [1.5 * data.r_max * unit, 2.0 * data.r_max * unit]
-        else:
-            args = [np.array([0.5, 1.5, 2.0])[:, None] * data.r_max * unit]
+        points = self.radii(built.r_max)[:, None] * unit
+        args = list(points) if shape == "one-point" else [points]
         for arg in args:
-            got = getattr(data, what)(arg)
-            assert np.array_equal(got, eager_reference(lazy_case, data, what, arg))
+            got, expected = getattr(back, what)(arg), getattr(built, what)(arg)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestTailsOnDemand:
+    @pytest.mark.parametrize("source", ["built", "read-back"])
+    def test_evaluation_fits_no_tail(self, mass_like_solution, read_back, source, monkeypatch):
+        solution = mass_like_solution if source == "built" else read_back
+        fits, polyfit = [], np.polyfit
+        monkeypatch.setattr(np, "polyfit", lambda *a: fits.append(a) or polyfit(*a))
+        data = assemble_initial_data(solution)
+        for r in (0.5 * data.r_max, data.r_max):
+            for what in RADIAL_ACCESSORS:
+                evaluate(data, what, r)
+            data.metric([r, 0.0, 0.0])
+            data.extrinsic_curvature([[r, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(EvaluationOutOfRangeError):
+            data.conformal_factor_at(2.0 * data.r_max)
+        assert fits == []
 
     def test_concurrent_first_evaluations_agree(self):
-        # the tails and derivatives are filled in on first use; threads that
-        # race to fill them must all read the sequential result
+        # derivatives and the default tail fit are filled in on first use;
+        # threads that race to fill them on fresh profiles must all read
+        # the sequential result bit for bit
         grid = build_grid(200, 100.0, 1.02)
         sol = build_solution(DIM3, RadialProfile(grid, 1.0 - 0.5 / np.sqrt(1.0 + grid.nodes**2)))
-        radii = np.array([0.5, 1.5, 2.0]) * grid.r_max
-        expected = assemble_initial_data(sol).extrinsic_curvature(radii[:, None] * np.eye(3)[0])
+        points = np.array([0.25, 0.5, 1.0])[:, None] * grid.r_max * np.eye(3)[0]
+        expected = assemble_initial_data(sol).extrinsic_curvature(points)
         expected_dphi = differentiate(RadialProfile(grid, sol.phi.values), 1).values
-        rounds = [(assemble_initial_data(sol), RadialProfile(grid, sol.phi.values)) for _ in range(20)]
+        expected_tail = fit_tail(RadialProfile(grid, sol.tau.values))
+        rounds = [
+            (assemble_initial_data(sol), RadialProfile(grid, sol.phi.values), RadialProfile(grid, sol.tau.values))
+            for _ in range(20)
+        ]
         failures = []
 
         def work():
-            for data, phi in rounds:
-                k = data.extrinsic_curvature(radii[:, None] * np.eye(3)[0])
-                if not (np.array_equal(k, expected) and np.array_equal(differentiate(phi, 1).values, expected_dphi)):
+            for data, phi, tau in rounds:
+                k = data.extrinsic_curvature(points)
+                if not (np.array_equal(k, expected) and np.array_equal(differentiate(phi, 1).values, expected_dphi)
+                        and fit_tail(tau) == expected_tail):
                     failures.append(k)
 
         interval = sys.getswitchinterval()

@@ -15,7 +15,6 @@ from vacuumdata.errors import (
     DegenerateFitError,
     EvaluationOutOfRangeError,
     InvalidArgumentError,
-    NoTailError,
     ProfileParseError,
     SchemaError,
     TailTooSlowError,
@@ -31,7 +30,7 @@ from vacuumdata.radial import (
     integrate_from_zero,
     integrate_to_infinity,
 )
-from vacuumdata.conformal import _derived_tail, _read_csv_table
+from vacuumdata.conformal import _read_csv_table
 from vacuumdata.conformal import build_solution, read_solution_csv, write_solution_csv
 from vacuumdata import radial
 from vacuumdata.radial import (
@@ -209,13 +208,6 @@ class TestDifferentiate:
         first = differentiate(profile, order)
         assert np.array_equal(first.values, direct)
         assert differentiate(profile, order) is first
-        tailed = profile.with_tail(TailModel(1.0, 1.0, (1e2, 1e4), 0.0))
-        assert differentiate(tailed, order) is first
-
-    def test_with_tail_shares_derivatives_both_ways(self, work_grid):
-        profile = RadialProfile(work_grid, np.cos(work_grid.nodes / 100.0))
-        tailed = profile.with_tail(None)
-        assert differentiate(profile, 2) is differentiate(tailed, 2)
 
     def test_equal_values_do_not_share_a_cache(self, work_grid):
         values = np.cos(work_grid.nodes / 100.0)
@@ -224,14 +216,15 @@ class TestDifferentiate:
         assert np.array_equal(differentiate(one, 1).values, differentiate(two, 1).values)
         three = RadialProfile(work_grid, values)
         differentiate(one, 2)
-        assert three._derivatives == {}
+        assert three._memo == {}
 
     def test_cache_is_no_constructor_or_repr_field(self, work_grid):
         profile = RadialProfile(work_grid, work_grid.nodes)
         differentiate(profile, 1)
-        assert "_derivatives" not in repr(profile)
+        fit_tail(profile)
+        assert "_memo" not in repr(profile)
         with pytest.raises(TypeError):
-            RadialProfile(work_grid, work_grid.nodes, None, {})
+            RadialProfile(work_grid, work_grid.nodes, {})
 
     @pytest.mark.parametrize("order", [0, 3])
     def test_derivative_matrix_rejects_bad_order(self, work_grid, order):
@@ -626,7 +619,7 @@ class TestIntegrateToInfinity:
     @pytest.mark.parametrize("power,tol", [(2.0, 1e-8), (3.0, 1e-10)])
     def test_inverse_power_closed_form(self, work_grid, power, tol):
         profile = positive_power_profile(work_grid, -power)
-        improper = integrate_to_infinity(profile.with_tail(fit_tail(profile)))
+        improper = integrate_to_infinity(profile, fit_tail(profile))
         sel = work_grid.nodes >= 1.0
         exact = work_grid.nodes[sel] ** (1.0 - power) / (power - 1.0)
         assert np.max(np.abs(improper.values[sel] - exact) / exact) < tol
@@ -634,19 +627,21 @@ class TestIntegrateToInfinity:
     def test_slow_tail_rejected(self, work_grid):
         profile = positive_power_profile(work_grid, -0.9)
         with pytest.raises(TailTooSlowError):
-            integrate_to_infinity(profile.with_tail(fit_tail(profile)))
+            integrate_to_infinity(profile, fit_tail(profile))
 
-    def test_missing_tail_rejected(self, work_grid):
+    def test_remainder_reads_the_given_tail(self, work_grid):
         profile = positive_power_profile(work_grid, -3.0)
-        with pytest.raises(NoTailError):
-            integrate_to_infinity(profile)
+        for c in (1.0, 2.0):
+            improper = integrate_to_infinity(profile, TailModel(c, 3.0, (1e2, 1e4), 0.0))
+            # at r_max = 1e4 only the remainder c r_max^-2 / 2 is left
+            assert improper.values[-1] == c * 1e4**-2.0 / 2.0
+        with pytest.raises(TailTooSlowError):
+            integrate_to_infinity(profile, TailModel(1.0, 1.0, (1e2, 1e4), 0.0))
 
     def test_sum_with_cumulative_is_constant(self, work_grid):
         r = work_grid.nodes
         profile = RadialProfile(work_grid, (1 + r**2) ** -2.0)
-        total = integrate_from_zero(profile).values + integrate_to_infinity(
-            profile.with_tail(fit_tail(profile))
-        ).values
+        total = integrate_from_zero(profile).values + integrate_to_infinity(profile, fit_tail(profile)).values
         # integral of (1+s^2)^-2 over [0, inf) is pi/4
         assert abs(total[0] - math.pi / 4) < 1e-12
         assert np.max(np.abs(total - total[0])) < 1e-12
@@ -686,12 +681,25 @@ class TestFitTail:
         with pytest.raises(InvalidArgumentError):
             fit_tail(profile, window=(1e3, 1e6))
 
-    def test_model_derivatives(self):
-        model = TailModel(coefficient=2.0, exponent=1.5, window=(1.0, 10.0), misfit=0.0)
-        r = 7.3
-        assert abs(model.at(r) - 2.0 * r**-1.5) < 1e-15
-        assert abs(_derived_tail(model, 1).at(r) + 3.0 * r**-2.5) < 1e-15
-        assert abs(_derived_tail(model, 2).at(r) - 7.5 * r**-3.5) < 1e-15
+    def test_default_fit_is_computed_once_per_profile(self, work_grid, monkeypatch):
+        fits, polyfit = [], np.polyfit
+        monkeypatch.setattr(np, "polyfit", lambda *a: fits.append(a) or polyfit(*a))
+        profile = positive_power_profile(work_grid, -1.5, coeff=2.0)
+        model = fit_tail(profile)
+        assert fit_tail(profile) is model and len(fits) == 1
+        # an explicit window, even the default one, fits again and leaves the memo alone
+        windowed = fit_tail(profile, window=(work_grid.r_max / 100.0, work_grid.r_max))
+        assert windowed == model and windowed is not model and len(fits) == 2
+        assert fit_tail(profile) is model
+        # equal values on another profile do not share the memo
+        assert fit_tail(RadialProfile(work_grid, profile.values)) is not model
+
+    def test_failed_default_fit_is_not_remembered(self, work_grid):
+        profile = RadialProfile(work_grid, np.zeros(len(work_grid)))
+        for _ in range(2):
+            with pytest.raises(DegenerateFitError):
+                fit_tail(profile)
+        assert profile._memo == {}
 
 
 class TestInterpolation:
@@ -708,30 +716,28 @@ class TestInterpolation:
         assert isinstance(out, float)
         assert abs(out - 3.25**2) < 1e-9
 
-    def test_tail_used_beyond_grid(self, work_grid):
+    @pytest.mark.parametrize("radii,shown", [
+        (2e4, "20000"),
+        ([1.0, 2e4, 1.5e4], "20000"),
+        (math.inf, "inf"),
+        (1e4 * (1.0 + 1e-11), "10000"),
+    ], ids=["scalar", "array", "infinite", "just-past"])
+    def test_out_of_range_past_r_max(self, work_grid, radii, shown):
         profile = positive_power_profile(work_grid, -3.0)
-        profile = profile.with_tail(fit_tail(profile))
-        assert abs(profile.at(2e4) - 2e4**-3.0) < 1e-17
+        with pytest.raises(EvaluationOutOfRangeError) as info:
+            profile.at(radii)
+        assert str(info.value) == f"evaluation at r={shown} beyond r_max=10000"
 
-    def test_out_of_range_without_tail(self, work_grid):
-        profile = positive_power_profile(work_grid, -3.0)
-        with pytest.raises(EvaluationOutOfRangeError):
-            profile.at(2e4)
-
-    @pytest.mark.parametrize("tailed", [False, True], ids=["no-tail", "tail"])
     @pytest.mark.parametrize("radii", [math.nan, [1.0, math.nan, 2e4]], ids=["scalar", "array"])
-    def test_nan_radius_rejected(self, work_grid, tailed, radii):
+    def test_nan_radius_rejected(self, work_grid, radii):
         profile = positive_power_profile(work_grid, -3.0)
-        if tailed:
-            profile = profile.with_tail(fit_tail(profile))
         with pytest.raises(InvalidArgumentError, match="nonnegative"):
             profile.at(radii)
 
-    def test_infinite_radius_gets_tail_limit(self, work_grid):
+    def test_array_radii_keep_their_shape(self, work_grid):
         profile = positive_power_profile(work_grid, -3.0)
-        profile = profile.with_tail(fit_tail(profile))
-        assert profile.at(math.inf) == 0.0
-        assert np.array_equal(profile.at([math.inf, 2e4]), [0.0, profile.tail.at(2e4)])
+        radii = np.array([[1.0, 2.0, 3.0], [40.0, 500.0, 6000.0]])
+        assert np.array_equal(profile.at(radii), profile.at(radii.ravel()).reshape(2, 3))
 
 
 def per_profile_cubic(nodes, values, r):
@@ -757,10 +763,8 @@ class TestSharedBasis:
     @pytest.fixture(scope="class")
     def profiles(self, work_grid):
         rng = np.random.default_rng(5)
-        tailed = [positive_power_profile(work_grid, p, c) for p, c in ((-3.0, 1.0), (-1.5, -2.0))]
-        tailed = [p.with_tail(fit_tail(p)) for p in tailed]
-        noisy = RadialProfile(work_grid, rng.normal(size=len(work_grid)))
-        return tailed + [noisy.with_tail(TailModel(0.5, 2.0, (100.0, 1e4), 0.0))]
+        powers = [positive_power_profile(work_grid, p, c) for p, c in ((-3.0, 1.0), (-1.5, -2.0))]
+        return powers + [RadialProfile(work_grid, rng.normal(size=len(work_grid)))]
 
     @pytest.fixture(scope="class")
     def radii(self, work_grid):
@@ -771,7 +775,6 @@ class TestSharedBasis:
         return np.concatenate([[0.0], nodes[::7], between[::3], [r_max, r_max * (1 + 1e-12)]])
 
     def test_equals_per_profile_at_bitwise(self, profiles, radii):
-        radii = np.concatenate([radii, [1.5e4, 2e4, 1e7, np.inf]])
         shared = _sample_profiles(profiles, radii)
         for profile, values in zip(profiles, shared):
             assert np.array_equal(values.view(np.int64), profile.at(radii).view(np.int64))
@@ -783,15 +786,9 @@ class TestSharedBasis:
             reference = per_profile_cubic(profile.grid.nodes, profile.values, np.minimum(radii, r_max))
             assert np.array_equal(values.view(np.int64), reference.view(np.int64))
 
-    def test_beyond_uses_each_profiles_own_tail(self, profiles):
-        radii = np.array([2e4, 1e6])
-        for profile, values in zip(profiles, _sample_profiles(profiles, radii)):
-            assert np.array_equal(values, profile.tail.at(radii))
-
-    def test_one_profile_without_tail_refuses_radii_beyond(self, profiles, work_grid):
-        bare = positive_power_profile(work_grid, -3.0)
-        with pytest.raises(EvaluationOutOfRangeError, match="r=20000 beyond"):
-            _sample_profiles(profiles + [bare], np.array([5.0, 2e4]))
+    def test_radii_beyond_r_max_refused(self, profiles):
+        with pytest.raises(EvaluationOutOfRangeError, match="^evaluation at r=20000 beyond r_max=10000$"):
+            _sample_profiles(profiles, np.array([5.0, 2e4]))
 
 
 class TestDerivativeIntegralInverse:
