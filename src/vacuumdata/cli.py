@@ -35,14 +35,7 @@ from .conformal import (
     read_solution_csv,
     write_solution_csv,
 )
-from .errors import (
-    DegenerateFitError,
-    InvalidArgumentError,
-    NoTailError,
-    SchemaError,
-    TailTooSlowError,
-    VacuumDataError,
-)
+from .errors import DegenerateFitError, InvalidArgumentError, SchemaError, VacuumDataError
 from .radial import Dimension, RadialProfile, build_grid
 from .solver import SolveControls, fixed_point_solve, smooth_schwarzschild_phi
 from .verify import (
@@ -84,12 +77,13 @@ _PROBED_DIMENSIONS = range(3, 11)
 class ScenarioConfig:
     """One front-end invocation: the scenario to run and its knobs.
 
-    ``grid`` holds (points, r_max, stretch) for the radial grid,
-    ``controls`` drives the nonlinear solver (free-tau only), and
-    ``points``/``h`` fix the Cartesian verification sample.  Command
-    specific requirements (m for smooth-schwarzschild; c and q inside
-    the admissible range for free-tau; an input CSV for the read-only
-    commands) are validated here so the front end can emit a uniform
+    ``grid_points``, ``r_max`` and ``stretch`` shape the radial grid,
+    ``tol`` and ``max_newton`` drive the nonlinear solver (free-tau
+    only), and ``points``/``h`` fix the Cartesian verification sample.
+    The solver fields are checked first, by SolveControls, then the
+    command specific requirements (m for smooth-schwarzschild; c and q
+    inside the admissible range for free-tau; an input CSV for the
+    read-only commands), so the front end can emit a uniform
     machine-readable failure record.
     """
 
@@ -98,8 +92,11 @@ class ScenarioConfig:
     m: float | None = None
     c: float | None = None
     q: float | None = None
-    grid: tuple[int, float, float] = (4000, 1.0e4, 1.01)
-    controls: SolveControls = SolveControls()
+    grid_points: int = 4000
+    r_max: float = 1.0e4
+    stretch: float = 1.01
+    tol: float = SolveControls.tol
+    max_newton: int = SolveControls.max_newton
     points: int = 64
     h: float = 1e-3
     csv_path: str | None = None
@@ -107,6 +104,7 @@ class ScenarioConfig:
     out_csv: str | None = None
 
     def __post_init__(self):
+        SolveControls(self.tol, self.max_newton)
         if self.command not in _COMMAND_TABLE:
             raise InvalidArgumentError(f"unknown command {self.command!r}")
         Dimension(self.n)
@@ -133,8 +131,8 @@ class ScenarioConfig:
         if not self.h > 0:
             raise InvalidArgumentError(f"h must be positive, got {self.h!r}")
         # as verify.momentum_residual checks, but before the grid is built
-        if not _COMMAND_TABLE[self.command].reads_bundle and self.h >= self.grid[1]:
-            raise InvalidArgumentError(f"h must lie in (0, r_max {self.grid[1]:g}), got {self.h!r}")
+        if not _COMMAND_TABLE[self.command].reads_bundle and self.h >= self.r_max:
+            raise InvalidArgumentError(f"h must lie in (0, r_max {self.r_max:g}), got {self.h!r}")
 
     @property
     def dim(self) -> Dimension:
@@ -221,7 +219,7 @@ def _mass_block(dim: Dimension, sol: ConformalSolution, data: InitialData) -> di
 def _decay_block(data: InitialData) -> dict:
     try:
         report = decay_exponents(data)
-    except (DegenerateFitError, NoTailError, TailTooSlowError):
+    except DegenerateFitError:
         return {"tau": None, "metric": None, "k": None}
     return {
         "tau": report.tau_exponent,
@@ -261,16 +259,12 @@ def _solution_report(
 
 def _cmd_smooth_schwarzschild(config: ScenarioConfig) -> dict:
     dim = config.dim
-    points, r_max, stretch = config.grid
-    sol = build_solution(
-        dim, smooth_schwarzschild_phi(dim, config.m, build_grid(points, r_max, stretch))
-    )
+    grid = build_grid(config.grid_points, config.r_max, config.stretch)
+    sol = build_solution(dim, smooth_schwarzschild_phi(dim, config.m, grid))
     # The closed-form construction is cheap, so the report includes the
     # 2x-refinement convergence order of the constraint residuals.
-    refined = build_solution(
-        dim,
-        smooth_schwarzschild_phi(dim, config.m, build_grid(2 * points, r_max, stretch)),
-    )
+    fine = build_grid(2 * config.grid_points, config.r_max, config.stretch)
+    refined = build_solution(dim, smooth_schwarzschild_phi(dim, config.m, fine))
     return _solution_report(config, sol, iterations=0, refined=assemble_initial_data(refined))
 
 
@@ -285,10 +279,10 @@ def _classification(mass: dict) -> str:
 
 def _cmd_free_tau(config: ScenarioConfig) -> dict:
     dim = config.dim
-    points, r_max, stretch = config.grid
-    grid = build_grid(points, r_max, stretch)
+    grid = build_grid(config.grid_points, config.r_max, config.stretch)
     seed = config.c * (1.0 + grid.nodes**2) ** (-config.q / 2.0)
-    sol, trace = fixed_point_solve(dim, RadialProfile(grid, seed), config.controls)
+    controls = SolveControls(config.tol, config.max_newton)
+    sol, trace = fixed_point_solve(dim, RadialProfile(grid, seed), controls)
     report = _solution_report(config, sol, iterations=len(trace.outer_iterates))
     report["classification"] = _classification(report["mass"])
     return report
@@ -368,36 +362,19 @@ def _exit_status(report: dict) -> int:
     return 0
 
 
-class _SlotAction(argparse.Action):
-    """Stores the option's value in slot ``const`` of the tuple at ``dest``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        slots = list(getattr(namespace, self.dest))
-        slots[self.const] = values
-        setattr(namespace, self.dest, tuple(slots))
-
-
-def _field(config, dest: str):
-    """The ScenarioConfig or SolveControls field ``dest`` of ``config``;
-    its default when ``config`` is the ScenarioConfig class."""
-    return getattr(config.controls if hasattr(config.controls, dest) else config, dest)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Option:
     """One command-line option, or a positional when ``flag`` has no dashes.
 
-    It fills the ScenarioConfig or SolveControls field ``dest``, or slot
-    ``slot`` of that tuple field, and defaults to the field's default,
-    which --help shows unless it is None.  ``name`` keys its value in
-    the report's params block.
+    It fills the ScenarioConfig field ``dest`` and defaults to the
+    field's default, which --help shows unless it is None.  ``name``
+    keys its value in the report's params block.
     """
 
     flag: str
     dest: str
     help: str
     kind: type | None = None
-    slot: int | None = None
 
     @property
     def name(self) -> str:
@@ -407,13 +384,10 @@ class _Option:
         if not self.flag.startswith("-"):
             parser.add_argument(self.dest, metavar=self.flag, help=self.help)
             return
-        default = _field(ScenarioConfig, self.dest)
-        shown = default if self.slot is None else default[self.slot]
-        text = self.help if shown is None else f"{self.help} (default {shown:g})"
-        action = {} if self.slot is None else {"action": _SlotAction, "const": self.slot}
+        default = getattr(ScenarioConfig, self.dest)
+        text = self.help if default is None else f"{self.help} (default {default:g})"
         parser.add_argument(
-            self.flag, dest=self.dest, type=self.kind, default=default,
-            metavar=self.name.upper(), help=text, **action,
+            self.flag, dest=self.dest, type=self.kind, default=default, metavar=self.name.upper(), help=text
         )
 
 
@@ -438,10 +412,10 @@ class _Command:
         --out and --profiles; the grid options make up one ``grid`` block."""
         params = {}
         for option in ((_BUNDLE_IN,) if self.reads_bundle else ()) + self.options:
-            if option.dest == "grid":
-                params["grid"] = dict(zip(("points", "r_max", "stretch"), config.grid))
-            else:
-                params[option.name] = _field(config, option.dest)
+            if option == _GRID[0]:
+                params["grid"] = {"points": config.grid_points, "r_max": config.r_max, "stretch": config.stretch}
+            elif option not in _GRID:
+                params[option.name] = getattr(config, option.dest)
         return params
 
 
@@ -450,9 +424,9 @@ _REPORT_OUT = _Option("--out", "out_json", "also write the JSON report to this p
 _BUNDLE_IN = _Option("csv", "csv_path", "solution bundle written by --profiles")
 _BUNDLE_OUT = _Option("--profiles", "out_csv", "write the solution bundle CSV to this path")
 _GRID = (
-    _Option("--grid-points", "grid", "radial grid size", int, slot=0),
-    _Option("--grid-max", "grid", "outer radius", float, slot=1),
-    _Option("--stretch", "grid", "geometric node ratio in the far field", float, slot=2),
+    _Option("--grid-points", "grid_points", "radial grid size", int),
+    _Option("--grid-max", "r_max", "outer radius", float),
+    _Option("--stretch", "stretch", "geometric node ratio in the far field", float),
 )
 _SAMPLING = (
     _Option("--points", "points", "Cartesian sample points", int),
@@ -494,8 +468,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  Parsing leaves no state in
-    it: each subcommand parses into a fresh namespace, and grid slots
-    replace the tuple they write to."""
+    it: each subcommand parses into a fresh namespace."""
     parser = _Parser(
         prog="vacuumdata",
         description="Build, solve, and verify conformally flat vacuum initial data.",
@@ -511,9 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     """Fields a subcommand has no option for keep their dataclass default."""
-    given = dict(vars(args))
-    controls = {f.name: given.pop(f.name) for f in dataclasses.fields(SolveControls) if f.name in given}
-    return ScenarioConfig(controls=SolveControls(**controls), **given)
+    return ScenarioConfig(**vars(args))
 
 
 def _emit_failure(exc: Exception, out_path: str | None) -> int:

@@ -443,9 +443,9 @@ def _write_csv_table(path, header: str, columns) -> None:
     formatted before the file is opened: a failure while formatting
     leaves no file, or the old one as it was.
     """
-    text = header.encode("ascii") + b"\n" + _g17_rows(np.column_stack(columns))
+    blocks = _g17_rows(np.column_stack(columns))
     with open(path, "wb") as fh:
-        fh.write(text)
+        fh.writelines([header.encode("ascii") + b"\n", *blocks])
 
 
 # ``%.17g`` text of float64 tables.  A value x with 1e-250 < |x| < 1e250
@@ -556,9 +556,9 @@ def _g17_tables() -> _G17Tables:
     )
 
 
-def _g17_rows(table: np.ndarray) -> bytes:
-    """The rows of a 2-D float64 table as ``%.17g`` text: values joined
-    by commas, each row ended by ``\\n``."""
+def _g17_rows(table: np.ndarray) -> list[bytes]:
+    """The rows of a 2-D float64 table as ``%.17g`` text, in blocks of
+    whole rows: values joined by commas, each row ended by ``\\n``."""
     rows, cols = table.shape
     block = max(1, _G17_BLOCK // cols)
     last_column = np.zeros((block, cols), dtype=np.intp)
@@ -568,7 +568,7 @@ def _g17_rows(table: np.ndarray) -> bytes:
         x = table[start:start + block].ravel()
         text = _g17_slots(x, last_column.ravel()[: x.size]).view(np.uint8).ravel()
         parts.append(text[text != 0].tobytes())
-    return b"".join(parts)
+    return parts
 
 
 def _g17_slots(x: np.ndarray, last_column: np.ndarray) -> np.ndarray:

@@ -402,7 +402,7 @@ def check_solution(sol: ConformalSolution) -> SolutionChecks:
             np.max(np.abs(n * sol.w.values + r * dw - 0.5 * f.values))
             / max(1.0, float(np.max(np.abs(f.values))))
         )
-    except (TailTooSlowError, NoTailError, DegenerateFitError) as exc:
+    except (TailTooSlowError, DegenerateFitError) as exc:
         divw = math.inf
         notes.append(f"divergence source unavailable: {exc}")
 

@@ -91,11 +91,14 @@ class TestArgumentValidation:
         assert record["error"]["type"] == "invalid-argument"
 
     def test_zero_step_budget_rejected(self, capsys):
-        code, record = run_cli(["free-tau", "--c", "1", "--q", "1.5", "--max-iter", "0"], capsys)
-        assert code == 2
-        assert record["error"] == {
-            "type": "invalid-argument", "message": "max_newton must be at least 1, got 0"
-        }
+        # the solver fields are checked before every other field, so a
+        # bad c given as well leaves the record unchanged
+        for extra in ([], ["--c", "-1"]):
+            code, record = run_cli(["free-tau", "--c", "1", "--q", "1.5", "--max-iter", "0", *extra], capsys)
+            assert code == 2
+            assert record["error"] == {
+                "type": "invalid-argument", "message": "max_newton must be at least 1, got 0"
+            }
 
     def test_low_dimension_rejected(self, capsys):
         code, record = run_cli(["smooth-schwarzschild", "--n", "2", "--m", "1"], capsys)
@@ -134,8 +137,8 @@ class TestArgumentValidation:
 
     def test_config_defaults(self):
         config = ScenarioConfig(command="free-tau", c=1.0, q=1.5)
-        assert config.grid == (4000, 1.0e4, 1.01)
-        assert config.controls.tol == 1e-10
+        assert (config.grid_points, config.r_max, config.stretch) == (4000, 1.0e4, 1.01)
+        assert (config.tol, config.max_newton) == (SolveControls.tol, SolveControls.max_newton) == (1e-10, 40)
         assert config.points == 64
 
     @pytest.mark.parametrize("argv,required", [
@@ -157,9 +160,8 @@ class TestArgumentValidation:
                 "--points", "9", "--h", "0.002", "--out", "r.json",
                 "--profiles", "b.csv"]
         expected = ScenarioConfig(
-            command="free-tau", n=4, c=0.5, q=2.5, grid=(300, 500.0, 1.02),
-            controls=SolveControls(tol=1e-8, max_newton=7),
-            points=9, h=0.002, out_json="r.json", out_csv="b.csv",
+            command="free-tau", n=4, c=0.5, q=2.5, grid_points=300, r_max=500.0, stretch=1.02,
+            tol=1e-8, max_newton=7, points=9, h=0.002, out_json="r.json", out_csv="b.csv",
         )
         assert _config_from_args(_build_parser().parse_args(argv)) == expected
 
@@ -170,6 +172,24 @@ class TestArgumentValidation:
         assert code in (0, 1) and report["params"]["grid"]["r_max"] == 1000.0
         code, report = run_cli(argv, capsys)
         assert code in (0, 1) and report["params"]["grid"]["r_max"] == 10000.0
+
+    GRID_DEFAULTS = (
+        "radial grid size (default 4000)",
+        "outer radius (default 10000)",
+        "geometric node ratio in the far field (default 1.01)",
+    )
+    SOLVER_DEFAULTS = ("solver tolerance (default 1e-10)", "Newton step budget (default 40)")
+
+    @pytest.mark.parametrize("command,shown", [
+        ("smooth-schwarzschild", GRID_DEFAULTS),
+        ("free-tau", GRID_DEFAULTS + SOLVER_DEFAULTS),
+    ], ids=["smooth-schwarzschild", "free-tau"])
+    def test_help_shows_each_default(self, command, shown, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for phrase in shown:
+            assert phrase in text
 
     @pytest.mark.parametrize("command", [None, *cli._COMMAND_TABLE])
     def test_help_text_equals_a_fresh_parser(self, command, capsys):
@@ -663,6 +683,14 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "singular-system"
+
+    # README "Numerical limits": tau vanishes or changes sign on the fit
+    # window of this shallow grid
+    def test_n6_on_a_shallow_grid_gives_degenerate_fit_record(self):
+        proc = self.run_module("smooth-schwarzschild", "--n", "6", "--m", "1", "--grid-max", "1e3")
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "degenerate-fit"
 
     @pytest.fixture(scope="class")
     def n4_run(self, tmp_path_factory):

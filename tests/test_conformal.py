@@ -478,7 +478,7 @@ def per_value_g17(table):
 
 def assert_g17_equals_per_value(values, cols=7):
     table = np.resize(np.asarray(values, dtype=float), (-(-len(values) // cols), cols))
-    assert conformal._g17_rows(table) == per_value_g17(table)
+    assert b"".join(conformal._g17_rows(table)) == per_value_g17(table)
 
 
 @pytest.fixture
@@ -515,7 +515,7 @@ class TestG17Formatter:
         assert_g17_equals_per_value(np.concatenate([values, -values]))
 
     def test_exact_ties_round_half_even_through_percent(self, per_value_calls):
-        assert conformal._g17_rows(np.array([[2.0**-25]])) == b"2.9802322387695312e-08\n"
+        assert b"".join(conformal._g17_rows(np.array([[2.0**-25]]))) == b"2.9802322387695312e-08\n"
         # odd m 2^-j: its exact decimal digits m 5^j are 18 and end in 5
         rng = np.random.default_rng(1990)
         ties = []
