@@ -11,12 +11,15 @@ shared grid.  This module owns that representation:
   a window of neighbouring values),
 * composite polynomial quadrature, cumulative and improper; stencil and
   quadrature weights are built once per local grid geometry, then scaled,
+  and shared by grids with bitwise-equal nodes,
 * power-law tail fits used for remainders and decay diagnostics.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +46,11 @@ __all__ = [
 _STENCIL = 7  # interior stencil width; order 6 (d/dr) and 5 (d2/dr2)
 _QUAD_STENCIL = 5  # nodes per interval integral; exact through degree 4
 _GEOMETRY_TOL = 1e-11  # rows whose scaled local geometry agrees this closely share weights
+_OPERATOR_SETS = 8  # node sets whose operators stay shared; a CLI run uses 2
+
+# operator caches by node bytes, least recently constructed first
+_OPERATORS: collections.OrderedDict[bytes, dict] = collections.OrderedDict()
+_OPERATORS_LOCK = threading.Lock()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,7 +79,9 @@ class RadialGrid:
     cache their differentiation and quadrature operators as windowed
     weights (row i weighs a short run of consecutive values), built once
     per class of scaled local geometry (see ``_geometry_classes``) from the
-    nodes alone; profiles refer to grids by identity.
+    nodes alone.  So grids with bitwise-equal nodes share one cache of
+    read-only operators, kept for the last ``_OPERATOR_SETS`` node sets
+    constructed; profiles still refer to grids by identity.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -85,7 +95,12 @@ class RadialGrid:
         if np.any(np.diff(nodes) <= 0):
             raise InvalidArgumentError("grid nodes must be strictly increasing")
         self.nodes = nodes
-        self._cache: dict = {}
+        key = nodes.tobytes()
+        with _OPERATORS_LOCK:
+            self._cache: dict = _OPERATORS.pop(key, {})
+            _OPERATORS[key] = self._cache
+            if len(_OPERATORS) > _OPERATOR_SETS:
+                _OPERATORS.popitem(last=False)
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -104,7 +119,7 @@ class RadialGrid:
         shape (nodes, 7), or (nodes, 5) below seven nodes; read-only."""
         if order not in (1, 2):
             raise InvalidArgumentError(f"derivative order must be 1 or 2, got {order!r}")
-        weights = self._cached("deriv", lambda: list(map(_slot_major, _build_derivative_weights(self.nodes))))
+        weights = self._cached("deriv", lambda: tuple(map(_slot_major, _build_derivative_weights(self.nodes))))
         return weights[order - 1]
 
     def _cached(self, key, build):
@@ -371,7 +386,7 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
 def _build_quadrature(nodes: np.ndarray):
     """Per-interval weights integrating the local degree-4 interpolant.
 
-    Returns (index, weights) where interval i integrates
+    Returns read-only (index, weights) where interval i integrates
     ``weights[i] @ values[index[i]]``, a run of five consecutive nodes.
     One row per class of node offsets from the interval's centre, scaled
     by its width (``_geometry_classes``), is multiplied by that width.
@@ -390,7 +405,10 @@ def _build_quadrature(nodes: np.ndarray):
     at_points = _fornberg_weights(np.concatenate([t[reps] - g_t for g_t in gauss_t]))[:, :, 0]
     per_point = np.split(at_points, len(gauss_t))
     weights = sum(g_w * w for g_w, w in zip((5 / 18, 8 / 18, 5 / 18), per_point))
-    return idx, weights[label] * widths[:, None]
+    weights = weights[label] * widths[:, None]
+    idx.setflags(write=False)
+    weights.setflags(write=False)
+    return idx, weights
 
 
 def _interval_integrals(profile: RadialProfile) -> np.ndarray:

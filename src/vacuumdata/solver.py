@@ -100,7 +100,8 @@ class _CoupledOperator:
     Robin entry, d(phi row i)/dA_i for 0 < i < npts - 1, and
     d(A row i)/d(phi at idx[i-1]) for i >= 1.  ``r_n`` is r^n and
     ``lw_scale`` the factor ((n-1)/n) / r^{2n} (0 at the origin) of
-    |LW|^2 = lw_scale A^2.
+    |LW|^2 = lw_scale A^2.  Every array is read-only: grids on equal nodes
+    share it.
     """
 
     band: np.ndarray
@@ -175,7 +176,9 @@ def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
         band = _band_layout(kl, ku, 2 * npts, stencil, ones, minus_ones)
 
         def at(rows, columns):
-            return np.ravel_multi_index((kl + ku + rows - columns, columns), band.shape, order="F")
+            flat = np.ravel_multi_index((kl + ku + rows - columns, columns), band.shape, order="F")
+            flat.setflags(write=False)
+            return flat
 
         r = grid.nodes
         r_n = r**n

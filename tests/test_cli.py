@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
+import collections
+import dataclasses
 import json
 import math
 import os
@@ -295,22 +297,17 @@ def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
     assert grids == [4000, 8000]
 
 
-@pytest.mark.parametrize("argv,expected", [
+DERIVED_FIELD_COUNTS = pytest.mark.parametrize("argv,expected", [
     (["smooth-schwarzschild", "--m", "1"], {"stencil": 7, "polyfit": 5, "fornberg": 4}),
     (["free-tau", "--c", "1", "--q", "1.5"], {"stencil": 4, "polyfit": 4, "fornberg": 2}),
     (["verify", "{bundle}"], {"stencil": 4, "polyfit": 1, "fornberg": 2}),
     (["mass", "{bundle}"], {"stencil": 2, "polyfit": 0, "fornberg": 1}),
     (["decay", "{bundle}"], {"stencil": 2, "polyfit": 3, "fornberg": 1}),
 ], ids=["smooth-schwarzschild", "free-tau", "verify", "mass", "decay"])
-def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, schw_run, argv, expected):
-    """Each derivative is taken once per profile (phi', phi'', tau' of every
-    solution and the coarse w'), a tail is fitted only where a reported
-    number reads it (tau's for the remainder of divergence_source, and the
-    decay fits), and each grid runs Fornberg's recursion once for its
-    stencils and once for its quadrature.  The bundle commands read the
-    smooth-schwarzschild --m 1 bundle.  The solver's own _apply_window (the
-    Lichnerowicz residual, no derivative) is not counted."""
-    counts = dict.fromkeys(expected, 0)
+
+
+def counted_derived_fields(monkeypatch, counts):
+    """Count _apply_window, _fornberg_weights and np.polyfit calls into ``counts``."""
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -321,13 +318,77 @@ def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, schw_ru
     monkeypatch.setattr(radial, "_apply_window", counted("stencil", radial._apply_window))
     monkeypatch.setattr(radial, "_fornberg_weights", counted("fornberg", radial._fornberg_weights))
     monkeypatch.setattr(np, "polyfit", counted("polyfit", np.polyfit))
+
+
+def cli_argv(argv, tmp_path, schw_run):
     if argv[1] == "{bundle}":
-        argv = [argv[0], str(schw_run[2])]
-    else:
-        argv = [*argv, "--profiles", str(tmp_path / "bundle.csv")]
-    code, _ = run_cli(argv, capsys)
+        return [argv[0], str(schw_run[2])]
+    return [*argv, "--profiles", str(tmp_path / "bundle.csv")]
+
+
+@DERIVED_FIELD_COUNTS
+def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, schw_run, argv, expected):
+    """Each derivative is taken once per profile (phi', phi'', tau' of every
+    solution and the coarse w'), a tail is fitted only where a reported
+    number reads it (tau's for the remainder of divergence_source, and the
+    decay fits), and each grid runs Fornberg's recursion once for its
+    stencils and once for its quadrature, here from an empty operator cache.
+    The bundle commands read the smooth-schwarzschild --m 1 bundle.  The
+    solver's own _apply_window (the Lichnerowicz residual, no derivative)
+    is not counted."""
+    monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+    counts = dict.fromkeys(expected, 0)
+    counted_derived_fields(monkeypatch, counts)
+    code, _ = run_cli(cli_argv(argv, tmp_path, schw_run), capsys)
     assert code == 0
     assert counts == expected
+
+
+@DERIVED_FIELD_COUNTS
+def test_warm_rerun_builds_no_operators(monkeypatch, capsys, tmp_path, schw_run, argv, expected):
+    """A second identical run in one process reuses the first run's
+    operators: no Fornberg recursion, the same derivatives and tail fits,
+    and the same stdout and bundle bytes."""
+    monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+    argv = cli_argv(argv, tmp_path, schw_run)
+    bundle = tmp_path / "bundle.csv"
+    counts, runs = {}, []
+    counted_derived_fields(monkeypatch, counts)
+    for _ in range(2):
+        counts.update(dict.fromkeys(expected, 0))
+        code = main(argv)
+        runs.append((code, capsys.readouterr().out, bundle.read_bytes() if bundle.exists() else None, dict(counts)))
+    (cold_code, cold_out, cold_bundle, cold), (warm_code, warm_out, warm_bundle, warm) = runs
+    assert cold == expected and warm == {**expected, "fornberg": 0}
+    assert cold_code == warm_code == 0
+    assert warm_out == cold_out and warm_bundle == cold_bundle
+
+
+def test_cached_operators_are_read_only(monkeypatch, capsys):
+    """Every array the operator caches hold after a smooth-schwarzschild and
+    a free-tau run is read-only, in tuples and dataclass fields too: grids
+    on the same nodes share them, so a write would reach every later run."""
+    monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+    assert run_cli(["smooth-schwarzschild", "--m", "1"], capsys)[0] == 0
+    assert run_cli(["free-tau", "--c", "1", "--q", "1.5"], capsys)[0] == 0
+    arrays, keys = [], set()
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif dataclasses.is_dataclass(value):
+            for field in dataclasses.fields(value):
+                walk(getattr(value, field.name))
+
+    for cache in radial._OPERATORS.values():
+        keys |= set(cache)
+        for value in cache.values():
+            walk(value)
+    assert {"deriv", "quad", ("helmholtz", 3), ("coupled", 3)} <= keys
+    assert arrays and not [a for a in arrays if a.flags.writeable]
 
 
 class TestFreeTauScenarios:

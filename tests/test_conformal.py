@@ -9,6 +9,7 @@ tie the three potentials together independently of how each is computed.
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 import threading
@@ -43,7 +44,7 @@ from vacuumdata import (
     vector_potential,
     write_solution_csv,
 )
-from vacuumdata import conformal
+from vacuumdata import conformal, radial
 from vacuumdata.conformal import _read_csv_table, _write_csv_table
 from vacuumdata.radial import fit_tail
 
@@ -566,9 +567,13 @@ RADIAL_ACCESSORS = ("conformal_factor_at", "d1", "d2", "mean_curvature_at", "tra
 
 @pytest.fixture(scope="module")
 def read_back(mass_like_solution, tmp_path_factory):
+    """The bundle read back onto a grid that builds its own operators from
+    an empty operator cache, not the writer's."""
     path = tmp_path_factory.mktemp("bundle") / "bundle.csv"
     write_solution_csv(mass_like_solution, path)
-    return read_solution_csv(path, DIM3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+        return read_solution_csv(path, DIM3)
 
 
 class TestReadBackEvaluation:
@@ -583,6 +588,7 @@ class TestReadBackEvaluation:
     @pytest.mark.parametrize("what", RADIAL_ACCESSORS)
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     def test_accessors_equal_the_built_solution(self, mass_like_solution, read_back, what, shape):
+        assert read_back.grid._cache is not mass_like_solution.grid._cache
         built, back = assemble_initial_data(mass_like_solution), assemble_initial_data(read_back)
         radii = self.radii(built.r_max)
         args = list(radii) if shape == "scalar" else [radii, radii.reshape(7, 1)]

@@ -1,10 +1,12 @@
 """Oracle and property tests for the radial calculus layer."""
 
+import collections
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -579,17 +581,97 @@ class TestRunLengthGeometryClasses:
 class TestWeightsFromBundle:
     @pytest.mark.parametrize("n,grid_args", [(3, (4000, 1e4, 1.01)), (4, (4000, 1e3, 1.01))],
                              ids=["n3-4000-1e4", "n4-4000-1e3"])
-    def test_read_grid_gets_bitwise_equal_weights(self, tmp_path, n, grid_args):
+    def test_read_grid_gets_bitwise_equal_weights(self, tmp_path, monkeypatch, n, grid_args):
         dim = Dimension(n)
         built = build_grid(*grid_args)
         sol = build_solution(dim, smooth_schwarzschild_phi(dim, 1.0, built))
         write_solution_csv(sol, tmp_path / "bundle.csv")
+        # an empty operator cache: the read grid builds its own weights
+        monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
         read = read_solution_csv(tmp_path / "bundle.csv", dim).grid
         assert read is not built and np.array_equal(read.nodes, built.nodes)
+        assert read._cache is not built._cache
         for order in (1, 2):
             assert np.array_equal(read.derivative_matrix(order).view(np.int64),
                                   built.derivative_matrix(order).view(np.int64))
         assert np.array_equal(read._quadrature()[1].view(np.int64), built._quadrature()[1].view(np.int64))
+
+
+class TestSharedOperators:
+    """Grids with bitwise-equal nodes share one cache of operators."""
+
+    def test_equal_nodes_share_operators(self):
+        grid = build_grid(64, 10.0, 1.05)
+        twin = RadialGrid(grid.nodes.copy())
+        assert twin is not grid
+        assert twin.derivative_matrix(1) is grid.derivative_matrix(1)
+        assert twin._quadrature() is grid._quadrature()
+
+    def test_nodes_one_ulp_apart_share_nothing(self):
+        grid = build_grid(64, 10.0, 1.05)
+        grid.derivative_matrix(1)
+        grid._quadrature()
+        nodes = grid.nodes.copy()
+        nodes[30] = np.nextafter(nodes[30], np.inf)
+        other = RadialGrid(nodes)
+        assert other._cache is not grid._cache
+        assert other.derivative_matrix(1) is not grid.derivative_matrix(1)
+        assert other._quadrature() is not grid._quadrature()
+
+    def test_shared_operators_equal_a_direct_build(self, work_grid):
+        nodes = work_grid.nodes
+        shared = RadialGrid(nodes.copy())
+        shared_weights = (shared.derivative_matrix(1), shared.derivative_matrix(2), *shared._quadrature())
+        direct = (*_build_derivative_weights(nodes), *_build_quadrature(nodes))
+        for got, expected in zip(shared_weights, direct, strict=True):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_least_recently_constructed_node_set_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+        grids = [RadialGrid(np.linspace(0.0, 10.0 + k, 64)) for k in range(radial._OPERATOR_SETS)]
+        for grid in grids:
+            grid.derivative_matrix(1)
+        assert RadialGrid(grids[0].nodes)._cache is grids[0]._cache  # now the most recent
+        newest = RadialGrid(np.linspace(0.0, 100.0, 64))  # one node set more than the bound
+        assert list(radial._OPERATORS) == [g.nodes.tobytes() for g in (*grids[2:], grids[0], newest)]
+        # the evicted grid keeps its operators; a new grid on its nodes builds afresh
+        assert grids[1].derivative_matrix(1) is grids[1]._cache["deriv"][0]
+        assert RadialGrid(grids[1].nodes)._cache == {}
+
+    def test_failed_build_caches_nothing(self, monkeypatch):
+        monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+        nodes = np.linspace(0.0, 1.0, 4)  # too few nodes for a stencil or a quadrature
+        for build in (lambda grid: grid.derivative_matrix(1), RadialGrid._quadrature):
+            for grid in (RadialGrid(nodes), RadialGrid(nodes)):
+                with pytest.raises(InvalidArgumentError):
+                    build(grid)
+        assert list(radial._OPERATORS.values()) == [{}]
+
+    def test_concurrent_constructions_share_one_cache_per_node_set(self, monkeypatch):
+        # a lost update between taking a node set's cache and putting it
+        # back would leave some grid with a cache of its own
+        monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+        node_sets = [np.linspace(0.0, 10.0 + k, 64) for k in range(4)]
+        grids = []
+
+        def work():
+            for _ in range(300):
+                grids.extend(RadialGrid(nodes) for nodes in node_sets)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(grids) == 4 * 300 * len(node_sets)
+        assert all(grid._cache is radial._OPERATORS[grid.nodes.tobytes()] for grid in grids)
 
 
 class TestIntegrateFromZero:

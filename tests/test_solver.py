@@ -14,6 +14,7 @@ references are kept below.
 
 from __future__ import annotations
 
+import collections
 import math
 import warnings
 
@@ -37,7 +38,7 @@ from vacuumdata import (
     solve_lichnerowicz,
     tau_from_phi,
 )
-from vacuumdata import solver
+from vacuumdata import radial, solver
 from vacuumdata.conformal import build_solution, lw_norm, momentum_potential
 from vacuumdata.errors import SingularSystemError, VacuumDataError
 from vacuumdata.radial import _apply_window, _window_starts, differentiate
@@ -549,11 +550,13 @@ class TestOperatorCache:
             if isinstance(value, np.ndarray) and value.shape == (19, len(grid))
         ]
 
-    def test_dimension_switches_match_fresh_grids(self):
+    def test_dimension_switches_match_fresh_grids(self, monkeypatch):
         shared = build_grid(2000, 1e3, 1.01)
         r = shared.nodes
         for dim in (DIM3, DIM4, DIM3):
             results = []
+            # an empty operator cache, so the fresh grid shares none of shared's
+            monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
             for grid in (shared, RadialGrid(shared.nodes)):
                 tau = conformal_seed(grid, 1.0, 1.5)
                 lw = RadialProfile(grid, 0.1 * (1.0 + r * r) ** -1.0)
