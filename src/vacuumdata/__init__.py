@@ -33,7 +33,6 @@ from .conformal import (
     assemble_initial_data,
     build_solution,
     divergence_source,
-    lichnerowicz_residual,
     lw_norm,
     momentum_potential,
     read_solution_csv,

@@ -39,6 +39,8 @@ from .errors import DegenerateFitError, InvalidArgumentError, SchemaError, Vacuu
 from .radial import Dimension, RadialProfile, build_grid
 from .solver import SolveControls, fixed_point_solve, smooth_schwarzschild_phi
 from .verify import (
+    _RESIDUAL_STEP,
+    _SAMPLE_COUNT,
     adm_mass_radial,
     adm_mass_surface,
     check_solution,
@@ -97,8 +99,8 @@ class ScenarioConfig:
     stretch: float = 1.01
     tol: float = SolveControls.tol
     max_newton: int = SolveControls.max_newton
-    points: int = 64
-    h: float = 1e-3
+    points: int = _SAMPLE_COUNT
+    h: float = _RESIDUAL_STEP
     csv_path: str | None = None
     out_json: str | None = None
     out_csv: str | None = None

@@ -4,9 +4,9 @@ Given a radial conformal factor phi (positive, nondecreasing, tending to
 1) the mean curvature magnitude |tau| is determined pointwise by a master
 identity; conversely the momentum potential A, the vector potential
 coefficient w, and the Euclidean norm |LW| follow from phi and tau by
-explicit radial integrals.  This module implements those maps, the radial
-residual of the reduced Lichnerowicz equation, and assembly of the
-physical Cartesian fields (g, k).
+explicit radial integrals.  This module implements those maps, the rows
+of the discrete reduced Lichnerowicz equation that both solvers drive to
+zero, and assembly of the physical Cartesian fields (g, k).
 
 Conventions used throughout: n is the spatial dimension, N = 2n/(n-2),
 g_ij = phi^{N-2} delta_ij, and
@@ -43,7 +43,9 @@ from .radial import (
     fit_tail,
     integrate_from_zero,
     integrate_to_infinity,
+    _apply_window,
     _sample_profiles,
+    _slot_major,
 )
 
 __all__ = [
@@ -54,7 +56,6 @@ __all__ = [
     "divergence_source",
     "vector_potential",
     "lw_norm",
-    "lichnerowicz_residual",
     "build_solution",
     "assemble_initial_data",
     "write_solution_csv",
@@ -145,8 +146,7 @@ def tau_from_phi(dim: Dimension, phi: RadialProfile) -> RadialProfile:
     # below the global slope threshold while still concave; use the
     # generic branch there whenever the slope is resolved well above
     # the local rounding floor of the difference stencil.
-    spacing = np.gradient(r) if len(r) > 1 else np.ones_like(r)
-    slope_floor = 100.0 * np.finfo(float).eps * np.abs(v) / np.abs(spacing)
+    slope_floor = 100.0 * np.finfo(float).eps * np.abs(v) / np.abs(np.gradient(r))
     concave = (d2phi < 0) & (dphi > slope_floor)
     generic = ((np.abs(dphi) > _BRANCH_EPS * dmax) | concave) & (r > 0)
     rad_tol = 1e-10 * max(1.0, float(np.max(np.abs(radicand))))
@@ -235,35 +235,52 @@ def lw_norm(dim: Dimension, A: RadialProfile) -> RadialProfile:
     return RadialProfile(grid, values)
 
 
-def lichnerowicz_residual(
-    dim: Dimension, phi: RadialProfile, tau: RadialProfile, lw: RadialProfile
-) -> RadialProfile:
-    """Pointwise residual of the reduced radial equation
+def _laplacian_weight(n: int) -> float:
+    """The factor 4(n-1)/(n-2) of the radial Laplacian in the Lichnerowicz rows."""
+    return 4.0 * (n - 1.0) / (n - 2.0)
 
-        -(4n/(n-2)) (phi'' + (n-1) phi'/r) + tau^2 phi^{N-1}
-            - (n/(n-1)) |LW|^2 phi^{-N-1}
 
-    The |LW|^2 coefficient n/(n-1) makes the expression vanish exactly on
-    solutions of the Hamiltonian constraint; dropping it would shift the
-    residual by an O(1) multiple of |LW|^2.  At r = 0 the radial Laplacian
-    is replaced by its regular limit n phi''(0).
-    """
-    grid = _require_same_grid(phi, tau, lw)
+def _helmholtz_operator(n: int, grid: RadialGrid) -> np.ndarray:
+    """The grid's cached, read-only stencil rows of u'' + (n-1) u'/r for
+    dimension n in the windowed layout of ``RadialGrid.derivative_matrix``;
+    row 0 is the regular limit n u''(0), the last the Robin functional
+    u' + (n-2) u / r at r_max (decaying far field)."""
+
+    def build():
+        d1, d2 = grid.derivative_matrix(1), grid.derivative_matrix(2)
+        coupling = np.zeros(len(grid))
+        coupling[1:] = (n - 1.0) / grid.nodes[1:]
+        rows = d2 + coupling[:, None] * d1
+        rows[0] = float(n) * d2[0]
+        rows[-1] = d1[-1]
+        rows[-1, -1] += float(n - 2) / grid.r_max
+        return _slot_major(rows)
+
+    return grid._cached(("helmholtz", n), build)
+
+
+def _lichnerowicz_rows(dim: Dimension, grid: RadialGrid, phi, tau_sq, lw_sq):
+    """The discrete reduced Lichnerowicz equation at node values phi, given
+    tau^2 and |LW|^2 there: -(4(n-1)/(n-2)) (phi'' + (n-1) phi'/r)
+    + ((n-1)/n) tau^2 phi^{N-1} - |LW|^2 phi^{-N-1}, from the Helmholtz
+    rows applied to phi - 1, then the Robin row; and (phi^{N-1},
+    phi^{-N-1}) for the free-tau Jacobian."""
     n = dim.n
     nf = float(dim.N)
-    r = grid.nodes
-    v = phi.values
-    dphi = differentiate(phi, 1).values
-    d2phi = differentiate(phi, 2).values
-    lap = np.empty(len(grid))
-    lap[0] = n * d2phi[0]
-    lap[1:] = d2phi[1:] + (n - 1) * dphi[1:] / r[1:]
-    residual = (
-        -(4.0 * n / (n - 2)) * lap
-        + tau.values**2 * v ** (nf - 1.0)
-        - (n / (n - 1.0)) * lw.values**2 * v ** (-nf - 1.0)
-    )
-    return RadialProfile(grid, residual)
+    weight = (n - 1.0) / n
+    up, down = phi ** (nf - 1.0), phi ** (-nf - 1.0)
+    applied = _apply_window(grid, _helmholtz_operator(n, grid), phi - 1.0)
+    out = -_laplacian_weight(n) * applied + weight * tau_sq * up - lw_sq * down
+    out[-1] = applied[-1]
+    return out, (up, down)
+
+
+def _lichnerowicz_diagonal(dim: Dimension, phi, tau_sq, lw_sq):
+    """Frechet diagonal of ``_lichnerowicz_rows`` in phi, nonnegative for
+    phi > 0: (N-1)((n-1)/n) tau^2 phi^{N-2} + (N+1) |LW|^2 phi^{-N-2}."""
+    nf = float(dim.N)
+    weight = (dim.n - 1.0) / dim.n
+    return (nf - 1.0) * weight * tau_sq * phi ** (nf - 2.0) + (nf + 1.0) * lw_sq * phi ** (-nf - 2.0)
 
 
 def build_solution(

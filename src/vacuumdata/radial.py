@@ -451,15 +451,19 @@ def integrate_to_infinity(profile: RadialProfile, tail: TailModel) -> RadialProf
 # tail fits
 
 
+def _window_bounds(grid: RadialGrid, window: tuple[float, float]) -> tuple[float, float]:
+    """(lo, hi) as floats if 0 < lo < hi <= r_max (to rounding), else InvalidArgumentError."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (0.0 < lo < hi <= grid.r_max * (1.0 + 1e-12)):
+        raise InvalidArgumentError(f"bad fit window ({lo:g}, {hi:g}) for r_max={grid.r_max:g}")
+    return lo, hi
+
+
 def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float] | None = None):
     """((lo, hi), radii, values) of the nodes in the fit window of
     ``fit_tail``, once the window and the sign of the values there pass
     its checks; raises InvalidArgumentError or DegenerateFitError."""
-    if window is None:
-        window = (grid.r_max / 100.0, grid.r_max)
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi <= grid.r_max * (1.0 + 1e-12)):
-        raise InvalidArgumentError(f"bad fit window ({lo:g}, {hi:g}) for r_max={grid.r_max:g}")
+    lo, hi = _window_bounds(grid, (grid.r_max / 100.0, grid.r_max) if window is None else window)
     mask = (grid.nodes >= lo) & (grid.nodes <= hi)
     if int(mask.sum()) < 4:
         raise InvalidArgumentError("fit window contains fewer than 4 grid nodes")

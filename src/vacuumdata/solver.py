@@ -1,14 +1,11 @@
 """Radial elliptic solvers and the free-tau construction.
 
-Two solvers, both acting on u = phi - 1 so that the flat solution is
-reproduced bitwise, and both built on the radial Helmholtz operator on
-[0, r_max], with a regularity row at the origin and a Robin row at r_max:
-Newton for the radial Lichnerowicz equation at fixed (tau, |LW|),
-
-    -(4(n-1)/(n-2)) (phi'' + (n-1) phi'/r)
-        + ((n-1)/n) tau^2 phi^{N-1} - |LW|^2 phi^{-N-1} = 0;
-
-and the free-tau solve, Newton on those rows with |LW|^2 = ((n-1)/n)
+Two Newton solves drive the rows of the discrete reduced Lichnerowicz
+equation, ``conformal._lichnerowicz_rows`` (the radial Helmholtz operator
+on [0, r_max] with a regularity row at the origin and a Robin row at
+r_max, acting on u = phi - 1 so that the flat solution is reproduced
+bitwise), to zero: the Lichnerowicz solve at fixed (tau, |LW|), and the
+free-tau solve, Newton on those rows with |LW|^2 = ((n-1)/n)
 A^2 / r^{2n}, coupled to the first differences of the quadrature of
 A(r) = int_0^r s^n phi^N tau' ds with the grid's interval weights w:
 
@@ -37,6 +34,7 @@ import functools
 import numpy as np
 
 from .conformal import ConformalSolution, _monotonicity_margin, build_solution
+from .conformal import _helmholtz_operator, _laplacian_weight, _lichnerowicz_diagonal, _lichnerowicz_rows
 from .errors import (
     ConstructionFailedError,
     InvalidArgumentError,
@@ -45,7 +43,7 @@ from .errors import (
     NotMonotoneError,
     SingularSystemError,
 )
-from .radial import Dimension, RadialGrid, RadialProfile, _apply_window, _slot_major, differentiate
+from .radial import Dimension, RadialGrid, RadialProfile, differentiate
 from .verify import _FAR_FIELD_FRACTIONS
 
 __all__ = [
@@ -123,28 +121,6 @@ def _band_layout(kl: int, ku: int, size: int, *entries) -> np.ndarray:
         band[kl + ku + rows - columns, columns] = values
     band.setflags(write=False)
     return band
-
-
-def _helmholtz_operator(n: int, grid: RadialGrid) -> np.ndarray:
-    """The grid's cached, read-only stencil rows of u'' + (n-1) u'/r for
-    dimension n in the windowed layout of ``RadialGrid.derivative_matrix``;
-    row 0 is the regular limit n u''(0), the last the Robin functional
-    u' + (n-2) u / r at r_max (decaying far field)."""
-
-    def build():
-        d1 = grid.derivative_matrix(1)
-        d2 = grid.derivative_matrix(2)
-        npts = len(grid)
-        scale = np.ones(npts)
-        scale[0] = float(n)
-        coupling = np.zeros(npts)
-        coupling[1:] = (n - 1.0) / grid.nodes[1:]
-        rows = scale[:, None] * d2 + coupling[:, None] * d1
-        rows[-1] = d1[-1]
-        rows[-1, -1] += float(n - 2) / grid.r_max
-        return _slot_major(rows)
-
-    return grid._cached(("helmholtz", n), build)
 
 
 def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
@@ -283,28 +259,6 @@ def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
     return solution
 
 
-def _laplacian_weight(n: int) -> float:
-    """The factor 4(n-1)/(n-2) of the radial Laplacian in the Lichnerowicz rows."""
-    return 4.0 * (n - 1.0) / (n - 2.0)
-
-
-def _lichnerowicz_rows(dim: Dimension, grid: RadialGrid, phi, tau_sq, lw_sq):
-    """Residual of the discrete Lichnerowicz equation (the Robin row
-    last), its Frechet diagonal, which is nonnegative for phi > 0, and
-    the powers (phi^{N-1}, phi^{-N-1}) for the free-tau Jacobian."""
-    n = dim.n
-    nf = float(dim.N)
-    weight = (n - 1.0) / n
-    up, down = phi ** (nf - 1.0), phi ** (-nf - 1.0)
-    applied = _apply_window(grid, _helmholtz_operator(n, grid), phi - 1.0)
-    out = -_laplacian_weight(n) * applied + weight * tau_sq * up - lw_sq * down
-    out[-1] = applied[-1]
-    v_hat = (nf - 1.0) * weight * tau_sq * phi ** (nf - 2.0) + (
-        nf + 1.0
-    ) * lw_sq * phi ** (-nf - 2.0)
-    return out, v_hat, (up, down)
-
-
 def _newton(x, stride, linearize, controls, trace):
     """Newton iteration on the unknowns x, of which x[::stride] is phi.
 
@@ -354,10 +308,9 @@ def solve_lichnerowicz(
     """Solve the radial Lichnerowicz equation for phi at fixed (tau, |LW|).
 
     Newton on the full discrete residual, including the Robin row.  Each
-    step solves a radial Helmholtz problem whose potential is the Frechet
-    diagonal (N-1)(n-1)/n tau^2 phi^{N-2} + (N+1)|LW|^2 phi^{-N-2}, to
-    the default SolveControls' tolerance and step budget; the default
-    initial guess is phi == 1.
+    step solves a radial Helmholtz problem whose potential is the rows'
+    Frechet diagonal, to the default SolveControls' tolerance and step
+    budget; the default initial guess is phi == 1.
     """
     if tau.grid is not lw.grid:
         raise InvalidArgumentError("tau and lw must share one grid")
@@ -373,9 +326,10 @@ def solve_lichnerowicz(
     work = np.empty_like(band)
 
     def linearize(phi):
-        f, v_hat, _ = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
+        f, _ = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
 
         def solve_step():
+            v_hat = _lichnerowicz_diagonal(dim, phi, tau_sq, lw_sq)
             b = f / a
             b[-1] = -f[-1]
             np.copyto(work, band)
@@ -394,15 +348,13 @@ def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):
     """Residual of the coupled (phi, A) system in the equation order of
     ``_CoupledOperator``, and a function that writes its Jacobian into a
     gbsv layout ``work`` and returns it."""
-    n = dim.n
     nf = float(dim.N)
-    operator = _coupled_operator(n, grid)
+    operator = _coupled_operator(dim.n, grid)
     idx, weights = grid._quadrature()
     r_n, lw_scale = operator.r_n, operator.lw_scale
+    lw_sq = lw_scale * A**2
     residual = np.empty(2 * len(grid))
-    residual[operator.phi_rows], v_hat, (up, down) = _lichnerowicz_rows(
-        dim, grid, phi, tau_sq, lw_scale * A**2
-    )
+    residual[operator.phi_rows], (up, down) = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
     residual[operator.a_rows[0]] = A[0]
     residual[operator.a_rows[1:]] = A[1:] - A[:-1] - np.einsum(
         "ij,ij->i", weights, (r_n * phi**nf * dtau)[idx]
@@ -413,7 +365,7 @@ def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):
             raise InvalidArgumentError("the Jacobian layout must be Fortran-ordered")
         np.copyto(work, operator.band)
         flat = work.T.reshape(-1)  # a view, in the layout's Fortran order
-        flat[operator.diag] += v_hat[:-1]
+        flat[operator.diag] += _lichnerowicz_diagonal(dim, phi, tau_sq, lw_sq)[:-1]
         flat[operator.coupling] = (-2.0 * lw_scale * A * down)[1:-1]
         flat[operator.quad] = -weights * (nf * r_n * up * dtau)[idx]
         return work

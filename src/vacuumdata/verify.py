@@ -1,6 +1,7 @@
 """Independent verification of assembled initial data.
 
-Everything here recomputes its target from a route different from the
+Everything here but ``SolutionChecks.lichnerowicz_sup`` (the construction's
+own discrete equation) recomputes its target by a route other than the
 assembly path: constraint residuals contract Cartesian tensors, evaluated
 on all sample points at once, with finite-difference derivatives; the ADM
 mass comes from the radial limit r^{n-1} phi' and from the surface flux,
@@ -20,10 +21,11 @@ from .conformal import (
     InitialData,
     _cartesian_points,
     _identity_residual,
+    _laplacian_weight,
     _libm_pow,
+    _lichnerowicz_rows,
     _monotonicity_margin,
     divergence_source,
-    lichnerowicz_residual,
 )
 from .errors import (
     DegenerateFitError,
@@ -32,7 +34,7 @@ from .errors import (
     TailTooSlowError,
     VacuumDataError,
 )
-from .radial import Dimension, RadialGrid, RadialProfile, _fit_window, differentiate, fit_tail
+from .radial import Dimension, RadialGrid, RadialProfile, _fit_window, _window_bounds, differentiate, fit_tail
 
 __all__ = [
     "ResidualReport",
@@ -60,8 +62,12 @@ _FLAT_FACTOR = 1e-13
 # radii, as fractions of r_max, of the samples of the far-field limits
 _FAR_FIELD_FRACTIONS = (1.0 / 16.0, 1.0 / 4.0, 1.0)
 
-# span of the radii of the residual sample points
+# span of the radii of the residual sample points, and their default count
 _SAMPLE_RADII = (0.1, 50.0)
+_SAMPLE_COUNT = 64
+
+# default step of the momentum residual's differences
+_RESIDUAL_STEP = 1e-3
 
 # Step for the 2x-refinement order study; large enough that truncation,
 # not interpolant rounding, dominates the stencil error.
@@ -123,11 +129,11 @@ class SolutionChecks:
     identity_residual: float
     lw_identity: float
     divw_identity: float
-    lichnerowicz_sup: float
+    lichnerowicz_sup: float  # n/(n-1) sup |conformal._lichnerowicz_rows| on r <= r_max/10
     notes: tuple[str, ...] = ()
 
 
-def default_sample_points(dim: Dimension, count: int = 64) -> np.ndarray:
+def default_sample_points(dim: Dimension, count: int = _SAMPLE_COUNT) -> np.ndarray:
     """Deterministic Cartesian sample points: radii log-spaced over
     _SAMPLE_RADII along fixed pseudo-random unit directions."""
     rng = np.random.default_rng(12021)
@@ -153,11 +159,11 @@ def hamiltonian_residual(data: InitialData, points) -> np.ndarray:
     tr_k = np.trace(k, axis1=1, axis2=2) / psi
     k_sq = np.sum(k * k, axis=(1, 2)) / _libm_pow(psi, 2.0)
     lap = np.where(r == 0.0, n * d2, d2 + (n - 1) * d1 / np.where(r == 0.0, 1.0, r))
-    scalar = -(4.0 * (n - 1.0) / (n - 2.0)) * _libm_pow(phi, 1.0 - nf) * lap
+    scalar = -_laplacian_weight(n) * _libm_pow(phi, 1.0 - nf) * lap
     return (scalar - k_sq + _libm_pow(tr_k, 2.0)).reshape(np.shape(points)[:-1])
 
 
-def momentum_residual(data: InitialData, points, h: float = 1e-3) -> np.ndarray:
+def momentum_residual(data: InitialData, points, h: float = _RESIDUAL_STEP) -> np.ndarray:
     """|div_g(k - (tr_g k) g)|_delta at each point.
 
     ``points`` is (M, n) or one point (n,).  Spatial derivatives of
@@ -203,7 +209,7 @@ def momentum_residual(data: InitialData, points, h: float = 1e-3) -> np.ndarray:
 def constraint_report(
     data: InitialData,
     points,
-    h: float = 1e-3,
+    h: float = _RESIDUAL_STEP,
     refined: InitialData | None = None,
 ) -> ResidualReport:
     """Both residuals at stencil step h, which must lie in (0, r_max), as
@@ -334,13 +340,14 @@ def adm_mass_surface(data: InitialData, radii) -> MassReport:
 
 
 def decay_exponents(data: InitialData, windows: dict[str, tuple[float, float]] | None = None) -> DecayReport:
-    """Fit far-field power laws to |psi - 1|, |k| along a ray, and |tau|."""
+    """Fit far-field power laws to |psi - 1|, |k| along a ray, and |tau|;
+    each window (lo, hi) must satisfy 0 < lo < hi <= r_max."""
     sol = data.solution
     grid = sol.grid
     default = (grid.r_max / 10.0**1.5, grid.r_max)
     windows = dict(windows or {})
     for key in ("metric", "k", "tau"):
-        windows.setdefault(key, default)
+        _window_bounds(grid, windows.setdefault(key, default))
 
     nf = float(data.dim.N)
     metric_profile = RadialProfile(grid, np.abs(sol.phi.values ** (nf - 2.0) - 1.0))
@@ -348,8 +355,7 @@ def decay_exponents(data: InitialData, windows: dict[str, tuple[float, float]] |
     tau_profile = RadialProfile(grid, np.abs(sol.tau.values))
     tau_exp = fit_tail(tau_profile, windows["tau"]).exponent
 
-    lo, hi = windows["k"]
-    radii = np.logspace(math.log10(lo), math.log10(hi), 48)
+    radii = np.logspace(*map(math.log10, windows["k"]), 48)
     k = data.extrinsic_curvature(radii[:, None] * np.eye(data.dim.n)[0])
     norms = np.sqrt(np.sum(k * k, axis=(1, 2)))
     if np.any(norms <= 0):
@@ -406,9 +412,9 @@ def check_solution(sol: ConformalSolution) -> SolutionChecks:
         divw = math.inf
         notes.append(f"divergence source unavailable: {exc}")
 
-    res = lichnerowicz_residual(dim, sol.phi, sol.tau, sol.lw_norm)
+    rows, _ = _lichnerowicz_rows(dim, grid, sol.phi.values, sol.tau.values**2, sol.lw_norm.values**2)
     inner = r <= grid.r_max / 10.0
-    lich = float(np.max(np.abs(res.values[inner])))
+    lich = n / (n - 1.0) * float(np.max(np.abs(rows[inner])))
 
     return SolutionChecks(
         monotone=monotone,

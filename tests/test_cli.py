@@ -334,8 +334,9 @@ def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, schw_ru
     decay fits), and each grid runs Fornberg's recursion once for its
     stencils and once for its quadrature, here from an empty operator cache.
     The bundle commands read the smooth-schwarzschild --m 1 bundle.  The
-    solver's own _apply_window (the Lichnerowicz residual, no derivative)
-    is not counted."""
+    discrete Lichnerowicz rows apply conformal's own _apply_window (no
+    derivative), which is not counted: in both solvers and in
+    check_solution."""
     monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
     counts = dict.fromkeys(expected, 0)
     counted_derived_fields(monkeypatch, counts)

@@ -36,7 +36,6 @@ from vacuumdata import (
     build_solution,
     differentiate,
     divergence_source,
-    lichnerowicz_residual,
     lw_norm,
     momentum_potential,
     read_solution_csv,
@@ -45,10 +44,17 @@ from vacuumdata import (
     write_solution_csv,
 )
 from vacuumdata import conformal, radial
-from vacuumdata.conformal import _read_csv_table, _write_csv_table
+from vacuumdata.conformal import _lichnerowicz_rows, _read_csv_table, _write_csv_table
 from vacuumdata.radial import fit_tail
 
 DIM3 = Dimension(3)
+
+
+def rows_at(sol, lw=None):
+    """The discrete Lichnerowicz rows at the solution, with |LW| replaced
+    by ``lw`` if given."""
+    lw = sol.lw_norm if lw is None else lw
+    return _lichnerowicz_rows(sol.dim, sol.grid, sol.phi.values, sol.tau.values**2, lw.values**2)[0]
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +141,7 @@ class TestFlatData:
         assert not np.any(flat.lw_norm.values)
 
     def test_residual_is_bitwise_zero(self, flat):
-        res = lichnerowicz_residual(DIM3, flat.phi, flat.tau, flat.lw_norm)
-        assert not np.any(res.values)
+        assert not np.any(rows_at(flat))
 
     def test_evaluator_gives_exact_flat_data(self, flat):
         data = assemble_initial_data(flat)
@@ -152,12 +157,14 @@ class TestConstantMeanCurvature:
         assert not np.any(momentum_potential(DIM3, one, tau).values)
 
     def test_residual_is_exactly_tau_squared(self, work_grid):
+        # ((n-1)/n) tau^2 on every row but the Robin row, which phi == 1 solves
         t = 0.3
         one = RadialProfile(work_grid, np.ones(len(work_grid)))
         tau = RadialProfile(work_grid, np.full(len(work_grid), t))
         sol = build_solution(DIM3, one, tau)
-        res = lichnerowicz_residual(DIM3, sol.phi, sol.tau, sol.lw_norm)
-        assert np.array_equal(res.values, np.full(len(work_grid), t**2))
+        rows = rows_at(sol)
+        assert np.array_equal(rows[:-1], np.full(len(work_grid) - 1, (2.0 / 3.0) * t**2))
+        assert rows[-1] == 0.0
 
 
 class TestMasterIdentity:
@@ -296,18 +303,17 @@ class TestPotentials:
 
 
 class TestLichnerowiczResidual:
+    """The rows scaled by n/(n-1) = 3/2, as SolutionChecks.lichnerowicz_sup is."""
+
     def test_derived_solution_solves_reduced_equation(self, mass_like_solution):
-        sol = mass_like_solution
-        res = lichnerowicz_residual(DIM3, sol.phi, sol.tau, sol.lw_norm)
-        assert np.max(np.abs(res.values)) < 1e-8
+        assert np.max(np.abs(1.5 * rows_at(mass_like_solution))) < 1e-8
 
     def test_wrong_lw_coefficient_is_detected(self, mass_like_solution):
-        # dropping the n/(n-1) factor must leave an O(|LW|^2) residual
+        # |LW| off by the factor sqrt((n-1)/n) must leave an O(|LW|^2) residual
         sol = mass_like_solution
         wrong = RadialProfile(sol.grid, sol.lw_norm.values * math.sqrt(2.0 / 3.0))
-        res = lichnerowicz_residual(DIM3, sol.phi, sol.tau, wrong)
         floor = 0.4 * np.max(sol.lw_norm.values**2 * sol.phi.values**-7.0)
-        assert np.max(np.abs(res.values)) > floor
+        assert np.max(np.abs(1.5 * rows_at(sol, wrong))) > floor
 
 
 class TestInitialDataEvaluator:

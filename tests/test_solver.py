@@ -39,14 +39,13 @@ from vacuumdata import (
     tau_from_phi,
 )
 from vacuumdata import radial, solver
-from vacuumdata.conformal import build_solution, lw_norm, momentum_potential
+from vacuumdata.conformal import _helmholtz_operator, build_solution, lw_norm, momentum_potential
 from vacuumdata.errors import SingularSystemError, VacuumDataError
 from vacuumdata.radial import _apply_window, _window_starts, differentiate
 from vacuumdata.solver import (
     _band_layout,
     _coupled_operator,
     _coupled_system,
-    _helmholtz_operator,
     _solve,
 )
 

@@ -29,12 +29,14 @@ from vacuumdata import (
     constraint_report,
     decay_exponents,
     default_sample_points,
+    fixed_point_solve,
     hamiltonian_residual,
     momentum_residual,
     smooth_schwarzschild_phi,
+    solve_lichnerowicz,
     tail_limit_check,
 )
-from vacuumdata import verify
+from vacuumdata import conformal, solver, verify
 from vacuumdata.verify import sphere_area
 
 DIM3 = Dimension(3)
@@ -63,6 +65,13 @@ def mass_like_data(work_grid):
 def schwarzschild(work_grid):
     sol = build_solution(DIM3, smooth_schwarzschild_phi(DIM3, 1.0, work_grid))
     return sol, assemble_initial_data(sol)
+
+
+@pytest.fixture(scope="module")
+def free_tau(work_grid):
+    """The free-tau solution for tau = (1 + r^2)^{-3/4}, and its trace."""
+    r = work_grid.nodes
+    return fixed_point_solve(DIM3, RadialProfile(work_grid, (1.0 + r * r) ** -0.75))
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +316,13 @@ class TestDecayExponents:
         assert rep.k_exponent == pytest.approx(1.5, abs=0.02)
         assert rep.tau_exponent == pytest.approx(1.5, abs=0.02)
 
+    @pytest.mark.parametrize("key", ["metric", "k", "tau"])
+    @pytest.mark.parametrize("window", [(0.0, 10.0), (10.0, 5.0), (10.0, 2e4)])
+    def test_bad_windows_rejected(self, schwarzschild, key, window):
+        _, data = schwarzschild
+        with pytest.raises(InvalidArgumentError, match="bad fit window"):
+            decay_exponents(data, {key: window})
+
     def test_windows_recorded_and_respected(self, schwarzschild):
         _, data = schwarzschild
         win = (50.0, 5000.0)
@@ -347,6 +363,38 @@ class TestCheckSolution:
         assert chk.lw_identity < 1e-12
         assert chk.divw_identity < 1e-6
         assert chk.lichnerowicz_sup < 1e-5
+
+    @pytest.mark.parametrize("case", ["schwarzschild", "free_tau"])
+    def test_lichnerowicz_sup_is_the_scaled_rows(self, request, case):
+        # n/(n-1) times the sup of the rows both Newton solves drive to zero
+        sol = request.getfixturevalue(case)[0]
+        rows, _ = conformal._lichnerowicz_rows(
+            DIM3, sol.grid, sol.phi.values, sol.tau.values**2, sol.lw_norm.values**2
+        )
+        inner = sol.grid.nodes <= sol.grid.r_max / 10.0
+        assert check_solution(sol).lichnerowicz_sup == 1.5 * float(np.max(np.abs(rows[inner])))
+
+    def test_solvers_and_checks_apply_one_rows_function(self, monkeypatch, work_grid, free_tau):
+        rows = conformal._lichnerowicz_rows
+        assert solver._lichnerowicz_rows is rows and verify._lichnerowicz_rows is rows
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rows(*args)
+
+        for module in (conformal, solver, verify):
+            monkeypatch.setattr(module, "_lichnerowicz_rows", counted)
+        sol, trace = free_tau
+        zero = RadialProfile(work_grid, np.zeros(len(work_grid)))
+        _, refit = fixed_point_solve(DIM3, sol.tau)
+        assert len(calls) == len(refit.newton_residuals) == len(trace.newton_residuals)
+        calls.clear()
+        solve_lichnerowicz(DIM3, sol.tau, zero)
+        assert len(calls) >= 2
+        calls.clear()
+        check_solution(sol)
+        assert len(calls) == 1
 
     def test_failures_are_recorded_not_raised(self, work_grid):
         r = work_grid.nodes
