@@ -13,7 +13,6 @@ from .errors import (
     ProfileParseError,
     SchemaError,
     SingularSystemError,
-    TailTooSlowError,
     VacuumDataError,
 )
 from .radial import (

@@ -128,6 +128,8 @@ class ScenarioConfig:
                 )
         if _COMMAND_TABLE[self.command].reads_bundle and self.csv_path is None:
             raise InvalidArgumentError(f"{self.command} requires an input CSV bundle")
+        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
+            raise InvalidArgumentError(f"points must be an integer, got {self.points!r}")
         if self.points < 1:
             raise InvalidArgumentError(f"points must be at least 1, got {self.points!r}")
         if not self.h > 0:

@@ -38,9 +38,7 @@ from .radial import (
     Dimension,
     RadialGrid,
     RadialProfile,
-    TailModel,
     differentiate,
-    fit_tail,
     integrate_from_zero,
     integrate_to_infinity,
     _apply_window,
@@ -70,9 +68,8 @@ _BRANCH_EPS = 1e-12
 class ConformalSolution:
     """A consistent radial tuple (phi, tau, A, w, |LW|) on one grid.
 
-    Every profile ends at r_max; only divergence_source reads a fitted
-    tail, tau's, for the remainder of its improper integral.
-    The constructor checks positivity of phi and grid consistency only;
+    Every profile ends at r_max, and nothing here fits a tail.  The
+    constructor checks positivity of phi and grid consistency only;
     monotonicity and the defining identities are examined by
     ``verify.check_solution`` so that deliberately broken inputs can be
     diagnosed rather than rejected.
@@ -194,19 +191,18 @@ def momentum_potential(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -
 
 
 def divergence_source(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -> RadialProfile:
-    """f(r) = -integral_r^inf phi^N tau' ds, the divergence of W times 2."""
+    """f(r) = -integral_r^inf phi^N tau' ds, the divergence of W times 2.
+
+    Beyond r_max phi^N is taken as 1 and tau as decaying to 0, so the
+    remainder there is -tau(r_max), read from the data: f(r_max) is
+    tau(r_max) exactly.  Data with phi^N tau' = 0 on every node give f = 0
+    (not -0) on every node.
+    """
     grid = _require_same_grid(phi, tau)
     integrand = phi.values ** float(dim.N) * differentiate(tau, 1).values
     if not np.any(integrand):
         return RadialProfile(grid, np.zeros(len(grid)))
-    profile = RadialProfile(grid, integrand)
-    # Fitting the differentiated integrand directly is fragile: for
-    # n >= 4 the stencil noise on tau' flips signs across the far tail.
-    # Derive the remainder model from tau's own tail instead; phi^N
-    # approaches 1 out there, so tau = a r^-p gives tau' = -a p r^-(p+1).
-    tail = fit_tail(tau)
-    c, p = tail.coefficient, tail.exponent
-    improper = integrate_to_infinity(profile, TailModel(-c * p, p + 1.0, tail.window, tail.misfit))
+    improper = integrate_to_infinity(RadialProfile(grid, integrand), -tau.values[-1])
     return RadialProfile(grid, -improper.values)
 
 

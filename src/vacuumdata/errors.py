@@ -9,7 +9,6 @@ from __future__ import annotations
 __all__ = [
     "VacuumDataError",
     "InvalidArgumentError",
-    "TailTooSlowError",
     "DegenerateFitError",
     "NoTailError",
     "NotMonotoneError",
@@ -32,12 +31,6 @@ class VacuumDataError(Exception):
 
 class InvalidArgumentError(VacuumDataError, ValueError):
     code = "invalid-argument"
-
-
-class TailTooSlowError(VacuumDataError, ValueError):
-    """Improper integral requested for a tail decaying like r**-p with p <= 1."""
-
-    code = "tail-too-slow"
 
 
 class DegenerateFitError(VacuumDataError, ValueError):

@@ -12,7 +12,7 @@ shared grid.  This module owns that representation:
 * composite polynomial quadrature, cumulative and improper; stencil and
   quadrature weights are built once per local grid geometry, then scaled,
   and shared by grids with bitwise-equal nodes,
-* power-law tail fits used for remainders and decay diagnostics.
+* power-law tail fits used for decay diagnostics.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    EvaluationOutOfRangeError,
-    InvalidArgumentError,
-    TailTooSlowError,
-)
+from .errors import DegenerateFitError, EvaluationOutOfRangeError, InvalidArgumentError
 
 __all__ = [
     "Dimension",
@@ -163,13 +158,12 @@ class RadialProfile:
 
     The values are copied on construction unless they already are an
     owned, read-only float array, so neither side can change the other's.
-    Derived values are cached per profile: its derivatives (see
-    ``differentiate``) and its default tail fit (see ``fit_tail``).
+    Its derivatives are cached per profile (see ``differentiate``).
     """
 
     grid: RadialGrid
     values: np.ndarray
-    # derivative profiles by order, and the default tail fit under "tail"
+    # derivative profiles by order
     _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -426,19 +420,12 @@ def integrate_from_zero(profile: RadialProfile) -> RadialProfile:
     return RadialProfile(profile.grid, out)
 
 
-def integrate_to_infinity(profile: RadialProfile, tail: TailModel) -> RadialProfile:
-    """Improper integral J(r) = int_r^inf p via grid quadrature plus the
-    remainder beyond r_max of ``tail``, the caller's power-law model of p.
-
-    The tail's exponent must exceed 1; slower decay makes the integral
-    diverge (TailTooSlowError).
+def integrate_to_infinity(profile: RadialProfile, remainder: float) -> RadialProfile:
+    """Improper integral J(r) = int_r^inf p via grid quadrature plus
+    ``remainder``, the caller's value of int_{r_max}^inf p; so J(r_max)
+    is the remainder itself.
     """
-    p = tail.exponent
-    if not p > 1.0:
-        raise TailTooSlowError(f"tail exponent {p:g} <= 1: integral to infinity diverges")
     increments = _interval_integrals(profile)
-    r_max = profile.grid.r_max
-    remainder = tail.coefficient * r_max ** (1.0 - p) / (p - 1.0)
     # reverse accumulation: no cancellation against the near-origin bulk
     values = np.empty(len(profile.grid))
     values[-1] = 0.0
@@ -478,13 +465,10 @@ def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float
 def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) -> TailModel:
     """Least-squares power-law fit of the profile on a log-log window.
 
-    The window defaults to the last two decades [r_max/100, r_max]; that
-    default fit is computed once per profile and returned again on later
-    calls.  The data must be single-signed and nonvanishing on the window;
-    otherwise the fit is degenerate.
+    The window defaults to the last two decades [r_max/100, r_max].  The
+    data must be single-signed and nonvanishing on the window; otherwise
+    the fit is degenerate.
     """
-    if window is None and "tail" in profile._memo:
-        return profile._memo["tail"]
     (lo, hi), rw, vw = _fit_window(profile.grid, profile.values, window)
     sign = 1.0 if vw[0] > 0 else -1.0
     slope, intercept = np.polyfit(np.log(rw), np.log(np.abs(vw)), 1)
@@ -492,10 +476,7 @@ def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) 
     coefficient = sign * float(np.exp(intercept))
     model = coefficient * rw ** (-exponent)
     misfit = float(np.max(np.abs(model / vw - 1.0)))
-    tail = TailModel(coefficient, exponent, (lo, hi), misfit)
-    if window is None:
-        profile._memo["tail"] = tail
-    return tail
+    return TailModel(coefficient, exponent, (lo, hi), misfit)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ class SolveControls:
     def __post_init__(self):
         if not (self.tol > 0 and np.isfinite(self.tol)):
             raise InvalidArgumentError(f"tol must be finite and positive, got {self.tol!r}")
+        if isinstance(self.max_newton, bool) or not isinstance(self.max_newton, (int, np.integer)):
+            raise InvalidArgumentError(f"max_newton must be an integer, got {self.max_newton!r}")
         if self.max_newton < 1:
             raise InvalidArgumentError(f"max_newton must be at least 1, got {self.max_newton!r}")
 

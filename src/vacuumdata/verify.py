@@ -1,8 +1,7 @@
 """Independent verification of assembled initial data.
 
-Everything here but ``SolutionChecks.lichnerowicz_sup`` (the construction's
-own discrete equation) recomputes its target by a route other than the
-assembly path: constraint residuals contract Cartesian tensors, evaluated
+Everything here recomputes its target by a route other than the assembly
+path: constraint residuals contract Cartesian tensors, evaluated
 on all sample points at once, with finite-difference derivatives; the ADM
 mass comes from the radial limit r^{n-1} phi' and from the surface flux,
 which for radial data is the constant radial integrand times the area of
@@ -23,17 +22,10 @@ from .conformal import (
     _identity_residual,
     _laplacian_weight,
     _libm_pow,
-    _lichnerowicz_rows,
     _monotonicity_margin,
     divergence_source,
 )
-from .errors import (
-    DegenerateFitError,
-    InvalidArgumentError,
-    NoTailError,
-    TailTooSlowError,
-    VacuumDataError,
-)
+from .errors import DegenerateFitError, InvalidArgumentError, NoTailError, VacuumDataError
 from .radial import Dimension, RadialGrid, RadialProfile, _fit_window, _window_bounds, differentiate, fit_tail
 
 __all__ = [
@@ -122,14 +114,18 @@ class DecayReport:
 
 @dataclasses.dataclass(frozen=True)
 class SolutionChecks:
-    """Consolidated result of check_solution; failures recorded, not raised."""
+    """Consolidated result of check_solution; failures recorded, not raised.
+
+    ``divw_identity`` checks n w + r w' = f/2 by differentiating the w the
+    solution carries, with f from ``divergence_source``: a w built from
+    another remainder of f beyond r_max fails it by that remainder's offset.
+    """
 
     monotone: bool
     monotone_min: float
     identity_residual: float
     lw_identity: float
     divw_identity: float
-    lichnerowicz_sup: float  # n/(n-1) sup |conformal._lichnerowicz_rows| on r <= r_max/10
     notes: tuple[str, ...] = ()
 
 
@@ -383,8 +379,7 @@ def check_solution(sol: ConformalSolution) -> SolutionChecks:
     """Run the consistency battery on one solution; never raises."""
     dim = sol.dim
     n = dim.n
-    grid = sol.grid
-    r = grid.nodes
+    r = sol.grid.nodes
     notes: list[str] = []
 
     mono_min, mono_tol = _monotonicity_margin(dim, sol.phi)
@@ -401,20 +396,12 @@ def check_solution(sol: ConformalSolution) -> SolutionChecks:
         / max(1.0, float(np.max(np.abs(sol.A.values))))
     )
 
-    try:
-        f = divergence_source(dim, sol.phi, sol.tau)
-        dw = differentiate(sol.w, 1).values
-        divw = float(
-            np.max(np.abs(n * sol.w.values + r * dw - 0.5 * f.values))
-            / max(1.0, float(np.max(np.abs(f.values))))
-        )
-    except (TailTooSlowError, DegenerateFitError) as exc:
-        divw = math.inf
-        notes.append(f"divergence source unavailable: {exc}")
-
-    rows, _ = _lichnerowicz_rows(dim, grid, sol.phi.values, sol.tau.values**2, sol.lw_norm.values**2)
-    inner = r <= grid.r_max / 10.0
-    lich = n / (n - 1.0) * float(np.max(np.abs(rows[inner])))
+    f = divergence_source(dim, sol.phi, sol.tau)
+    dw = differentiate(sol.w, 1).values
+    divw = float(
+        np.max(np.abs(n * sol.w.values + r * dw - 0.5 * f.values))
+        / max(1.0, float(np.max(np.abs(f.values))))
+    )
 
     return SolutionChecks(
         monotone=monotone,
@@ -422,6 +409,5 @@ def check_solution(sol: ConformalSolution) -> SolutionChecks:
         identity_residual=identity,
         lw_identity=lw_identity,
         divw_identity=divw,
-        lichnerowicz_sup=lich,
         notes=tuple(notes),
     )

@@ -102,6 +102,14 @@ class TestArgumentValidation:
                 "type": "invalid-argument", "message": "max_newton must be at least 1, got 0"
             }
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_newton", 2.5), ("max_newton", True), ("points", 2.5), ("points", True),
+    ], ids=["max-newton-2.5", "max-newton-true", "points-2.5", "points-true"])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError) as info:
+            cli.run(ScenarioConfig(command="free-tau", c=1.0, q=1.5, **{field: value}))
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
     def test_low_dimension_rejected(self, capsys):
         code, record = run_cli(["smooth-schwarzschild", "--n", "2", "--m", "1"], capsys)
         assert code == 2
@@ -298,9 +306,9 @@ def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
 
 
 DERIVED_FIELD_COUNTS = pytest.mark.parametrize("argv,expected", [
-    (["smooth-schwarzschild", "--m", "1"], {"stencil": 7, "polyfit": 5, "fornberg": 4}),
-    (["free-tau", "--c", "1", "--q", "1.5"], {"stencil": 4, "polyfit": 4, "fornberg": 2}),
-    (["verify", "{bundle}"], {"stencil": 4, "polyfit": 1, "fornberg": 2}),
+    (["smooth-schwarzschild", "--m", "1"], {"stencil": 7, "polyfit": 3, "fornberg": 4}),
+    (["free-tau", "--c", "1", "--q", "1.5"], {"stencil": 4, "polyfit": 3, "fornberg": 2}),
+    (["verify", "{bundle}"], {"stencil": 4, "polyfit": 0, "fornberg": 2}),
     (["mass", "{bundle}"], {"stencil": 2, "polyfit": 0, "fornberg": 1}),
     (["decay", "{bundle}"], {"stencil": 2, "polyfit": 3, "fornberg": 1}),
 ], ids=["smooth-schwarzschild", "free-tau", "verify", "mass", "decay"])
@@ -329,14 +337,12 @@ def cli_argv(argv, tmp_path, schw_run):
 @DERIVED_FIELD_COUNTS
 def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, schw_run, argv, expected):
     """Each derivative is taken once per profile (phi', phi'', tau' of every
-    solution and the coarse w'), a tail is fitted only where a reported
-    number reads it (tau's for the remainder of divergence_source, and the
-    decay fits), and each grid runs Fornberg's recursion once for its
-    stencils and once for its quadrature, here from an empty operator cache.
-    The bundle commands read the smooth-schwarzschild --m 1 bundle.  The
-    discrete Lichnerowicz rows apply conformal's own _apply_window (no
-    derivative), which is not counted: in both solvers and in
-    check_solution."""
+    solution and the coarse w'), the decay fits are the only tail fits,
+    and each grid runs Fornberg's recursion once for its stencils and once
+    for its quadrature, here from an empty operator cache.  The bundle
+    commands read the smooth-schwarzschild --m 1 bundle.  The discrete
+    Lichnerowicz rows of the solvers apply conformal's own _apply_window
+    (no derivative), which is not counted."""
     monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
     counts = dict.fromkeys(expected, 0)
     counted_derived_fields(monkeypatch, counts)
@@ -392,6 +398,18 @@ def test_cached_operators_are_read_only(monkeypatch, capsys):
     assert arrays and not [a for a in arrays if a.flags.writeable]
 
 
+def test_only_solves_build_helmholtz_rows(monkeypatch, capsys, tmp_path):
+    """The Helmholtz rows of the Lichnerowicz equation are built for the
+    Newton solves alone: a smooth-schwarzschild run and verify on its
+    bundle leave none in any operator cache."""
+    monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+    bundle = str(tmp_path / "bundle.csv")
+    assert run_cli(["smooth-schwarzschild", "--m", "1", "--profiles", bundle], capsys)[0] == 0
+    assert run_cli(["verify", bundle], capsys)[0] == 0
+    keys = {key for cache in radial._OPERATORS.values() for key in cache}
+    assert "deriv" in keys and not [key for key in keys if key[0] == "helmholtz"]
+
+
 class TestFreeTauScenarios:
     def test_all_exit_zero(self, free_tau_runs):
         assert [code for code, _ in free_tau_runs.values()] == [0, 0, 0]
@@ -441,6 +459,22 @@ def _assert_same_report(documented, live, where="report"):
         assert math.isclose(documented, live, rel_tol=1e-12), where
     else:
         assert documented == live, where
+
+
+def test_readme_library_example_runs():
+    """The python block under "## Library" runs as printed, warnings as errors."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("\n## Library\n")) + len("```python\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", readme[start:readme.index("```", start)]],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    mass, residual = proc.stdout.splitlines()
+    assert mass.startswith("-0.2222")
+    assert abs(float(residual.strip("[]"))) < 1e-9
 
 
 def test_readme_output_matches_a_live_run(free_tau_runs):
@@ -746,13 +780,29 @@ class TestModuleEntryPoint:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "singular-system"
 
-    # README "Numerical limits": tau vanishes or changes sign on the fit
-    # window of this shallow grid
-    def test_n6_on_a_shallow_grid_gives_degenerate_fit_record(self):
-        proc = self.run_module("smooth-schwarzschild", "--n", "6", "--m", "1", "--grid-max", "1e3")
+    # README "Numerical limits": phi' sinks below the rounding floor of the
+    # far field, so the decay fits degenerate and the gates fail, but the
+    # run still ends in a report
+    @pytest.mark.parametrize("argv,mass,divw", [
+        (["--n", "5", "--m", "1"], -1.0252679, True),
+        (["--n", "6", "--m", "1", "--grid-max", "1e3"], -1.1567949, False),
+    ], ids=["n5", "n6-grid-max-1e3"])
+    def test_high_dimension_gives_a_failing_report(self, argv, mass, divw):
+        proc = self.run_module("smooth-schwarzschild", *argv)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert tuple(report) == TOP_LEVEL_KEYS
+        assert report["mass"]["standard"] == pytest.approx(mass, abs=1e-7)
+        assert report["decay"] == {"tau": None, "metric": None, "k": None}
+        assert report["checks"] == {"monotone": True, "identity_residual": True, "lw_identity": True,
+                                    "divW_identity": divw}
+
+    def test_n6_on_the_default_grid_gives_no_tail_record(self):
+        proc = self.run_module("smooth-schwarzschild", "--n", "6", "--m", "1")
         assert proc.returncode == 2
         assert proc.stderr == ""
-        assert json.loads(proc.stdout)["error"]["type"] == "degenerate-fit"
+        assert json.loads(proc.stdout)["error"]["type"] == "no-tail"
 
     @pytest.fixture(scope="class")
     def n4_run(self, tmp_path_factory):

@@ -45,7 +45,6 @@ from vacuumdata import (
 )
 from vacuumdata import conformal, radial
 from vacuumdata.conformal import _lichnerowicz_rows, _read_csv_table, _write_csv_table
-from vacuumdata.radial import fit_tail
 
 DIM3 = Dimension(3)
 
@@ -303,7 +302,7 @@ class TestPotentials:
 
 
 class TestLichnerowiczResidual:
-    """The rows scaled by n/(n-1) = 3/2, as SolutionChecks.lichnerowicz_sup is."""
+    """The rows scaled by n/(n-1) = 3/2."""
 
     def test_derived_solution_solves_reduced_equation(self, mass_like_solution):
         assert np.max(np.abs(1.5 * rows_at(mass_like_solution))) < 1e-8
@@ -633,26 +632,21 @@ class TestTailsOnDemand:
         assert fits == []
 
     def test_concurrent_first_evaluations_agree(self):
-        # derivatives and the default tail fit are filled in on first use;
-        # threads that race to fill them on fresh profiles must all read
-        # the sequential result bit for bit
+        # derivatives are filled in on first use; threads that race to
+        # fill them on fresh profiles must all read the sequential result
+        # bit for bit
         grid = build_grid(200, 100.0, 1.02)
         sol = build_solution(DIM3, RadialProfile(grid, 1.0 - 0.5 / np.sqrt(1.0 + grid.nodes**2)))
         points = np.array([0.25, 0.5, 1.0])[:, None] * grid.r_max * np.eye(3)[0]
         expected = assemble_initial_data(sol).extrinsic_curvature(points)
         expected_dphi = differentiate(RadialProfile(grid, sol.phi.values), 1).values
-        expected_tail = fit_tail(RadialProfile(grid, sol.tau.values))
-        rounds = [
-            (assemble_initial_data(sol), RadialProfile(grid, sol.phi.values), RadialProfile(grid, sol.tau.values))
-            for _ in range(20)
-        ]
+        rounds = [(assemble_initial_data(sol), RadialProfile(grid, sol.phi.values)) for _ in range(20)]
         failures = []
 
         def work():
-            for data, phi, tau in rounds:
+            for data, phi in rounds:
                 k = data.extrinsic_curvature(points)
-                if not (np.array_equal(k, expected) and np.array_equal(differentiate(phi, 1).values, expected_dphi)
-                        and fit_tail(tau) == expected_tail):
+                if not (np.array_equal(k, expected) and np.array_equal(differentiate(phi, 1).values, expected_dphi)):
                     failures.append(k)
 
         interval = sys.getswitchinterval()

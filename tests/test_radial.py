@@ -19,13 +19,11 @@ from vacuumdata.errors import (
     InvalidArgumentError,
     ProfileParseError,
     SchemaError,
-    TailTooSlowError,
 )
 from vacuumdata.radial import (
     Dimension,
     RadialGrid,
     RadialProfile,
-    TailModel,
     build_grid,
     differentiate,
     fit_tail,
@@ -223,7 +221,6 @@ class TestDifferentiate:
     def test_cache_is_no_constructor_or_repr_field(self, work_grid):
         profile = RadialProfile(work_grid, work_grid.nodes)
         differentiate(profile, 1)
-        fit_tail(profile)
         assert "_memo" not in repr(profile)
         with pytest.raises(TypeError):
             RadialProfile(work_grid, work_grid.nodes, {})
@@ -701,29 +698,26 @@ class TestIntegrateToInfinity:
     @pytest.mark.parametrize("power,tol", [(2.0, 1e-8), (3.0, 1e-10)])
     def test_inverse_power_closed_form(self, work_grid, power, tol):
         profile = positive_power_profile(work_grid, -power)
-        improper = integrate_to_infinity(profile, fit_tail(profile))
+        remainder = work_grid.r_max ** (1.0 - power) / (power - 1.0)
+        improper = integrate_to_infinity(profile, remainder)
         sel = work_grid.nodes >= 1.0
         exact = work_grid.nodes[sel] ** (1.0 - power) / (power - 1.0)
         assert np.max(np.abs(improper.values[sel] - exact) / exact) < tol
 
-    def test_slow_tail_rejected(self, work_grid):
-        profile = positive_power_profile(work_grid, -0.9)
-        with pytest.raises(TailTooSlowError):
-            integrate_to_infinity(profile, fit_tail(profile))
-
-    def test_remainder_reads_the_given_tail(self, work_grid):
+    def test_remainder_is_the_value_at_r_max(self, work_grid):
         profile = positive_power_profile(work_grid, -3.0)
         for c in (1.0, 2.0):
-            improper = integrate_to_infinity(profile, TailModel(c, 3.0, (1e2, 1e4), 0.0))
             # at r_max = 1e4 only the remainder c r_max^-2 / 2 is left
+            improper = integrate_to_infinity(profile, c * 1e4**-2.0 / 2.0)
             assert improper.values[-1] == c * 1e4**-2.0 / 2.0
-        with pytest.raises(TailTooSlowError):
-            integrate_to_infinity(profile, TailModel(1.0, 1.0, (1e2, 1e4), 0.0))
 
     def test_sum_with_cumulative_is_constant(self, work_grid):
         r = work_grid.nodes
         profile = RadialProfile(work_grid, (1 + r**2) ** -2.0)
-        total = integrate_from_zero(profile).values + integrate_to_infinity(profile, fit_tail(profile)).values
+        # integral of (1+s^2)^-2 over [R, inf) is (atan(1/R) - R/(1+R^2))/2
+        big = work_grid.r_max
+        remainder = 0.5 * (math.atan(1.0 / big) - big / (1.0 + big * big))
+        total = integrate_from_zero(profile).values + integrate_to_infinity(profile, remainder).values
         # integral of (1+s^2)^-2 over [0, inf) is pi/4
         assert abs(total[0] - math.pi / 4) < 1e-12
         assert np.max(np.abs(total - total[0])) < 1e-12
@@ -762,26 +756,6 @@ class TestFitTail:
         profile = positive_power_profile(work_grid, -2.0)
         with pytest.raises(InvalidArgumentError):
             fit_tail(profile, window=(1e3, 1e6))
-
-    def test_default_fit_is_computed_once_per_profile(self, work_grid, monkeypatch):
-        fits, polyfit = [], np.polyfit
-        monkeypatch.setattr(np, "polyfit", lambda *a: fits.append(a) or polyfit(*a))
-        profile = positive_power_profile(work_grid, -1.5, coeff=2.0)
-        model = fit_tail(profile)
-        assert fit_tail(profile) is model and len(fits) == 1
-        # an explicit window, even the default one, fits again and leaves the memo alone
-        windowed = fit_tail(profile, window=(work_grid.r_max / 100.0, work_grid.r_max))
-        assert windowed == model and windowed is not model and len(fits) == 2
-        assert fit_tail(profile) is model
-        # equal values on another profile do not share the memo
-        assert fit_tail(RadialProfile(work_grid, profile.values)) is not model
-
-    def test_failed_default_fit_is_not_remembered(self, work_grid):
-        profile = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        for _ in range(2):
-            with pytest.raises(DegenerateFitError):
-                fit_tail(profile)
-        assert profile._memo == {}
 
 
 class TestInterpolation:

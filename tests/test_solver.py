@@ -641,6 +641,8 @@ class TestSolveControls:
             {"tol": -1e-3},
             {"max_newton": 0},
             {"tol": math.inf},
+            {"max_newton": 2.5},
+            {"max_newton": True},
         ],
     )
     def test_invalid_controls_rejected(self, kwargs):
