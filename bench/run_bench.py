@@ -1,0 +1,139 @@
+"""End-to-end timings of the five canonical CLI scenarios, written to BENCH_<date>.json.
+
+Run from anywhere; it times the vacuumdata in the ``src`` of its own checkout:
+
+    python3 bench/run_bench.py                        # best of 7, BENCH_<date>.json at the root
+    python3 bench/run_bench.py --repeat 1 --out-dir DIR
+
+The scenarios are those of CI's smoke step: ``smooth-schwarzschild --m 1``
+writes the bundle that ``verify``, ``mass`` and ``decay`` read, and
+``free-tau --c 1 --q 1.5`` writes its own.  Each is timed three ways, as
+the best of ``--repeat`` runs:
+
+- ``in_process_cold_s``: ``vacuumdata.cli.main`` with the grid operator
+  cache emptied before the run, so every operator is built again;
+- ``in_process_warm_s``: the same call with the cache its previous run
+  filled, as a process that repeats a run sees it;
+- ``subprocess_s``: a fresh ``python -m vacuumdata`` interpreter, import
+  time included, as a one-shot command-line run sees it.
+
+``exit`` is the scenario's exit status; the script fails if the three ways
+disagree on it or a run writes to stderr.  ``hostspeed_kernel_s`` is the
+median time of perfbench's host-speed kernel (``perfbench/hostspeed.py``,
+read without importing it as a module), which scales figures taken on
+different hosts or at different times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import datetime
+import io
+import json
+import os
+import pathlib
+import platform
+import runpy
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from vacuumdata import cli, radial  # noqa: E402
+
+# (name, argv); "{bundle}" and "{tau_bundle}" are paths in a scratch directory
+SCENARIOS = (
+    ("smooth-schwarzschild", ["smooth-schwarzschild", "--m", "1", "--profiles", "{bundle}"]),
+    ("free-tau", ["free-tau", "--c", "1", "--q", "1.5", "--profiles", "{tau_bundle}"]),
+    ("verify", ["verify", "{bundle}"]),
+    ("mass", ["mass", "{bundle}"]),
+    ("decay", ["decay", "{bundle}"]),
+)
+
+
+def in_process(argv: list[str], cold: bool) -> tuple[float, int, str]:
+    """Seconds, exit status and stderr of one ``cli.main`` call; stdout is discarded."""
+    if cold:
+        with radial._OPERATORS_LOCK:
+            radial._OPERATORS.clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        began = time.perf_counter()
+        code = cli.main(argv)
+        seconds = time.perf_counter() - began
+    return seconds, code, err.getvalue()
+
+
+def in_subprocess(argv: list[str]) -> tuple[float, int, str]:
+    """Seconds, exit status and stderr of one ``python -m vacuumdata`` run,
+    under this interpreter's warning options."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, *(f"-W{option}" for option in sys.warnoptions), "-m", "vacuumdata", *argv]
+    began = time.perf_counter()
+    done = subprocess.run(command, capture_output=True, text=True, env=env)
+    return time.perf_counter() - began, done.returncode, done.stderr
+
+
+def best(runs: list[tuple[float, int, str]], argv: list[str]) -> tuple[float, int]:
+    """The fastest run's seconds and the exit status all runs share."""
+    codes = {code for _, code, _ in runs}
+    errors = [err for _, _, err in runs if err]
+    if len(codes) != 1 or errors:
+        raise SystemExit(f"{' '.join(argv)}: exit statuses {sorted(codes)}, stderr {errors[:1]}")
+    return min(seconds for seconds, _, _ in runs), codes.pop()
+
+
+def time_scenario(argv: list[str], repeat: int) -> dict:
+    cold = best([in_process(argv, cold=True) for _ in range(repeat)], argv)
+    in_process(argv, cold=False)  # fills the cache the warm runs read
+    warm = best([in_process(argv, cold=False) for _ in range(repeat)], argv)
+    fresh = best([in_subprocess(argv) for _ in range(repeat)], argv)
+    if not cold[1] == warm[1] == fresh[1]:
+        raise SystemExit(f"{' '.join(argv)}: exit {cold[1]} cold, {warm[1]} warm, {fresh[1]} in a subprocess")
+    return {"exit": fresh[1], "in_process_cold_s": cold[0], "in_process_warm_s": warm[0], "subprocess_s": fresh[0]}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7, help="runs per timing, the best is kept (default 7)")
+    parser.add_argument("--out-dir", type=pathlib.Path, default=ROOT, help="directory of BENCH_<date>.json")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
+
+    today = datetime.date.today().isoformat()
+    hostspeed = runpy.run_path(str(ROOT / "perfbench" / "hostspeed.py"))
+    result = {
+        "date": today,
+        "host": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "repeat": args.repeat,
+        "hostspeed_kernel_s": hostspeed["time_reference"](args.repeat),
+        "scenarios": {},
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {"bundle": os.path.join(scratch, "b.csv"), "tau_bundle": os.path.join(scratch, "tau.csv")}
+        for name, template in SCENARIOS:
+            timed = time_scenario([arg.format(**paths) for arg in template], args.repeat)
+            result["scenarios"][name] = {"command": " ".join(template), **timed}
+            print(f"{name}: {json.dumps(timed)}", flush=True)
+
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / f"BENCH_{today}.json"
+    path.write_text(json.dumps(result, indent=2) + "\n", encoding="ascii")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

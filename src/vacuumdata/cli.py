@@ -32,7 +32,9 @@ from .conformal import (
     _identity_residual,
     assemble_initial_data,
     build_solution,
+    momentum_potential,
     read_solution_csv,
+    tau_from_phi,
     write_solution_csv,
 )
 from .errors import DegenerateFitError, InvalidArgumentError, SchemaError, VacuumDataError
@@ -268,8 +270,10 @@ def _cmd_smooth_schwarzschild(config: ScenarioConfig) -> dict:
     # The closed-form construction is cheap, so the report includes the
     # 2x-refinement convergence order of the constraint residuals.
     fine = build_grid(2 * config.grid_points, config.r_max, config.stretch)
-    refined = build_solution(dim, smooth_schwarzschild_phi(dim, config.m, fine))
-    return _solution_report(config, sol, iterations=0, refined=assemble_initial_data(refined))
+    phi = smooth_schwarzschild_phi(dim, config.m, fine)
+    tau = tau_from_phi(dim, phi)
+    refined = InitialData(dim, phi, tau, momentum_potential(dim, phi, tau))
+    return _solution_report(config, sol, iterations=0, refined=refined)
 
 
 def _classification(mass: dict) -> str:

@@ -103,6 +103,21 @@ def _require_same_grid(*profiles: RadialProfile) -> RadialGrid:
     return grid
 
 
+def _memoised(name: str):
+    """Keep f(dim, phi, *profiles) in phi's memo under (name, n, *profiles),
+    as ``differentiate`` keeps derivatives; a call that raises keeps nothing."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memoised(dim: Dimension, phi: RadialProfile, *profiles: RadialProfile) -> RadialProfile:
+            key = (name, dim.n, *profiles)
+            if key not in phi._memo:
+                phi._memo[key] = fn(dim, phi, *profiles)
+            return phi._memo[key]
+        return memoised
+    return decorate
+
+
+@_memoised("tau")
 def tau_from_phi(dim: Dimension, phi: RadialProfile) -> RadialProfile:
     """Mean curvature magnitude determined by the conformal factor.
 
@@ -117,8 +132,8 @@ def tau_from_phi(dim: Dimension, phi: RadialProfile) -> RadialProfile:
         |tau| = phi^{-N/2} |(2n-1) phi phi' + (N/2) r phi'^2 + r phi phi''|
                 / sqrt(r) / sqrt(phi' ((n-2) phi + r phi'))
 
-    The returned branch is nonnegative; either sign of tau yields valid
-    data.
+    The returned branch is nonnegative, either sign of tau yields valid
+    data, and it is computed once per profile and dimension.
     """
     n = dim.n
     nf = float(dim.N)
@@ -190,13 +205,14 @@ def momentum_potential(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -
     return integrate_from_zero(RadialProfile(grid, integrand))
 
 
+@_memoised("f")
 def divergence_source(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -> RadialProfile:
     """f(r) = -integral_r^inf phi^N tau' ds, the divergence of W times 2.
 
     Beyond r_max phi^N is taken as 1 and tau as decaying to 0, so the
     remainder there is -tau(r_max), read from the data: f(r_max) is
     tau(r_max) exactly.  Data with phi^N tau' = 0 on every node give f = 0
-    (not -0) on every node.
+    (not -0) on every node.  f is computed once per (phi, n, tau).
     """
     grid = _require_same_grid(phi, tau)
     integrand = phi.values ** float(dim.N) * differentiate(tau, 1).values
@@ -292,7 +308,7 @@ def build_solution(
 
 
 class InitialData:
-    """Cartesian evaluator for the assembled vacuum data (g, k).
+    """Cartesian evaluator for the vacuum data (g, k) of phi, tau and A.
 
     ``metric`` and ``extrinsic_curvature`` map one point (n,) to (n, n) and
     points (M, n) to (M, n, n) by interpolating the radial profiles; past
@@ -300,26 +316,25 @@ class InitialData:
     and safe for concurrent evaluation.
     """
 
-    def __init__(self, solution: ConformalSolution):
-        self.dim = solution.dim
-        self.solution = solution
-        grid = solution.grid
-        n = self.dim.n
+    def __init__(self, dim: Dimension, phi: RadialProfile, tau: RadialProfile, A: RadialProfile):
+        grid = _require_same_grid(phi, tau, A)
+        self.dim, self.phi, self.tau = dim, phi, tau
+        n = dim.n
 
         trace_free = np.zeros(len(grid))
-        trace_free[1:] = solution.A.values[1:] / grid.nodes[1:] ** n
+        trace_free[1:] = A.values[1:] / grid.nodes[1:] ** n
         # fields by name: "phi" holds phi - 1, which decays like the others
         self._profiles = {
-            "phi": RadialProfile(grid, solution.phi.values - 1.0),
-            "dphi": differentiate(solution.phi, 1),
-            "d2phi": differentiate(solution.phi, 2),
-            "tau": solution.tau,
+            "phi": RadialProfile(grid, phi.values - 1.0),
+            "dphi": differentiate(phi, 1),
+            "d2phi": differentiate(phi, 2),
+            "tau": tau,
             "trace_free": RadialProfile(grid, trace_free),
         }
 
     @property
     def r_max(self) -> float:
-        return self.solution.grid.r_max
+        return self.phi.grid.r_max
 
     # -- radial accessors (scalar or array radii) --------------------------
 
@@ -403,8 +418,9 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def assemble_initial_data(solution: ConformalSolution) -> InitialData:
-    """Wrap a ConformalSolution in its Cartesian (g, k) evaluator."""
-    return InitialData(solution)
+    """The Cartesian (g, k) evaluator of a ConformalSolution, which reads
+    its phi, tau and A; w and |LW| enter no evaluation."""
+    return InitialData(solution.dim, solution.phi, solution.tau, solution.A)
 
 
 # ---------------------------------------------------------------------------

@@ -446,11 +446,11 @@ def _window_bounds(grid: RadialGrid, window: tuple[float, float]) -> tuple[float
     return lo, hi
 
 
-def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float] | None = None):
+def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float]):
     """((lo, hi), radii, values) of the nodes in the fit window of
     ``fit_tail``, once the window and the sign of the values there pass
     its checks; raises InvalidArgumentError or DegenerateFitError."""
-    lo, hi = _window_bounds(grid, (grid.r_max / 100.0, grid.r_max) if window is None else window)
+    lo, hi = _window_bounds(grid, window)
     mask = (grid.nodes >= lo) & (grid.nodes <= hi)
     if int(mask.sum()) < 4:
         raise InvalidArgumentError("fit window contains fewer than 4 grid nodes")
@@ -462,12 +462,10 @@ def _fit_window(grid: RadialGrid, values: np.ndarray, window: tuple[float, float
     return (lo, hi), grid.nodes[mask], vw
 
 
-def fit_tail(profile: RadialProfile, window: tuple[float, float] | None = None) -> TailModel:
-    """Least-squares power-law fit of the profile on a log-log window.
-
-    The window defaults to the last two decades [r_max/100, r_max].  The
-    data must be single-signed and nonvanishing on the window; otherwise
-    the fit is degenerate.
+def fit_tail(profile: RadialProfile, window: tuple[float, float]) -> TailModel:
+    """Least-squares power-law fit of the profile on the log-log window
+    (lo, hi), 0 < lo < hi <= r_max.  The data must be single-signed and
+    nonvanishing on the window; otherwise the fit is degenerate.
     """
     (lo, hi), rw, vw = _fit_window(profile.grid, profile.values, window)
     sign = 1.0 if vw[0] > 0 else -1.0

@@ -261,7 +261,7 @@ def adm_mass_radial(dim: Dimension, phi: RadialProfile) -> MassReport:
     if float(np.max(np.abs(shifted))) < _FLAT_FACTOR:
         return MassReport(0.0, 0.0, math.nan, (), extrapolated=False)
     try:
-        _fit_window(grid, shifted)  # a power-law tail needs a single-signed far field
+        _fit_window(grid, shifted, (grid.r_max / 100.0, grid.r_max))  # a single-signed far field
     except (DegenerateFitError, InvalidArgumentError) as exc:
         raise NoTailError(f"no power-law far field for the factor: {exc}") from None
 
@@ -336,19 +336,19 @@ def adm_mass_surface(data: InitialData, radii) -> MassReport:
 
 
 def decay_exponents(data: InitialData, windows: dict[str, tuple[float, float]] | None = None) -> DecayReport:
-    """Fit far-field power laws to |psi - 1|, |k| along a ray, and |tau|;
-    each window (lo, hi) must satisfy 0 < lo < hi <= r_max."""
-    sol = data.solution
-    grid = sol.grid
+    """Fit far-field power laws to |psi - 1| and |tau| from data.phi and
+    data.tau, and to |k| along a ray; each window (lo, hi) must satisfy
+    0 < lo < hi <= r_max."""
+    grid = data.phi.grid
     default = (grid.r_max / 10.0**1.5, grid.r_max)
     windows = dict(windows or {})
     for key in ("metric", "k", "tau"):
         _window_bounds(grid, windows.setdefault(key, default))
 
     nf = float(data.dim.N)
-    metric_profile = RadialProfile(grid, np.abs(sol.phi.values ** (nf - 2.0) - 1.0))
+    metric_profile = RadialProfile(grid, np.abs(data.phi.values ** (nf - 2.0) - 1.0))
     metric_exp = fit_tail(metric_profile, windows["metric"]).exponent
-    tau_profile = RadialProfile(grid, np.abs(sol.tau.values))
+    tau_profile = RadialProfile(grid, np.abs(data.tau.values))
     tau_exp = fit_tail(tau_profile, windows["tau"]).exponent
 
     radii = np.logspace(*map(math.log10, windows["k"]), 48)

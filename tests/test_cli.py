@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import vacuumdata
-from vacuumdata import cli, radial, verify
+from vacuumdata import cli, conformal, radial, verify
 from vacuumdata.cli import (
     RESIDUAL_GATE,
     ScenarioConfig,
@@ -296,7 +296,7 @@ def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
     original = verify.hamiltonian_residual
 
     def counted(data, points):
-        grids.append(len(data.solution.grid))
+        grids.append(len(data.phi.grid))
         return original(data, points)
 
     monkeypatch.setattr(verify, "hamiltonian_residual", counted)
@@ -305,27 +305,40 @@ def test_one_coarse_hamiltonian_residual_per_run(monkeypatch, capsys):
     assert grids == [4000, 8000]
 
 
+def field_counts(stencil, polyfit, fornberg, tau, f, w):
+    return {"stencil": stencil, "polyfit": polyfit, "fornberg": fornberg,
+            "tau_from_phi": tau, "divergence_source": f, "vector_potential": w}
+
+
 DERIVED_FIELD_COUNTS = pytest.mark.parametrize("argv,expected", [
-    (["smooth-schwarzschild", "--m", "1"], {"stencil": 7, "polyfit": 3, "fornberg": 4}),
-    (["free-tau", "--c", "1", "--q", "1.5"], {"stencil": 4, "polyfit": 3, "fornberg": 2}),
-    (["verify", "{bundle}"], {"stencil": 4, "polyfit": 0, "fornberg": 2}),
-    (["mass", "{bundle}"], {"stencil": 2, "polyfit": 0, "fornberg": 1}),
-    (["decay", "{bundle}"], {"stencil": 2, "polyfit": 3, "fornberg": 1}),
+    (["smooth-schwarzschild", "--m", "1"], field_counts(7, 3, 4, tau=2, f=1, w=1)),
+    (["free-tau", "--c", "1", "--q", "1.5"], field_counts(4, 3, 2, tau=1, f=1, w=1)),
+    (["verify", "{bundle}"], field_counts(4, 0, 2, tau=1, f=1, w=0)),
+    (["mass", "{bundle}"], field_counts(2, 0, 1, tau=1, f=0, w=0)),
+    (["decay", "{bundle}"], field_counts(2, 3, 1, tau=1, f=0, w=0)),
 ], ids=["smooth-schwarzschild", "free-tau", "verify", "mass", "decay"])
 
 
 def counted_derived_fields(monkeypatch, counts):
-    """Count _apply_window, _fornberg_weights and np.polyfit calls into ``counts``."""
+    """Count _apply_window, _fornberg_weights, np.polyfit and
+    vector_potential calls, and the tau_from_phi and divergence_source
+    calls that evaluate (miss phi's memo), into ``counts``."""
 
-    def counted(name, fn):
+    def counted(name, fn, memo_key=None):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            # (dim, phi, *profiles) are memoised under (memo_key, n, *profiles)
+            counts[name] += memo_key is None or (memo_key, args[0].n, *args[2:]) not in args[1]._memo
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(radial, "_apply_window", counted("stencil", radial._apply_window))
     monkeypatch.setattr(radial, "_fornberg_weights", counted("fornberg", radial._fornberg_weights))
     monkeypatch.setattr(np, "polyfit", counted("polyfit", np.polyfit))
+    for name, memo_key in (("tau_from_phi", "tau"), ("divergence_source", "f"), ("vector_potential", None)):
+        fn = getattr(conformal, name)
+        for module in (conformal, verify, cli):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn, memo_key))
 
 
 def cli_argv(argv, tmp_path, schw_run):
@@ -339,10 +352,12 @@ def test_each_derived_field_computed_once(monkeypatch, capsys, tmp_path, schw_ru
     """Each derivative is taken once per profile (phi', phi'', tau' of every
     solution and the coarse w'), the decay fits are the only tail fits,
     and each grid runs Fornberg's recursion once for its stencils and once
-    for its quadrature, here from an empty operator cache.  The bundle
-    commands read the smooth-schwarzschild --m 1 bundle.  The discrete
-    Lichnerowicz rows of the solvers apply conformal's own _apply_window
-    (no derivative), which is not counted."""
+    for its quadrature, here from an empty operator cache.  tau is derived
+    once per phi and f once per (phi, tau), so the checks reuse what the
+    build derived; the refined grid of smooth-schwarzschild derives tau
+    but builds no w.  The bundle commands read the smooth-schwarzschild
+    --m 1 bundle.  The discrete Lichnerowicz rows of the solvers apply
+    conformal's own _apply_window (no derivative), which is not counted."""
     monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
     counts = dict.fromkeys(expected, 0)
     counted_derived_fields(monkeypatch, counts)

@@ -24,6 +24,7 @@ from vacuumdata import (
     ConformalSolution,
     Dimension,
     EvaluationOutOfRangeError,
+    InitialData,
     InvalidArgumentError,
     NegativeRadicandError,
     NotMonotoneError,
@@ -227,9 +228,23 @@ class TestMasterIdentity:
         assert np.max(np.abs(scaled.values - c * base) / (c * base)) < 1e-12
 
     def test_decreasing_factor_rejected(self, work_grid):
-        vals = 1.0 + np.exp(-work_grid.nodes)
-        with pytest.raises(NotMonotoneError):
-            tau_from_phi(DIM3, RadialProfile(work_grid, vals))
+        phi = RadialProfile(work_grid, 1.0 + np.exp(-work_grid.nodes))
+        for _ in range(2):
+            with pytest.raises(NotMonotoneError):
+                tau_from_phi(DIM3, phi)
+        # a call that raises keeps nothing in phi's memo: the second one raises again
+        assert ("tau", 3) not in phi._memo
+
+    def test_tau_and_f_derived_once_per_profile(self, work_grid, mass_like):
+        phi = RadialProfile(work_grid, mass_like[0].values)
+        tau = tau_from_phi(DIM3, phi)
+        assert tau_from_phi(DIM3, phi) is tau
+        assert tau_from_phi(Dimension(4), phi) is not tau
+        f = divergence_source(DIM3, phi, tau)
+        assert divergence_source(DIM3, phi, tau) is f
+        # tau is keyed by identity: an equal copy is another profile
+        again = divergence_source(DIM3, phi, RadialProfile(work_grid, np.array(tau.values)))
+        assert again is not f and np.array_equal(again.values, f.values)
 
     def test_negative_radicand_rejected(self):
         # below the monotonicity tolerance but above the branch threshold
@@ -316,6 +331,12 @@ class TestLichnerowiczResidual:
 
 
 class TestInitialDataEvaluator:
+    def test_rejects_mixed_grids(self, mass_like_solution):
+        sol = mass_like_solution
+        other = build_grid(64, 10.0, 1.0)
+        with pytest.raises(InvalidArgumentError, match="grid"):
+            InitialData(DIM3, sol.phi, sol.tau, RadialProfile(other, np.zeros(len(other))))
+
     def test_metric_is_conformally_flat(self, data):
         x = np.array([1.2, -0.3, 2.0])
         r = float(np.linalg.norm(x))

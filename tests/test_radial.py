@@ -725,13 +725,13 @@ class TestIntegrateToInfinity:
 
 class TestFitTail:
     def test_exact_power_law(self, work_grid):
-        model = fit_tail(positive_power_profile(work_grid, -1.5, coeff=2.0))
+        model = fit_tail(positive_power_profile(work_grid, -1.5, coeff=2.0), window=(1e2, 1e4))
         assert abs(model.coefficient - 2.0) < 1e-12
         assert abs(model.exponent - 1.5) < 1e-13
         assert model.misfit < 1e-10
 
     def test_negative_data_keeps_sign(self, work_grid):
-        model = fit_tail(positive_power_profile(work_grid, -2.0, coeff=-3.0))
+        model = fit_tail(positive_power_profile(work_grid, -2.0, coeff=-3.0), window=(1e2, 1e4))
         assert model.coefficient < 0
         assert abs(model.coefficient + 3.0) < 1e-12
 
@@ -745,12 +745,12 @@ class TestFitTail:
 
     def test_zero_profile_degenerate(self, work_grid):
         with pytest.raises(DegenerateFitError):
-            fit_tail(RadialProfile(work_grid, np.zeros(len(work_grid))))
+            fit_tail(RadialProfile(work_grid, np.zeros(len(work_grid))), window=(1e2, 1e4))
 
     def test_sign_change_degenerate(self, work_grid):
         vals = np.sin(work_grid.nodes / 500.0) + 1e-9
         with pytest.raises(DegenerateFitError):
-            fit_tail(RadialProfile(work_grid, vals))
+            fit_tail(RadialProfile(work_grid, vals), window=(1e2, 1e4))
 
     def test_window_outside_grid_rejected(self, work_grid):
         profile = positive_power_profile(work_grid, -2.0)

@@ -9,6 +9,7 @@ the parameterized construction they measure.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import scipy.special
 
 from vacuumdata import (
+    ConformalSolution,
     Dimension,
     InvalidArgumentError,
     NoTailError,
@@ -368,6 +370,19 @@ class TestCheckSolution:
         sol = request.getfixturevalue(case)[0]
         f = conformal.divergence_source(DIM3, sol.phi, sol.tau)
         assert f.values[-1] == sol.tau.values[-1]
+
+    @pytest.mark.parametrize("case", ["schwarzschild", "free_tau"])
+    def test_memoised_fields_give_the_checks_of_copied_profiles(self, request, case):
+        # build_solution leaves tau and f in phi's memo for check_solution;
+        # on copies of the profiles every memo misses and both are derived again
+        sol = request.getfixturevalue(case)[0]
+        profiles = (sol.phi, sol.tau, sol.A, sol.w, sol.lw_norm)
+        copied = ConformalSolution(DIM3, *(RadialProfile(sol.grid, np.array(p.values)) for p in profiles))
+        assert not copied.phi._memo
+        memoised, recomputed = check_solution(sol), check_solution(copied)
+        for field in dataclasses.fields(memoised):
+            # repr tells every float apart bitwise, -0.0 from 0.0 too
+            assert repr(getattr(memoised, field.name)) == repr(getattr(recomputed, field.name)), field.name
 
     def test_solvers_and_checks_apply_one_rows_function(self, monkeypatch, work_grid, free_tau):
         rows = conformal._lichnerowicz_rows
