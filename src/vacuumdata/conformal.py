@@ -83,10 +83,7 @@ class ConformalSolution:
     lw_norm: RadialProfile
 
     def __post_init__(self):
-        grid = self.phi.grid
-        for name in ("tau", "A", "w", "lw_norm"):
-            if getattr(self, name).grid is not grid:
-                raise InvalidArgumentError(f"profile {name!r} is not on the conformal factor's grid")
+        _require_same_grid(self.phi, self.tau, self.A, self.w, self.lw_norm)
         if np.any(self.phi.values <= 0):
             raise InvalidArgumentError("conformal factor must be positive everywhere")
 
@@ -153,7 +150,7 @@ def tau_from_phi(dim: Dimension, phi: RadialProfile) -> RadialProfile:
             f"conformal factor decreases near r={r[worst]:g} (phi'={dphi[worst]:.3e})"
         )
 
-    radicand = dphi * ((n - 2) * v + r * dphi)
+    radicand = _radicand(dim, phi)
     # The plateau branch needs phi'' >= 0.  Far fields with n >= 4 sink
     # below the global slope threshold while still concave; use the
     # generic branch there whenever the slope is resolved well above
@@ -181,13 +178,20 @@ def tau_from_phi(dim: Dimension, phi: RadialProfile) -> RadialProfile:
     return RadialProfile(grid, out)
 
 
-def _monotonicity_margin(dim: Dimension, phi: RadialProfile) -> tuple[float, float]:
-    """Smallest value of the monotonicity condition phi' (2n phi + N r phi')
-    on the grid, and the tolerance: the condition holds when the smallest
-    value is at least minus the tolerance."""
+def _radicand(dim: Dimension, phi: RadialProfile) -> np.ndarray:
+    """R = phi' ((n-2) phi + r phi') on the grid: the radicand of the master
+    identity, whose generic branch needs R >= 0.  N R = phi' (2n phi + N r phi')
+    is the monotonicity condition of the construction."""
     dphi = differentiate(phi, 1).values
-    condition = dphi * (2.0 * dim.n * phi.values + float(dim.N) * phi.r * dphi)
-    return float(np.min(condition)), 1e-9 * max(1.0, float(np.max(np.abs(condition))))
+    return dphi * ((dim.n - 2) * phi.values + phi.r * dphi)
+
+
+def _radicand_margin(dim: Dimension, phi: RadialProfile) -> tuple[float, float]:
+    """Smallest radicand on the grid and its tolerance 1e-9 max(1/N, max|R|):
+    the monotonicity condition holds when the smallest radicand is at least
+    minus the tolerance."""
+    radicand = _radicand(dim, phi)
+    return float(np.min(radicand)), 1e-9 * max(1.0 / float(dim.N), float(np.max(np.abs(radicand))))
 
 
 def _identity_residual(dim: Dimension, phi: RadialProfile, tau: RadialProfile) -> float:
@@ -312,8 +316,10 @@ class InitialData:
 
     ``metric`` and ``extrinsic_curvature`` map one point (n,) to (n, n) and
     points (M, n) to (M, n, n) by interpolating the radial profiles; past
-    r_max they raise EvaluationOutOfRangeError.  Instances are immutable
-    and safe for concurrent evaluation.
+    r_max they raise EvaluationOutOfRangeError.  Radial values come from
+    the profiles themselves: ``data.phi.at(r)``, ``data.tau.at(r)`` and
+    ``differentiate(data.phi, k).at(r)``.  Instances are immutable and safe
+    for concurrent evaluation.
     """
 
     def __init__(self, dim: Dimension, phi: RadialProfile, tau: RadialProfile, A: RadialProfile):
@@ -336,31 +342,11 @@ class InitialData:
     def r_max(self) -> float:
         return self.phi.grid.r_max
 
-    # -- radial accessors (scalar or array radii) --------------------------
-
-    def conformal_factor_at(self, radii):
-        return self._radial_at("phi", radii)
-
-    def conformal_factor_derivative_at(self, radii, order: int = 1):
-        if order == 1:
-            return self._radial_at("dphi", radii)
-        if order == 2:
-            return self._radial_at("d2phi", radii)
-        raise InvalidArgumentError(f"derivative order must be 1 or 2, got {order!r}")
-
-    def mean_curvature_at(self, radii):
-        return self._radial_at("tau", radii)
-
-    def trace_free_amplitude_at(self, radii):
-        """A(r)/r^n, the radial amplitude of the trace-free part of k."""
-        return self._radial_at("trace_free", radii)
-
-    # -- Cartesian evaluator ------------------------------------------------
-
     def metric(self, x) -> np.ndarray:
         """g_ij(x) = phi^{N-2} delta_ij."""
         _, r = _cartesian_points(self.dim, x)
-        psi = _libm_pow(self.conformal_factor_at(r), float(self.dim.N) - 2.0)
+        (phi,) = self._fields_at(r, "phi")
+        psi = _libm_pow(phi, float(self.dim.N) - 2.0)
         return (psi[:, None, None] * np.eye(self.dim.n)).reshape(np.shape(x) + (self.dim.n,))
 
     def extrinsic_curvature(self, x) -> np.ndarray:
@@ -369,11 +355,6 @@ class InitialData:
         phi, tau, amplitude = self._fields_at(r, "phi", "tau", "trace_free")
         k = self._curvature(pts, r, phi, _libm_pow(phi, float(self.dim.N) - 2.0), tau, amplitude)
         return k.reshape(np.shape(x) + (self.dim.n,))
-
-    def _radial_at(self, name: str, radii):
-        """One named field at scalar radii (a float) or array radii (their shape)."""
-        (out,) = self._fields_at(radii, name)
-        return float(out[0]) if np.ndim(radii) == 0 else out
 
     def _fields_at(self, r, *names: str) -> list[np.ndarray]:
         """The named fields ("phi", "dphi", "d2phi", "tau", "trace_free") at

@@ -33,7 +33,7 @@ import functools
 
 import numpy as np
 
-from .conformal import ConformalSolution, _monotonicity_margin, build_solution
+from .conformal import ConformalSolution, _radicand_margin, _require_same_grid, build_solution
 from .conformal import _helmholtz_operator, _laplacian_weight, _lichnerowicz_diagonal, _lichnerowicz_rows
 from .errors import (
     ConstructionFailedError,
@@ -314,9 +314,7 @@ def solve_lichnerowicz(
     Frechet diagonal, to the default SolveControls' tolerance and step
     budget; the default initial guess is phi == 1.
     """
-    if tau.grid is not lw.grid:
-        raise InvalidArgumentError("tau and lw must share one grid")
-    grid = tau.grid
+    grid = _require_same_grid(tau, lw)
     start = np.ones(len(grid)) if phi0 is None else phi0.values.copy()
     if np.any(start <= 0):
         raise InvalidArgumentError("initial guess must be positive")
@@ -411,7 +409,7 @@ def fixed_point_solve(
     trace.converged = True
 
     phi = RadialProfile(grid, x[0::2])
-    mono_min, mono_tol = _monotonicity_margin(dim, phi)
+    mono_min, mono_tol = _radicand_margin(dim, phi)
     if mono_min < -mono_tol:
         raise NotMonotoneError("converged factor violates the monotonicity condition")
     return build_solution(dim, phi, tau), trace

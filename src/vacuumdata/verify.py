@@ -22,7 +22,7 @@ from .conformal import (
     _identity_residual,
     _laplacian_weight,
     _libm_pow,
-    _monotonicity_margin,
+    _radicand_margin,
     divergence_source,
 )
 from .errors import DegenerateFitError, InvalidArgumentError, NoTailError, VacuumDataError
@@ -115,6 +115,11 @@ class DecayReport:
 @dataclasses.dataclass(frozen=True)
 class SolutionChecks:
     """Consolidated result of check_solution; failures recorded, not raised.
+
+    ``monotone`` is the radicand condition: ``monotone_min``, the smallest
+    radicand phi' ((n-2) phi + r phi') of the master identity on the grid,
+    is at least -1e-9 max(1/N, max|R|).  N times the radicand is the
+    monotonicity condition phi' (2n phi + N r phi') >= 0.
 
     ``divw_identity`` checks n w + r w' = f/2 by differentiating the w the
     solution carries, with f from ``divergence_source``: a w built from
@@ -367,7 +372,8 @@ def decay_exponents(data: InitialData, windows: dict[str, tuple[float, float]] |
 
 def tail_limit_check(dim: Dimension, phi: RadialProfile, c: float, q: float) -> float:
     """Measured limit of phi' r^{2q-1} on the tail, for comparison with
-    the predicted (c sqrt(n-2)/(2(n-q)))^2."""
+    the predicted (c sqrt(n-2)/(2(n-q)))^2.  ``c`` is not read; the
+    benchmark and the acceptance battery pass it with the seed's q."""
     del c
     if float(np.max(np.abs(phi.values - 1.0))) < _FLAT_FACTOR:
         return 0.0
@@ -382,7 +388,7 @@ def check_solution(sol: ConformalSolution) -> SolutionChecks:
     r = sol.grid.nodes
     notes: list[str] = []
 
-    mono_min, mono_tol = _monotonicity_margin(dim, sol.phi)
+    mono_min, mono_tol = _radicand_margin(dim, sol.phi)
     monotone = mono_min >= -mono_tol
     try:
         identity = _identity_residual(dim, sol.phi, sol.tau)

@@ -92,7 +92,7 @@ def test_schwarzschild_smoothing_matches_closed_form_oracles(
     assert rep.convergence_order >= 2.0
 
     for radius in (2.0, 5.0, 10.0, 30.0, 100.0):
-        ratio = g_norm_of_k(data, radius) / abs(float(data.mean_curvature_at(radius)))
+        ratio = g_norm_of_k(data, radius) / abs(data.tau.at(radius))
         assert ratio == pytest.approx(1.0, abs=1e-6)
 
 

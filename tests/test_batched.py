@@ -1,10 +1,10 @@
 """The batched Cartesian evaluator and residuals against per-point code.
 
 The reference functions below are the earlier point-by-point
-implementations, kept verbatim apart from taking the evaluator's radial
-accessors explicitly.  The batched code must reproduce them bit for bit:
-the residuals sit near their gates, and finite differences amplify any
-last-bit drift in the evaluator.
+implementations, kept verbatim apart from reading the evaluator's radial
+fields one scalar radius at a time through ``field_at``.  The batched
+code must reproduce them bit for bit: the residuals sit near their gates,
+and finite differences amplify any last-bit drift in the evaluator.
 """
 
 from __future__ import annotations
@@ -35,18 +35,24 @@ from vacuumdata import (
 # -- per-point reference ------------------------------------------------------
 
 
+def field_at(data, name, r):
+    """One named field of the evaluator at a scalar radius, as a float."""
+    (values,) = data._fields_at(r, name)
+    return float(values[0])
+
+
 def scalar_extrinsic_curvature(data, x):
     x = np.asarray(x, dtype=float)
     n = data.dim.n
     r = float(np.linalg.norm(x))
-    phi = data.conformal_factor_at(r)
+    phi = field_at(data, "phi", r)
     psi = phi ** (float(data.dim.N) - 2.0)
-    out = (data.mean_curvature_at(r) / n) * psi * np.eye(n)
+    out = (field_at(data, "tau", r) / n) * psi * np.eye(n)
     if r > 0.0:
         unit = x / r
         out += (
             phi**-2.0
-            * data.trace_free_amplitude_at(r)
+            * field_at(data, "trace_free", r)
             * (np.outer(unit, unit) - np.eye(n) / n)
         )
     return out
@@ -58,13 +64,13 @@ def scalar_hamiltonian_residual(data, points):
     out = np.empty(len(points))
     for i, x in enumerate(np.asarray(points, dtype=float)):
         r = float(np.linalg.norm(x))
-        phi = float(data.conformal_factor_at(r))
+        phi = field_at(data, "phi", r)
         psi = phi ** (nf - 2.0)
         k = scalar_extrinsic_curvature(data, x)
         tr_k = np.trace(k) / psi
         k_sq = float(np.sum(k * k)) / psi**2
-        d1 = float(data.conformal_factor_derivative_at(r, 1))
-        d2 = float(data.conformal_factor_derivative_at(r, 2))
+        d1 = field_at(data, "dphi", r)
+        d2 = field_at(data, "d2phi", r)
         lap = n * d2 if r == 0.0 else d2 + (n - 1) * d1 / r
         scalar = -(4.0 * (n - 1.0) / (n - 2.0)) * phi ** (1.0 - nf) * lap
         out[i] = scalar - k_sq + tr_k**2
@@ -92,10 +98,10 @@ def scalar_momentum_residual(data, points, h=1e-3):
                 8.0 * (p_tensor(x + e) - p_tensor(x - e))
                 - (p_tensor(x + 2 * e) - p_tensor(x - 2 * e))
             ) / (12.0 * step)
-        phi = float(data.conformal_factor_at(r))
+        phi = field_at(data, "phi", r)
         psi = phi ** (nf - 2.0)
         if r > 0.0:
-            ell = (nf - 2.0) * float(data.conformal_factor_derivative_at(r, 1)) / phi * (x / r)
+            ell = (nf - 2.0) * field_at(data, "dphi", r) / phi * (x / r)
         else:
             ell = np.zeros(n)
         gamma = 0.5 * (

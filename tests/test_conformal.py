@@ -57,6 +57,15 @@ def rows_at(sol, lw=None):
     return _lichnerowicz_rows(sol.dim, sol.grid, sol.phi.values, sol.tau.values**2, lw.values**2)[0]
 
 
+# the radial fields ``InitialData._fields_at`` interpolates, by name
+FIELDS = ("phi", "dphi", "d2phi", "tau", "trace_free")
+
+
+def scalar_fields(data, r, *names):
+    """The named fields of the evaluator at one scalar radius, as floats."""
+    return [float(v[0]) for v in data._fields_at(r, *names)]
+
+
 @pytest.fixture(scope="module")
 def work_grid():
     return build_grid(4000, 1e4, 1.01)
@@ -348,17 +357,15 @@ class TestInitialDataEvaluator:
     def test_mean_curvature_is_metric_trace(self, data, mass_like_solution):
         for x in ([0.5, 0.5, 0.5], [3.0, 0.0, 0.0], [0.0, -7.0, 24.0]):
             r = float(np.linalg.norm(x))
-            phi = float(data.conformal_factor_at(r))
+            phi, tau = scalar_fields(data, r, "phi", "tau")
             k = data.extrinsic_curvature(x)
             trace = phi**-4 * np.trace(k)
-            tau = float(data.mean_curvature_at(r))
             assert trace == pytest.approx(tau, rel=1e-12)
 
     def test_trace_free_part_has_lw_norm(self, data, mass_like_solution):
         for x in ([0.5, 0.5, 0.5], [3.0, 0.0, 0.0], [0.0, -7.0, 24.0]):
             r = float(np.linalg.norm(x))
-            phi = float(data.conformal_factor_at(r))
-            tau = float(data.mean_curvature_at(r))
+            phi, tau = scalar_fields(data, r, "phi", "tau")
             k = data.extrinsic_curvature(x)
             part = k - (tau / 3.0) * phi**4 * np.eye(3)
             norm = phi**-4 * math.sqrt(float(np.sum(part * part)))
@@ -369,22 +376,32 @@ class TestInitialDataEvaluator:
         k = data.extrinsic_curvature([0.0, 0.0, 0.0])
         assert np.array_equal(k, k[0, 0] * np.eye(3))
 
-    @pytest.mark.parametrize("what", ["conformal_factor_at", "d1", "d2", "mean_curvature_at",
-                                      "trace_free_amplitude_at", "metric", "extrinsic_curvature"])
+    @pytest.mark.parametrize("what", ["fields_at", "profile_at", "metric", "extrinsic_curvature"])
     @pytest.mark.parametrize("shape", ["one", "many"])
     def test_evaluation_past_r_max_raises(self, data, what, shape):
         # the far field is a clean power law here, and still nothing is extrapolated
         r = 2.0 * data.r_max
         if what in ("metric", "extrinsic_curvature"):
             arg = [0.0, 0.0, r] if shape == "one" else [[1.0, 0.0, 0.0], [0.0, 0.0, r]]
+            call = getattr(data, what)
         else:
             arg = r if shape == "one" else [1.0, r]
+            call = (lambda radii: data._fields_at(radii, *FIELDS)) if what == "fields_at" else data.tau.at
         with pytest.raises(EvaluationOutOfRangeError, match="^evaluation at r=20000 beyond r_max=10000$"):
-            evaluate(data, what, arg)
+            call(arg)
 
-    def test_derivative_order_validated(self, data):
-        with pytest.raises(InvalidArgumentError):
-            data.conformal_factor_derivative_at(1.0, order=3)
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_profiles_give_the_evaluator_fields(self, data, shape):
+        # the documented route to radial values reads the evaluator's bits;
+        # only phi, which the evaluator holds as phi - 1, may differ in its last bits
+        radii = np.array([0.0, 0.37, 3.0, 12.5, 0.5 * data.r_max, data.r_max])
+        for arg in list(radii) if shape == "scalar" else [radii]:
+            dphi, d2phi, tau = data._fields_at(arg, "dphi", "d2phi", "tau")
+            for profile, expected in ((differentiate(data.phi, 1), dphi), (differentiate(data.phi, 2), d2phi),
+                                      (data.tau, tau)):
+                assert np.array_equal(np.atleast_1d(profile.at(arg)).view(np.int64), expected.view(np.int64))
+            (phi,) = data._fields_at(arg, "phi")
+            assert np.allclose(data.phi.at(arg), phi, rtol=1e-15, atol=0.0)
 
 
 BUNDLE_HEADER = "r,phi,dphi,tau,A,w,lw"
@@ -580,17 +597,6 @@ class TestG17Formatter:
         assert old.read_bytes() == b"r,phi,dphi,tau,A,w,lw\n1,1,0,0,0,0,0\n"
 
 
-def evaluate(data, what, arg):
-    if what == "d1":
-        return data.conformal_factor_derivative_at(arg, 1)
-    if what == "d2":
-        return data.conformal_factor_derivative_at(arg, 2)
-    return getattr(data, what)(arg)
-
-
-RADIAL_ACCESSORS = ("conformal_factor_at", "d1", "d2", "mean_curvature_at", "trace_free_amplitude_at")
-
-
 @pytest.fixture(scope="module")
 def read_back(mass_like_solution, tmp_path_factory):
     """The bundle read back onto a grid that builds its own operators from
@@ -611,17 +617,17 @@ class TestReadBackEvaluation:
         # interior, a node's neighbourhood, r_max itself and roundoff past it
         return np.array([0.0, 0.37, 1.0, 12.5, 0.5 * r_max, r_max, r_max * (1.0 + 1e-13)])
 
-    @pytest.mark.parametrize("what", RADIAL_ACCESSORS)
+    @pytest.mark.parametrize("name", FIELDS)
     @pytest.mark.parametrize("shape", ["scalar", "array"])
-    def test_accessors_equal_the_built_solution(self, mass_like_solution, read_back, what, shape):
+    def test_fields_equal_the_built_solution(self, mass_like_solution, read_back, name, shape):
         assert read_back.grid._cache is not mass_like_solution.grid._cache
         built, back = assemble_initial_data(mass_like_solution), assemble_initial_data(read_back)
         radii = self.radii(built.r_max)
         args = list(radii) if shape == "scalar" else [radii, radii.reshape(7, 1)]
         for arg in args:
-            got, expected = evaluate(back, what, arg), evaluate(built, what, arg)
-            assert type(got) is type(expected)
-            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
+            (got,), (expected,) = back._fields_at(arg, name), built._fields_at(arg, name)
+            assert got.shape == expected.shape == np.atleast_1d(arg).shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("what", ["metric", "extrinsic_curvature"])
     @pytest.mark.parametrize("shape", ["one-point", "points"])
@@ -644,12 +650,11 @@ class TestTailsOnDemand:
         monkeypatch.setattr(np, "polyfit", lambda *a: fits.append(a) or polyfit(*a))
         data = assemble_initial_data(solution)
         for r in (0.5 * data.r_max, data.r_max):
-            for what in RADIAL_ACCESSORS:
-                evaluate(data, what, r)
+            data._fields_at(r, *FIELDS)
             data.metric([r, 0.0, 0.0])
             data.extrinsic_curvature([[r, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(EvaluationOutOfRangeError):
-            data.conformal_factor_at(2.0 * data.r_max)
+            data._fields_at(2.0 * data.r_max, *FIELDS)
         assert fits == []
 
     def test_concurrent_first_evaluations_agree(self):

@@ -31,6 +31,7 @@ from vacuumdata import (
     constraint_report,
     decay_exponents,
     default_sample_points,
+    differentiate,
     fixed_point_solve,
     hamiltonian_residual,
     momentum_residual,
@@ -264,8 +265,8 @@ class TestSurfaceMass:
         data = assemble_initial_data(build_solution(dim, smooth_schwarzschild_phi(dim, 1.0, grid)))
         weights = reference_sphere_weights(n)
         for r in (50.0, 200.0, 800.0):
-            phi = float(data.conformal_factor_at(r))
-            dpsi = (nf - 2.0) * phi ** (nf - 3.0) * float(data.conformal_factor_derivative_at(r, 1))
+            phi, dphi = (float(v[0]) for v in data._fields_at(r, "phi", "dphi"))
+            dpsi = (nf - 2.0) * phi ** (nf - 3.0) * dphi
             reference = float(np.sum(-(n - 1.0) * dpsi * weights)) * r ** (n - 1)
             flux = adm_mass_surface(data, (r,)).mass_standard * 2.0 * (n - 1.0) * sphere_area(n)
             assert flux == pytest.approx(reference, rel=1e-14, abs=0.0)
@@ -287,7 +288,7 @@ class TestSurfaceMass:
         _, data = schwarzschild
         rep = adm_mass_surface(data, (2500.0,))
         assert not rep.extrapolated
-        phi = float(data.conformal_factor_at(2500.0))
+        phi = float(data._fields_at(2500.0, "phi")[0][0])
         assert rep.mass_standard == pytest.approx(-(phi**3), rel=1e-8)
 
     def test_agrees_with_radial_estimator(self, mass_like_data):
@@ -413,5 +414,8 @@ class TestCheckSolution:
         sol = build_solution(DIM3, decreasing, zero)
         chk = check_solution(sol)
         assert not chk.monotone
+        # the smallest radicand phi' ((n-2) phi + r phi') of the identity, n = 3
+        dphi = differentiate(decreasing, 1).values
+        assert chk.monotone_min == float(np.min(dphi * (decreasing.values + r * dphi))) < 0.0
         assert chk.identity_residual == math.inf
         assert any("identity" in note for note in chk.notes)
