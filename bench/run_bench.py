@@ -18,10 +18,12 @@ the best of ``--repeat`` runs:
   time included, as a one-shot command-line run sees it.
 
 ``exit`` is the scenario's exit status; the script fails if the three ways
-disagree on it or a run writes to stderr.  ``hostspeed_kernel_s`` is the
-median time of perfbench's host-speed kernel (``perfbench/hostspeed.py``,
-read without importing it as a module), which scales figures taken on
-different hosts or at different times.
+disagree on it or a run writes to stderr.  ``layers`` holds the best of
+``--repeat`` in-process seconds of one call into each layer, with the
+operators of its grids already built (see ``time_layers``).
+``hostspeed_kernel_s`` is the median time of perfbench's host-speed kernel
+(``perfbench/hostspeed.py``, read without importing it as a module), which
+scales figures taken on different hosts or at different times.
 """
 
 from __future__ import annotations
@@ -46,6 +48,23 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from vacuumdata import cli, radial  # noqa: E402
+from vacuumdata.conformal import (  # noqa: E402
+    InitialData,
+    assemble_initial_data,
+    build_solution,
+    momentum_potential,
+    read_solution_csv,
+    tau_from_phi,
+    write_solution_csv,
+)
+from vacuumdata.radial import Dimension, RadialProfile, build_grid, differentiate  # noqa: E402
+from vacuumdata.solver import fixed_point_solve, smooth_schwarzschild_phi  # noqa: E402
+from vacuumdata.verify import (  # noqa: E402
+    adm_mass_surface,
+    constraint_report,
+    decay_exponents,
+    default_sample_points,
+)
 
 # (name, argv); "{bundle}" and "{tau_bundle}" are paths in a scratch directory
 SCENARIOS = (
@@ -99,6 +118,46 @@ def time_scenario(argv: list[str], repeat: int) -> dict:
     return {"exit": fresh[1], "in_process_cold_s": cold[0], "in_process_warm_s": warm[0], "subprocess_s": fresh[0]}
 
 
+def time_layers(repeat: int, scratch: str) -> dict[str, float]:
+    """Best-of-``repeat`` seconds of one call into each layer, on the data of
+    ``smooth-schwarzschild --m 1`` (n = 3, 4000 nodes, its 8000-node grid as
+    the refined one) and on the solve of ``free-tau --c 1 --q 1.5``.  Each
+    call gets fresh profiles, so no derived field comes from a memo."""
+    dim = Dimension(3)
+    grid, fine = build_grid(4000, 1.0e4, 1.01), build_grid(8000, 1.0e4, 1.01)
+    phi, fine_phi = smooth_schwarzschild_phi(dim, 1.0, grid), smooth_schwarzschild_phi(dim, 1.0, fine)
+    solution = build_solution(dim, phi)
+    data = assemble_initial_data(solution)
+    fine_tau = tau_from_phi(dim, fine_phi)
+    refined = InitialData(dim, fine_phi, fine_tau, momentum_potential(dim, fine_phi, fine_tau))
+    points = default_sample_points(dim)
+    bundle = os.path.join(scratch, "layers.csv")
+    write_solution_csv(solution, bundle)
+    seed = (1.0 + grid.nodes**2) ** -0.75
+    calls = {
+        "differentiate_4000": lambda: differentiate(RadialProfile(grid, phi.values), 2),
+        "differentiate_8000": lambda: differentiate(RadialProfile(fine, fine_phi.values), 2),
+        "build_solution": lambda: build_solution(dim, RadialProfile(grid, phi.values)),
+        "constraint_report": lambda: constraint_report(data, points, refined=refined),
+        "decay_exponents": lambda: decay_exponents(data),
+        "adm_mass_surface": lambda: adm_mass_surface(data, tuple(f * grid.r_max for f in cli._SURFACE_FRACTIONS)),
+        "write_solution_csv": lambda: write_solution_csv(solution, bundle),
+        "read_solution_csv": lambda: read_solution_csv(bundle, dim),
+        "fixed_point_solve": lambda: fixed_point_solve(dim, RadialProfile(grid, seed)),
+    }
+    for call in calls.values():
+        call()  # builds what the call caches per grid
+    seconds = {}
+    for name, call in calls.items():
+        runs = []
+        for _ in range(repeat):
+            began = time.perf_counter()
+            call()
+            runs.append(time.perf_counter() - began)
+        seconds[name] = min(runs)
+    return seconds
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="runs per timing, the best is kept (default 7)")
@@ -127,6 +186,8 @@ def main(argv: list[str] | None = None) -> int:
             timed = time_scenario([arg.format(**paths) for arg in template], args.repeat)
             result["scenarios"][name] = {"command": " ".join(template), **timed}
             print(f"{name}: {json.dumps(timed)}", flush=True)
+        result["layers"] = time_layers(args.repeat, scratch)
+        print(f"layers: {json.dumps(result['layers'])}", flush=True)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{today}.json"

@@ -285,7 +285,7 @@ def _lichnerowicz_rows(dim: Dimension, grid: RadialGrid, phi, tau_sq, lw_sq):
     nf = float(dim.N)
     weight = (n - 1.0) / n
     up, down = phi ** (nf - 1.0), phi ** (-nf - 1.0)
-    applied = _apply_window(grid, _helmholtz_operator(n, grid), phi - 1.0)
+    applied = _apply_window(_helmholtz_operator(n, grid), phi - 1.0)
     out = -_laplacian_weight(n) * applied + weight * tau_sq * up - lw_sq * down
     out[-1] = applied[-1]
     return out, (up, down)
@@ -367,7 +367,7 @@ class InitialData:
         n = self.dim.n
         eye = np.eye(n)
         out = ((tau / n) * psi)[:, None, None] * eye
-        off = r > 0.0
+        off = slice(None) if np.all(r > 0.0) else r > 0.0  # masks only for points at the origin
         unit = pts[off] / r[off, None]
         amp = _libm_pow(phi[off], -2.0) * amplitude[off]
         out[off] += amp[:, None, None] * (unit[:, :, None] * unit[:, None, :] - eye / n)
@@ -442,18 +442,19 @@ def _read_csv_table(path, expected_header: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _write_csv_table(path, header: str, columns) -> None:
+def _write_csv_table(path, header: str, columns, first=None) -> None:
     """Write equal-length float arrays as columns under a fixed header.
 
     One row per index, each value as ``%.17g`` (enough digits to read back
     the same float), ``\\n`` line endings.  numpy decides the 17 digits
     and lays out the text (:func:`_g17_slots`); Python's ``%`` formats,
     one at a time, the rare values whose digits float64 arithmetic cannot
-    decide, so every byte is the one ``%.17g`` gives.  The whole text is
-    formatted before the file is opened: a failure while formatting
-    leaves no file, or the old one as it was.
+    decide, so every byte is the one ``%.17g`` gives.  ``first`` may hold
+    the slots of a column before them (see :func:`_g17_rows`).  The whole
+    text is formatted before the file is opened: a failure while
+    formatting leaves no file, or the old one as it was.
     """
-    blocks = _g17_rows(np.column_stack(columns))
+    blocks = _g17_rows(np.column_stack(columns), first)
     with open(path, "wb") as fh:
         fh.writelines([header.encode("ascii") + b"\n", *blocks])
 
@@ -566,19 +567,32 @@ def _g17_tables() -> _G17Tables:
     )
 
 
-def _g17_rows(table: np.ndarray) -> list[bytes]:
+def _g17_rows(table: np.ndarray, first=None) -> list[bytes]:
     """The rows of a 2-D float64 table as ``%.17g`` text, in blocks of
-    whole rows: values joined by commas, each row ended by ``\\n``."""
+    whole rows: values joined by commas, each row ended by ``\\n``, after
+    the row's slot in ``first`` (see :func:`_g17_column`) if given."""
     rows, cols = table.shape
-    block = max(1, _G17_BLOCK // cols)
+    block = max(1, _G17_BLOCK // (cols + (first is not None)))
     last_column = np.zeros((block, cols), dtype=np.intp)
     last_column[:, -1] = _G17_N_K
     parts = []
     for start in range(0, rows, block):
         x = table[start:start + block].ravel()
-        text = _g17_slots(x, last_column.ravel()[: x.size]).view(np.uint8).ravel()
+        slots = _g17_slots(x, last_column.ravel()[: x.size])
+        if first is not None:
+            slots = np.concatenate([first[start:start + block, None], slots.reshape(-1, cols, 4)], axis=1)
+        text = slots.view(np.uint8).ravel()
         parts.append(text[text != 0].tobytes())
     return parts
+
+
+def _g17_column(values: np.ndarray) -> np.ndarray:
+    """Read-only _g17_slots of the values, each followed by a comma."""
+    commas = np.zeros(_G17_BLOCK, dtype=np.intp)
+    blocks = np.split(values, range(_G17_BLOCK, values.size, _G17_BLOCK))
+    slots = np.concatenate([_g17_slots(x, commas[: x.size]) for x in blocks])
+    slots.setflags(write=False)
+    return slots
 
 
 def _g17_slots(x: np.ndarray, last_column: np.ndarray) -> np.ndarray:
@@ -663,11 +677,11 @@ def write_solution_csv(solution: ConformalSolution, path) -> None:
     """Write the solution bundle: header ``r,phi,dphi,tau,A,w,lw`` and one
     row per grid node in the format of :func:`_write_csv_table`.  dphi
     is the grid derivative of phi, for readers of the file; the reader
-    here ignores it."""
+    here ignores it.  The grid's operator cache keeps the text of r."""
     grid = solution.grid
+    radii = grid._cached("g17_radii", lambda: _g17_column(grid.nodes))
     dphi = differentiate(solution.phi, 1).values
     columns = (
-        grid.nodes,
         solution.phi.values,
         dphi,
         solution.tau.values,
@@ -675,7 +689,7 @@ def write_solution_csv(solution: ConformalSolution, path) -> None:
         solution.w.values,
         solution.lw_norm.values,
     )
-    _write_csv_table(path, _BUNDLE_HEADER, columns)
+    _write_csv_table(path, _BUNDLE_HEADER, columns, radii)
 
 
 def read_solution_csv(path, dim: Dimension) -> ConformalSolution:

@@ -125,7 +125,7 @@ class RadialGrid:
 
     def _window_index(self, width: int) -> np.ndarray:
         """Gather index of the windowed layout, slot-major: row ``slot`` holds
-        ``starts + slot`` (see ``_window_starts``); read-only."""
+        ``starts + slot`` (see ``_window_starts``); read-only, for band layouts."""
 
         def build():
             index = _window_starts(len(self), width) + np.arange(width)[:, None]
@@ -346,14 +346,19 @@ def _slot_major(weights: np.ndarray) -> np.ndarray:
     return store.T
 
 
-def _apply_window(grid: RadialGrid, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _apply_window(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row i of the result is ``weights[i] @ values[starts[i]:starts[i]+width]``,
     summed from zero slot by slot in column order; reports depend on this
-    order bitwise.  Fastest for weights laid out by ``_slot_major``."""
-    terms = values[grid._window_index(weights.shape[1])]
-    terms *= weights.T
-    out = np.zeros(len(grid))
-    for term in terms:
+    order bitwise.  Slot s slices ``values[s : npts - width + 1 + s]`` for the
+    centred rows; the first and last width // 2 rows take their edge window's
+    value.  Fastest for weights laid out by ``_slot_major``."""
+    npts, width = weights.shape
+    half = width // 2
+    out, term = np.zeros(npts), np.empty(npts)
+    for slot, column in enumerate(weights.T):
+        term[:half], term[npts - half:] = values[slot], values[npts - width + slot]
+        term[half:npts - half] = values[slot:npts - width + 1 + slot]
+        term *= column
         out += term
     return out
 
@@ -369,7 +374,7 @@ def differentiate(profile: RadialProfile, order: int = 1) -> RadialProfile:
     if order not in (1, 2) or order not in cache:
         weights = profile.grid.derivative_matrix(order)  # raises on any other order
         values = profile.values - profile.values[0]
-        cache[order] = RadialProfile(profile.grid, _apply_window(profile.grid, weights, values))
+        cache[order] = RadialProfile(profile.grid, _apply_window(weights, values))
     return cache[order]
 
 
@@ -484,7 +489,9 @@ def fit_tail(profile: RadialProfile, window: tuple[float, float]) -> TailModel:
 def _sample_profiles(profiles, radii) -> list[np.ndarray]:
     """Each profile, all on one grid, at the radii (as a 1-D or larger array)
     from one local 4-point Lagrange basis; raises EvaluationOutOfRangeError
-    past r_max."""
+    past r_max.  Weight j is the left-to-right product of the factors
+    (r - x_k)/(x_j - x_k), k != j in order, and each profile sums its four
+    terms from zero in basis order; reports depend on this bitwise."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all(radii >= 0):  # NaN fails too
         raise InvalidArgumentError("radii must be nonnegative")
@@ -499,7 +506,9 @@ def _sample_profiles(profiles, radii) -> list[np.ndarray]:
     s = np.clip(np.searchsorted(nodes, r, side="right") - 2, 0, nodes.size - 4)
     idx = s + np.arange(4)[:, None]
     x = nodes[idx]
-    basis = [np.prod([(r - x[k]) / (x[j] - x[k]) for k in range(4) if k != j], axis=0) for j in range(4)]
+    d = r - x
+    basis = [d[a] / (x[j] - x[a]) * (d[b] / (x[j] - x[b])) * (d[c] / (x[j] - x[c]))
+             for j, a, b, c in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3), (3, 0, 1, 2))]
     samples = []
     for profile in profiles:
         f = profile.values[idx]

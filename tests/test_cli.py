@@ -425,6 +425,30 @@ def test_only_solves_build_helmholtz_rows(monkeypatch, capsys, tmp_path):
     assert "deriv" in keys and not [key for key in keys if key[0] == "helmholtz"]
 
 
+def test_window_index_and_radii_text_are_built_only_where_read(monkeypatch, capsys, tmp_path):
+    """Stencils are applied by slicing: after smooth-schwarzschild --m 1 no
+    node set holds the window index, and only the bundle's grid holds the
+    text of its radii.  A free-tau solve builds the index once, for its
+    band layouts."""
+    monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+    builds = collections.Counter()
+    cached = radial.RadialGrid._cached
+
+    def counted(grid, key, build):
+        builds[key] += key not in grid._cache
+        return cached(grid, key, build)
+
+    monkeypatch.setattr(radial.RadialGrid, "_cached", counted)
+    bundle = tmp_path / "bundle.csv"
+    assert run_cli(["smooth-schwarzschild", "--m", "1", "--profiles", str(bundle)], capsys)[0] == 0
+    assert len(radial._OPERATORS) == 2 and builds[("window", 7)] == 0
+    holders = [nodes for nodes, cache in radial._OPERATORS.items() if "g17_radii" in cache]
+    assert holders == [conformal._read_csv_table(bundle, "r,phi,dphi,tau,A,w,lw")[:, 0].tobytes()]
+    assert builds["g17_radii"] == 1
+    assert run_cli(["free-tau", "--c", "1", "--q", "1.5"], capsys)[0] == 0
+    assert builds[("window", 7)] == 1
+
+
 class TestFreeTauScenarios:
     def test_all_exit_zero(self, free_tau_runs):
         assert [code for code, _ in free_tau_runs.values()] == [0, 0, 0]

@@ -376,6 +376,16 @@ class TestInitialDataEvaluator:
         k = data.extrinsic_curvature([0.0, 0.0, 0.0])
         assert np.array_equal(k, k[0, 0] * np.eye(3))
 
+    def test_points_at_the_origin_leave_the_other_rows_bitwise(self, data):
+        # a set with points at the origin takes the masked path, the same
+        # set without them every row at once
+        points = np.random.default_rng(3).normal(size=(40, 3)) * np.logspace(-3, 3, 40)[:, None]
+        with_origin = np.insert(points, [0, 17, 40], 0.0, axis=0)
+        at_origin = ~np.any(with_origin, axis=1)
+        k = data.extrinsic_curvature(with_origin)
+        assert np.array_equal(k[~at_origin].view(np.int64), data.extrinsic_curvature(points).view(np.int64))
+        assert np.array_equal(k[at_origin], np.broadcast_to(k[0, 0, 0] * np.eye(3), (3, 3, 3)))
+
     @pytest.mark.parametrize("what", ["fields_at", "profile_at", "metric", "extrinsic_curvature"])
     @pytest.mark.parametrize("shape", ["one", "many"])
     def test_evaluation_past_r_max_raises(self, data, what, shape):
@@ -452,6 +462,27 @@ class TestSolutionBundleCsv:
         for k, column in enumerate(columns):
             assert np.array_equal(table[:, k].view(np.int64), column.view(np.int64))
 
+    def test_cached_radii_text_keeps_every_bundle_per_value(self, tmp_path, monkeypatch, mass_like_solution):
+        monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+        values = [getattr(mass_like_solution, name).values for name in ("phi", "tau", "A", "w", "lw_norm")]
+
+        def on(grid, scale=1.0):
+            scaled = (RadialProfile(grid, scale * v) for v in values[1:])
+            return ConformalSolution(DIM3, RadialProfile(grid, values[0]), *scaled)
+
+        def radii_text_of_a_per_value_bundle(solution):
+            write_solution_csv(solution, tmp_path / "bundle.csv")
+            reference_solution_csv(solution, tmp_path / "reference.csv")
+            assert (tmp_path / "bundle.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            return solution.grid._cache["g17_radii"]
+
+        grid = RadialGrid(mass_like_solution.grid.nodes)
+        text = radii_text_of_a_per_value_bundle(on(grid))
+        assert radii_text_of_a_per_value_bundle(on(grid, -3.0)) is text  # a second bundle on the grid
+        monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
+        assert radii_text_of_a_per_value_bundle(on(grid, -3.0)) is text  # the grid keeps its text
+        assert radii_text_of_a_per_value_bundle(on(RadialGrid(grid.nodes))) is not text  # a new grid formats its own
+
     def test_roundtrip_is_bitwise(self, tmp_path, mass_like_solution):
         path = tmp_path / "bundle.csv"
         write_solution_csv(mass_like_solution, path)
@@ -521,8 +552,12 @@ def per_value_g17(table):
 
 
 def assert_g17_equals_per_value(values, cols=7):
+    """Both the whole table and its last columns after the first column's
+    cached slots (see ``_g17_column``) give the per-value text."""
     table = np.resize(np.asarray(values, dtype=float), (-(-len(values) // cols), cols))
-    assert b"".join(conformal._g17_rows(table)) == per_value_g17(table)
+    expected = per_value_g17(table)
+    assert b"".join(conformal._g17_rows(table)) == expected
+    assert b"".join(conformal._g17_rows(table[:, 1:], conformal._g17_column(table[:, 0]))) == expected
 
 
 @pytest.fixture
@@ -582,7 +617,7 @@ class TestG17Formatter:
 
     def test_failed_formatting_leaves_no_new_file_and_keeps_an_old_one(
             self, tmp_path, monkeypatch, mass_like_solution):
-        def out_of_memory(table):
+        def out_of_memory(*args):
             raise MemoryError
 
         monkeypatch.setattr(conformal, "_g17_rows", out_of_memory)

@@ -10,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vacuumdata
 
@@ -30,7 +32,7 @@ from vacuumdata.radial import (
     integrate_from_zero,
     integrate_to_infinity,
 )
-from vacuumdata.conformal import _read_csv_table
+from vacuumdata.conformal import _helmholtz_operator, _read_csv_table
 from vacuumdata.conformal import build_solution, read_solution_csv, write_solution_csv
 from vacuumdata import radial
 from vacuumdata.radial import (
@@ -204,7 +206,7 @@ class TestDifferentiate:
     def test_cached_derivative_equals_stencil_application(self, work_grid, order):
         profile = RadialProfile(work_grid, (1.0 + work_grid.nodes**2) ** -0.5)
         values = profile.values - profile.values[0]
-        direct = _apply_window(work_grid, work_grid.derivative_matrix(order), values)
+        direct = _apply_window(work_grid.derivative_matrix(order), values)
         first = differentiate(profile, order)
         assert np.array_equal(first.values, direct)
         assert differentiate(profile, order) is first
@@ -301,6 +303,18 @@ STENCIL_GRIDS = pytest.mark.parametrize("nodes", [
 ], ids=["graded-4000", "uniform-300", "five-nodes", "six-nodes", "irregular-400"])
 
 
+def gathered_window(weights, values):
+    """``_apply_window`` as it was: each slot's values gathered through the
+    window index, times the slot's weights, summed from zero in slot order."""
+    npts, width = weights.shape
+    terms = values[_window_starts(npts, width) + np.arange(width)[:, None]]
+    terms *= weights.T
+    out = np.zeros(npts)
+    for term in terms:
+        out += term
+    return out
+
+
 class TestStencilWeights:
     @STENCIL_GRIDS
     def test_match_scalar_recursion(self, nodes):
@@ -364,9 +378,27 @@ class TestStencilWeights:
             for slot in range(weights.shape[1]):
                 total += weights[i, slot] * values[starts[i] + slot]
             expected[i] = total
-        assert np.array_equal(_apply_window(grid, weights, values), expected)
+        assert np.array_equal(_apply_window(weights, values), expected)
         # any weight layout gives the same sums
-        assert np.array_equal(_apply_window(grid, np.ascontiguousarray(weights), values), expected)
+        assert np.array_equal(_apply_window(np.ascontiguousarray(weights), values), expected)
+
+    @STENCIL_GRIDS
+    @pytest.mark.parametrize("weights_of", [
+        lambda grid: grid.derivative_matrix(1),
+        lambda grid: grid.derivative_matrix(2),
+        lambda grid: _helmholtz_operator(3, grid),
+        lambda grid: _helmholtz_operator(5, grid),
+    ], ids=["d1", "d2", "helmholtz-3", "helmholtz-5"])
+    def test_sliced_windows_equal_the_gathered_form_bitwise(self, nodes, weights_of):
+        # five and six nodes give width 5, the others width 7; the first and
+        # last width // 2 rows read their edge window, the rest a slice
+        grid = RadialGrid(nodes)
+        weights = weights_of(grid)
+        values = np.random.default_rng(11).normal(size=len(grid)) * (1.0 + nodes) ** -1.5
+        got, expected = _apply_window(weights, values), gathered_window(weights, values)
+        half = weights.shape[1] // 2
+        for rows in (slice(None, half), slice(half, len(grid) - half), slice(len(grid) - half, None)):
+            assert np.array_equal(got[rows].view(np.int64), expected[rows].view(np.int64))
 
     def test_window_index_cached_and_read_only(self):
         grid = build_grid(64, 10.0, 1.05)
@@ -815,12 +847,41 @@ def per_profile_cubic(nodes, values, r):
     return out
 
 
+def stacked_cubic(profiles, radii):
+    """``_sample_profiles``' arithmetic as it was: each basis weight an
+    ``np.prod`` over its stacked factors, each profile a ``sum`` from zeros."""
+    nodes = profiles[0].grid.nodes
+    r = np.minimum(radii, nodes[-1])
+    idx = np.clip(np.searchsorted(nodes, r, side="right") - 2, 0, nodes.size - 4) + np.arange(4)[:, None]
+    x = nodes[idx]
+    basis = [np.prod([(r - x[k]) / (x[j] - x[k]) for k in range(4) if k != j], axis=0) for j in range(4)]
+    return [sum((profile.values[idx][j] * basis[j] for j in range(4)), np.zeros_like(r)) for profile in profiles]
+
+
+SAMPLED_NODES = irregular_nodes(64, seed=9)
+
+
+def sample_radius(nodes):
+    """Radii at 0, at r_max, at nodes, in the first and last intervals, and anywhere."""
+    return st.one_of(
+        st.sampled_from([0.0, float(nodes[-1])]),
+        st.sampled_from(nodes.tolist()),
+        st.floats(0.0, float(nodes[1])),
+        st.floats(float(nodes[-2]), float(nodes[-1])),
+        st.floats(0.0, float(nodes[-1])),
+    )
+
+
 class TestSharedBasis:
     @pytest.fixture(scope="class")
     def profiles(self, work_grid):
         rng = np.random.default_rng(5)
         powers = [positive_power_profile(work_grid, p, c) for p, c in ((-3.0, 1.0), (-1.5, -2.0))]
-        return powers + [RadialProfile(work_grid, rng.normal(size=len(work_grid)))]
+        # zeros signed against the basis weights of every fourth interval:
+        # each term there is -0.0, and only a sum from +0.0 gives +0.0
+        signed_zeros = np.where(np.arange(len(work_grid)) % 4 % 3 == 0, 0.0, -0.0)
+        return powers + [RadialProfile(work_grid, rng.normal(size=len(work_grid))),
+                         RadialProfile(work_grid, signed_zeros)]
 
     @pytest.fixture(scope="class")
     def radii(self, work_grid):
@@ -840,6 +901,20 @@ class TestSharedBasis:
         shared = _sample_profiles(profiles, radii)
         for profile, values in zip(profiles, shared):
             reference = per_profile_cubic(profile.grid.nodes, profile.values, np.minimum(radii, r_max))
+            assert np.array_equal(values.view(np.int64), reference.view(np.int64))
+
+    def test_equals_the_stacked_product_form_bitwise(self, profiles, radii):
+        for values, reference in zip(_sample_profiles(profiles, radii), stacked_cubic(profiles, radii), strict=True):
+            assert np.array_equal(values.view(np.int64), reference.view(np.int64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(sample_radius(SAMPLED_NODES), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+    def test_random_radii_equal_the_stacked_product_form_bitwise(self, radii, seed):
+        grid = RadialGrid(SAMPLED_NODES)
+        rng = np.random.default_rng(seed)
+        profiles = [RadialProfile(grid, rng.normal(size=len(grid)) * 10.0 ** rng.integers(-100, 100)) for _ in range(3)]
+        radii = np.array(radii)
+        for values, reference in zip(_sample_profiles(profiles, radii), stacked_cubic(profiles, radii), strict=True):
             assert np.array_equal(values.view(np.int64), reference.view(np.int64))
 
     def test_radii_beyond_r_max_refused(self, profiles):

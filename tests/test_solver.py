@@ -102,7 +102,7 @@ class TestHelmholtzSolve:
         rows = _helmholtz_operator(3, work_grid)
         u = np.zeros(len(work_grid))
         u[1:] = 1.0 / work_grid.nodes[1:]
-        image = _apply_window(work_grid, rows, u)
+        image = _apply_window(rows, u)
         rows = work_grid.nodes[1:-1] >= 1.0
         assert float(np.max(np.abs(image[1:-1][rows]))) < 1e-9
         assert abs(image[-1]) < 1e-15
