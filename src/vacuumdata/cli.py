@@ -37,7 +37,8 @@ from .conformal import (
     tau_from_phi,
     write_solution_csv,
 )
-from .errors import DegenerateFitError, InvalidArgumentError, SchemaError, VacuumDataError
+from .errors import DegenerateFitError, InvalidArgumentError, NegativeRadicandError, NotMonotoneError
+from .errors import SchemaError, VacuumDataError
 from .radial import Dimension, RadialProfile, build_grid
 from .solver import SolveControls, fixed_point_solve, smooth_schwarzschild_phi
 from .verify import (
@@ -310,11 +311,14 @@ def _read_bundle_at_n(config: ScenarioConfig) -> ConformalSolution:
     mean-curvature identity there.  A bundle does not record its
     dimension, and one read at another n fails the identity by orders of
     magnitude while its mass may even change sign; a refusal names the
-    dimensions in _PROBED_DIMENSIONS at which the bundle does pass."""
+    dimensions in _PROBED_DIMENSIONS at which the bundle does pass.  Only
+    the identity's own failures (a decreasing factor, a negative radicand)
+    count as failing it; an error that no n can cure, such as a bundle too
+    short to differentiate, propagates."""
     sol = read_solution_csv(config.csv_path, config.dim)
     try:
         residual = _identity_residual(config.dim, sol.phi, sol.tau)
-    except VacuumDataError:
+    except (NotMonotoneError, NegativeRadicandError):
         residual = math.inf
     if not residual < IDENTITY_GATE:
         passes = [n for n in _PROBED_DIMENSIONS if n != config.n and _passes_identity(Dimension(n), sol)]

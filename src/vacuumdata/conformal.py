@@ -5,8 +5,8 @@ Given a radial conformal factor phi (positive, nondecreasing, tending to
 identity; conversely the momentum potential A, the vector potential
 coefficient w, and the Euclidean norm |LW| follow from phi and tau by
 explicit radial integrals.  This module implements those maps, the rows
-of the discrete reduced Lichnerowicz equation that both solvers drive to
-zero, and assembly of the physical Cartesian fields (g, k).
+of the discrete reduced Lichnerowicz equation that the free-tau solve
+drives to zero, and assembly of the physical Cartesian fields (g, k).
 
 Conventions used throughout: n is the spatial dimension, N = 2n/(n-2),
 g_ij = phi^{N-2} delta_ij, and

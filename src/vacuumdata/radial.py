@@ -123,17 +123,6 @@ class RadialGrid:
             self._cache[key] = build()
         return self._cache[key]
 
-    def _window_index(self, width: int) -> np.ndarray:
-        """Gather index of the windowed layout, slot-major: row ``slot`` holds
-        ``starts + slot`` (see ``_window_starts``); read-only, for band layouts."""
-
-        def build():
-            index = _window_starts(len(self), width) + np.arange(width)[:, None]
-            index.setflags(write=False)
-            return index
-
-        return self._cached(("window", width), build)
-
     def _quadrature(self):
         return self._cached("quad", lambda: _build_quadrature(self.nodes))
 
@@ -512,5 +501,8 @@ def _sample_profiles(profiles, radii) -> list[np.ndarray]:
     samples = []
     for profile in profiles:
         f = profile.values[idx]
-        samples.append(sum((f[j] * basis[j] for j in range(4)), np.zeros_like(r)).reshape(radii.shape))
+        out = np.zeros_like(r)
+        for j in range(4):
+            out += f[j] * basis[j]
+        samples.append(out.reshape(radii.shape))
     return samples

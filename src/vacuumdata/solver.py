@@ -1,28 +1,27 @@
 """Radial elliptic solvers and the free-tau construction.
 
-Two Newton solves drive the rows of the discrete reduced Lichnerowicz
+One Newton solve drives the rows of the discrete reduced Lichnerowicz
 equation, ``conformal._lichnerowicz_rows`` (the radial Helmholtz operator
 on [0, r_max] with a regularity row at the origin and a Robin row at
 r_max, acting on u = phi - 1 so that the flat solution is reproduced
-bitwise), to zero: the Lichnerowicz solve at fixed (tau, |LW|), and the
-free-tau solve, Newton on those rows with |LW|^2 = ((n-1)/n)
-A^2 / r^{2n}, coupled to the first differences of the quadrature of
-A(r) = int_0^r s^n phi^N tau' ds with the grid's interval weights w:
+bitwise), to zero: the free-tau solve, Newton on those rows with
+|LW|^2 = ((n-1)/n) A^2 / r^{2n}, coupled to the first differences of the
+quadrature of A(r) = int_0^r s^n phi^N tau' ds with the grid's interval
+weights w:
 
     A_0 = 0,    A_i - A_{i-1} = sum_k w[i-1, k] (r^n phi^N tau')[idx[i-1, k]].
 
-Every matrix is banded and solved by one LAPACK gbsv: the one in numpy's
-own OpenBLAS, called through ctypes, so no solve imports SciPy; SciPy's
-LAPACK only where numpy's BLAS does not export it.  The free-tau
+Each Newton step solves its banded Jacobian by one LAPACK gbsv: the one
+in numpy's own OpenBLAS, called through ctypes, so no solve imports
+SciPy; SciPy's LAPACK only where numpy's BLAS does not export it.  The
 unknowns (phi_i, A_i) are interleaved, and so are their equations but for
 the last three node pairs: their three phi rows (the Robin row last) come
 before their three A rows.  Those phi rows reach six, five and four nodes
 inward; placed earlier, they fit a band of kl = 10 diagonals below the
 main one, and the interior rows need ku = 6 above it (the band is read
-off the stencils' nonzero pattern).  The Helmholtz band is (6, 6) and is
-built once per Lichnerowicz solve; only the coupled band is cached on the
-grid, per dimension.  A Newton step copies its band and writes the
-iterate-dependent entries.
+off the stencils' nonzero pattern).  The band is cached on the grid, per
+dimension; a Newton step copies it and writes the iterate-dependent
+entries.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import functools
 
 import numpy as np
 
-from .conformal import ConformalSolution, _radicand_margin, _require_same_grid, build_solution
+from .conformal import ConformalSolution, _radicand_margin, build_solution
 from .conformal import _helmholtz_operator, _laplacian_weight, _lichnerowicz_diagonal, _lichnerowicz_rows
 from .errors import (
     ConstructionFailedError,
@@ -43,13 +42,12 @@ from .errors import (
     NotMonotoneError,
     SingularSystemError,
 )
-from .radial import Dimension, RadialGrid, RadialProfile, differentiate
+from .radial import Dimension, RadialGrid, RadialProfile, _window_starts, differentiate
 from .verify import _FAR_FIELD_FRACTIONS
 
 __all__ = [
     "SolveControls",
     "SolveTrace",
-    "solve_lichnerowicz",
     "fixed_point_solve",
     "smooth_schwarzschild_phi",
 ]
@@ -57,7 +55,7 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class SolveControls:
-    """Tolerance and Newton step budget of the radial solves."""
+    """Tolerance and Newton step budget of the free-tau solve."""
 
     tol: float = 1e-10
     max_newton: int = 40
@@ -141,7 +139,7 @@ def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
         scale[-1] = 1.0
         values = scale * rows
         node, slot = np.nonzero(values)
-        stencil = (phi_rows[node], 2 * grid._window_index(width)[slot, node], values[node, slot])
+        stencil = (phi_rows[node], 2 * (_window_starts(npts, width)[node] + slot), values[node, slot])
         ones = (a_rows, phi + 1, 1.0)
         minus_ones = (a_rows[1:], phi[:-1] + 1, -1.0)
         diag = (phi_rows[:-1], phi[:-1])
@@ -261,89 +259,6 @@ def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
     return solution
 
 
-def _newton(x, stride, linearize, controls, trace):
-    """Newton iteration on the unknowns x, of which x[::stride] is phi.
-
-    ``linearize(x)`` returns the residual sup norm and a function that
-    assembles and solves the step's banded system; it is not called at
-    the converged iterate.  A residual norm that is not finite raises
-    SingularSystemError.  A step is halved until phi stays positive;
-    the iteration stops once the phi step is at most
-    tol * max(1, sup |phi|).  ``trace`` records each step.
-    """
-
-    def record_residual(x):
-        norm, solve_step = linearize(x)
-        if not np.isfinite(norm):
-            raise SingularSystemError("radial system overflows: the residual is not finite")
-        trace.newton_residuals.append(norm)
-        return solve_step
-
-    for _ in range(controls.max_newton):
-        delta = record_residual(x)()
-        step = 1.0
-        for _ in range(60):
-            if np.all(x[::stride] + step * delta[::stride] > 0.0):
-                break
-            step *= 0.5
-        else:
-            raise NonpositiveIterateError("Newton step cannot keep the factor positive")
-        x = x + step * delta
-        change = np.max(np.abs(step * delta[::stride]))
-        scale = max(1.0, np.max(np.abs(x[::stride])))
-        trace.outer_iterates.append(float(change / scale))
-        if change <= controls.tol * scale:
-            record_residual(x)
-            return x
-    raise NoConvergenceError(
-        f"Newton stalled after {controls.max_newton} steps"
-        f" (last residual {trace.newton_residuals[-1]:.3e})"
-    )
-
-
-def solve_lichnerowicz(
-    dim: Dimension,
-    tau: RadialProfile,
-    lw: RadialProfile,
-    phi0: RadialProfile | None = None,
-) -> RadialProfile:
-    """Solve the radial Lichnerowicz equation for phi at fixed (tau, |LW|).
-
-    Newton on the full discrete residual, including the Robin row.  Each
-    step solves a radial Helmholtz problem whose potential is the rows'
-    Frechet diagonal, to the default SolveControls' tolerance and step
-    budget; the default initial guess is phi == 1.
-    """
-    grid = _require_same_grid(tau, lw)
-    start = np.ones(len(grid)) if phi0 is None else phi0.values.copy()
-    if np.any(start <= 0):
-        raise InvalidArgumentError("initial guess must be positive")
-    a = _laplacian_weight(dim.n)
-    rows = _helmholtz_operator(dim.n, grid)
-    npts, width = rows.shape
-    kl = width - 1
-    band = _band_layout(kl, kl, npts, (np.arange(npts)[:, None], grid._window_index(width).T, rows))
-    work = np.empty_like(band)
-
-    def linearize(phi):
-        f, _ = _lichnerowicz_rows(dim, grid, phi, tau_sq, lw_sq)
-
-        def solve_step():
-            v_hat = _lichnerowicz_diagonal(dim, phi, tau_sq, lw_sq)
-            b = f / a
-            b[-1] = -f[-1]
-            np.copyto(work, band)
-            np.subtract(band[2 * kl, :-1], v_hat[:-1] / a, out=work[2 * kl, :-1])
-            return _solve(work, b, kl)
-
-        return float(np.max(np.abs(f))), solve_step
-
-    # an overflow ends in _newton's SingularSystemError, not in a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau_sq, lw_sq = tau.values**2, lw.values**2
-        return RadialProfile(grid, _newton(start, 1, linearize, SolveControls(), SolveTrace()))
-
-
 def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):
     """Residual of the coupled (phi, A) system in the equation order of
     ``_CoupledOperator``, and a function that writes its Jacobian into a
@@ -380,7 +295,11 @@ def fixed_point_solve(
 
     Newton on the coupled (phi, A) system of the module docstring, from
     phi == 1, A == 0; its solution is the discrete fixed point of the
-    Lichnerowicz solve at |LW|(A) and the quadrature of A at phi.
+    Lichnerowicz equation at |LW|(A) and the quadrature of A at phi.  A
+    step is halved until phi stays positive, and the iteration stops once
+    the phi step is at most tol * max(1, sup |phi|); the residual at that
+    iterate is recorded, but its Jacobian is not filled.  A residual norm
+    that is not finite raises SingularSystemError.
     """
     controls = controls if controls is not None else SolveControls()
     grid = tau.grid
@@ -389,24 +308,39 @@ def fixed_point_solve(
     work = np.empty_like(operator.band)
     x = np.zeros(2 * len(grid))
     x[0::2] = 1.0
-    # an overflow ends in _newton's SingularSystemError, not in a warning
+    # an overflow ends in a SingularSystemError, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
         tau_sq = tau.values**2
         try:
             dtau = differentiate(tau, 1).values
         except InvalidArgumentError as exc:  # tau' overflows
             raise SingularSystemError("radial system overflows: tau' is not finite") from exc
-
-        def linearize(x):
+        while True:
             residual, jacobian = _coupled_system(dim, grid, tau_sq, dtau, x[0::2], x[1::2])
-
-            def solve_step():
-                return _solve(jacobian(work), -residual, operator.kl)
-
-            return float(np.max(np.abs(residual))), solve_step
-
-        x = _newton(x, 2, linearize, controls, trace)
-    trace.converged = True
+            norm = float(np.max(np.abs(residual)))
+            if not np.isfinite(norm):
+                raise SingularSystemError("radial system overflows: the residual is not finite")
+            trace.newton_residuals.append(norm)
+            if trace.converged:
+                break
+            delta = _solve(jacobian(work), -residual, operator.kl)
+            step = 1.0
+            for _ in range(60):
+                if np.all(x[0::2] + step * delta[0::2] > 0.0):
+                    break
+                step *= 0.5
+            else:
+                raise NonpositiveIterateError("Newton step cannot keep the factor positive")
+            x = x + step * delta
+            change = np.max(np.abs(step * delta[0::2]))
+            scale = max(1.0, np.max(np.abs(x[0::2])))
+            trace.outer_iterates.append(float(change / scale))
+            trace.converged = bool(change <= controls.tol * scale)
+            if not trace.converged and len(trace.outer_iterates) == controls.max_newton:
+                raise NoConvergenceError(
+                    f"Newton stalled after {controls.max_newton} steps"
+                    f" (last residual {trace.newton_residuals[-1]:.3e})"
+                )
 
     phi = RadialProfile(grid, x[0::2])
     mono_min, mono_tol = _radicand_margin(dim, phi)

@@ -20,7 +20,6 @@ from vacuumdata import (
     adm_mass_radial,
     adm_mass_surface,
     assemble_initial_data,
-    build_grid,
     build_solution,
     check_solution,
     constraint_report,
@@ -31,7 +30,6 @@ from vacuumdata import (
     fixed_point_solve,
     hamiltonian_residual,
     momentum_residual,
-    solve_lichnerowicz,
     tail_limit_check,
     tau_from_phi,
 )
@@ -161,7 +159,9 @@ def test_decay_exponents_track_seed_rate(solver_data):
         assert rep.metric_exponent == pytest.approx(2.0 * q - 2.0, abs=0.1)
 
 
-def test_structural_properties_hold(acceptance_grid, schwarzschild_solution, solver_runs):
+def test_structural_properties_hold(
+    acceptance_grid, schwarzschild_solution, solver_runs, manufactured_error
+):
     # rescaling lengths by 1/c maps the family onto itself nodewise;
     # power-of-two c keeps the node arithmetic exact
     base, _ = solver_runs[2.0]
@@ -172,33 +172,11 @@ def test_structural_properties_hold(acceptance_grid, schwarzschild_solution, sol
         scaled, _ = fixed_point_solve(DIM3, seed_c)
         assert float(np.max(np.abs(scaled.phi.values - base.phi.values))) < 1e-9
 
-    # start independence: two initial guesses land on the same solution
-    r = acceptance_grid.nodes
-    tau = RadialProfile(acceptance_grid, (1.0 + r * r) ** -0.75)
-    zero = RadialProfile(acceptance_grid, np.zeros(len(acceptance_grid)))
-    a = solve_lichnerowicz(DIM3, tau, zero)
-    start = RadialProfile(acceptance_grid, np.full(len(acceptance_grid), 2.0))
-    b = solve_lichnerowicz(DIM3, tau, zero, phi0=start)
-    assert float(np.max(np.abs(a.values - b.values))) < 1e-9
-
-    # manufactured solution recovered at scheme order
-    def manufactured_error(n_points):
-        grid = build_grid(n_points, 150.0, 1.0)
-        rr = grid.nodes
-        exact = 1.0 + 0.1 * (1.0 + rr * rr) ** -0.5
-        lap = -0.3 * (1.0 + rr * rr) ** -2.5
-        tau_sq = (1.0 + rr * rr) ** -1.5
-        lw_sq = (2.0 / 3.0) * exact**7 * (-12.0 * lap + tau_sq * exact**5)
-        phi = solve_lichnerowicz(
-            DIM3,
-            RadialProfile(grid, np.sqrt(tau_sq)),
-            RadialProfile(grid, np.sqrt(lw_sq)),
-        )
-        return float(np.max(np.abs(phi.values - exact)))
-
-    coarse, fine = manufactured_error(750), manufactured_error(1500)
-    assert fine < 1e-6
-    assert math.log2(coarse / fine) > 3.5
+    # manufactured solution recovered at scheme order by the free-tau solve
+    for n in (3, 4):
+        coarse, fine = manufactured_error(n, 1500), manufactured_error(n, 3000)
+        assert fine < 1e-6, f"n={n}"
+        assert math.log2(coarse / fine) > 3.5, f"n={n}"
 
     # the monotonicity check holds on every accepted solution and is
     # refused for a decreasing factor
@@ -208,7 +186,7 @@ def test_structural_properties_hold(acceptance_grid, schwarzschild_solution, sol
         assert chk.monotone
         assert chk.monotone_min >= 0.0
     bad = RadialProfile(acceptance_grid, 1.0 + np.exp(-acceptance_grid.nodes))
-    bad_sol = build_solution(DIM3, bad, zero)
+    bad_sol = build_solution(DIM3, bad, RadialProfile(acceptance_grid, np.zeros(len(acceptance_grid))))
     assert not check_solution(bad_sol).monotone
 
 

@@ -426,10 +426,10 @@ def test_only_solves_build_helmholtz_rows(monkeypatch, capsys, tmp_path):
 
 
 def test_window_index_and_radii_text_are_built_only_where_read(monkeypatch, capsys, tmp_path):
-    """Stencils are applied by slicing: after smooth-schwarzschild --m 1 no
-    node set holds the window index, and only the bundle's grid holds the
-    text of its radii.  A free-tau solve builds the index once, for its
-    band layouts."""
+    """Stencils are applied by slicing and band layouts take their columns
+    from the window starts: neither smooth-schwarzschild --m 1 nor a
+    free-tau solve caches a window index, and only the bundle's grid holds
+    the text of its radii."""
     monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
     builds = collections.Counter()
     cached = radial.RadialGrid._cached
@@ -441,12 +441,13 @@ def test_window_index_and_radii_text_are_built_only_where_read(monkeypatch, caps
     monkeypatch.setattr(radial.RadialGrid, "_cached", counted)
     bundle = tmp_path / "bundle.csv"
     assert run_cli(["smooth-schwarzschild", "--m", "1", "--profiles", str(bundle)], capsys)[0] == 0
-    assert len(radial._OPERATORS) == 2 and builds[("window", 7)] == 0
+    assert len(radial._OPERATORS) == 2
+    assert not [key for key in builds if key[0] == "window"]
     holders = [nodes for nodes, cache in radial._OPERATORS.items() if "g17_radii" in cache]
     assert holders == [conformal._read_csv_table(bundle, "r,phi,dphi,tau,A,w,lw")[:, 0].tobytes()]
     assert builds["g17_radii"] == 1
     assert run_cli(["free-tau", "--c", "1", "--q", "1.5"], capsys)[0] == 0
-    assert builds[("window", 7)] == 1
+    assert ("coupled", 3) in builds and not [key for key in builds if key[0] == "window"]
 
 
 class TestFreeTauScenarios:
@@ -736,7 +737,7 @@ class TestMatchingRadius:
 
 class TestModuleEntryPoint:
     """``python -m vacuumdata`` and ``python -m vacuumdata.cli`` run the CLI
-    without runpy warnings."""
+    with warnings as errors and print nothing on stderr."""
 
     @staticmethod
     def run_module(*argv, module="vacuumdata"):
@@ -744,7 +745,7 @@ class TestModuleEntryPoint:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         return subprocess.run(
-            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-W", "error", "-m", module, *argv], capture_output=True, text=True, env=env
         )
 
     def test_help_exits_zero(self):
@@ -797,6 +798,21 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "invalid-argument"
+
+    @pytest.mark.parametrize("rows", [3, 4])
+    @pytest.mark.parametrize("command", ["mass", "decay"])
+    def test_bundle_too_short_to_differentiate_gives_the_verify_record(
+        self, command, rows, schw_run, tmp_path
+    ):
+        # no dimension can cure it, so it is not reported as failing the identity
+        header, *lines = schw_run[2].read_text().splitlines()
+        bundle = tmp_path / "cut.csv"
+        bundle.write_text("\n".join([header, *lines[:rows]]) + "\n")
+        proc = self.run_module(command, str(bundle))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout == (
+            '{"error":{"type":"invalid-argument","message":"differentiation needs at least 5 nodes"}}\n'
+        )
 
     @pytest.mark.parametrize("command", ["verify", "mass", "decay"])
     def test_non_ascii_byte_gives_parse_error_record(self, command, schw_run, tmp_path):

@@ -1,4 +1,5 @@
-"""The package's public surface is the layers' ``__all__`` lists and nothing else.
+"""The package's public surface is the layers' ``__all__`` lists and nothing else,
+and the layers import one another in one order.
 
 Each layer declares its public names once, in ``__all__``; the package
 re-exports them with star imports.  A name defined elsewhere, listed in two
@@ -19,6 +20,10 @@ import vacuumdata
 # the layers the package re-exports, in import order; cli is not re-exported
 EXPORTED = ("errors", "radial", "conformal", "solver", "verify")
 LAYERS = (*EXPORTED, "cli")
+# a layer may import, relatively, only layers earlier in this order: no
+# cycle can form, and the equation cannot move back into the solver
+ORDER = ("errors", "radial", "conformal", "verify", "solver", "cli")
+SOURCES = pathlib.Path(vacuumdata.__file__).parent
 
 
 def source_tree(module) -> ast.Module:
@@ -81,3 +86,20 @@ def test_init_holds_only_the_star_imports_and_version():
     assert isinstance(version, ast.Assign)
     assert [t.id for t in version.targets] == ["__version__"]
     assert isinstance(version.value, ast.Constant)
+
+
+def test_every_module_is_placed_in_the_layer_order():
+    modules = {path.stem for path in SOURCES.glob("*.py")} - {"__init__", "__main__"}
+    assert modules <= set(ORDER), f"not placed in the layer order: {sorted(modules - set(ORDER))}"
+
+
+@pytest.mark.parametrize("layer", ORDER)
+def test_relative_imports_reach_only_earlier_layers(layer):
+    path = SOURCES / f"{layer}.py"
+    wrong = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            wrong += [f"{path.name}:{node.lineno}: {layer} imports {target}"
+                      for target in targets if target.split(".")[0] not in ORDER[:ORDER.index(layer)]]
+    assert not wrong

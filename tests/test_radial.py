@@ -339,7 +339,7 @@ class TestStencilWeights:
         npts, width = grid.derivative_matrix(1).shape
         half = width // 2
         s = nodes[-1]
-        r = nodes[grid._window_index(width).T]
+        r = nodes[_window_starts(npts, width)[:, None] + np.arange(width)]
         ri = nodes[:, None]
         for order in (1, 2):
             weights = grid.derivative_matrix(order)
@@ -399,14 +399,6 @@ class TestStencilWeights:
         half = weights.shape[1] // 2
         for rows in (slice(None, half), slice(half, len(grid) - half), slice(len(grid) - half, None)):
             assert np.array_equal(got[rows].view(np.int64), expected[rows].view(np.int64))
-
-    def test_window_index_cached_and_read_only(self):
-        grid = build_grid(64, 10.0, 1.05)
-        index = grid._window_index(7)
-        assert index is grid._window_index(7)
-        assert np.array_equal(index, _window_starts(64, 7) + np.arange(7)[:, None])
-        with pytest.raises(ValueError):
-            index[0, 0] = 1
 
     def test_import_loads_no_sparse_module(self):
         code = "import sys, vacuumdata; print(any(m.startswith('scipy.sparse') for m in sys.modules))"

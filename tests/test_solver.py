@@ -5,11 +5,10 @@ right-hand sides are exact, so the measured error is pure scheme error.
 Convergence rates are asserted between two uniform grids.  The
 Schwarzschild construction is checked against its closed-form exterior
 bitwise, and the free-tau solver against the mean-curvature identity it
-is required to restore.  The Lichnerowicz solve on the cached Helmholtz
-rows is checked bitwise against per-step assembly, and the coupled
-(phi, A) Newton solve against the damped Picard loop it replaced and
-against a Newton solve on the natural-order (12, 12) band; the
-references are kept below.
+is required to restore.  The coupled (phi, A) Newton solve is checked
+against the damped Picard loop it replaced, whose Lichnerowicz steps are
+assembled per step, and against a Newton solve on the natural-order
+(12, 12) band; the references are kept below.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from vacuumdata import (
     check_solution,
     fixed_point_solve,
     smooth_schwarzschild_phi,
-    solve_lichnerowicz,
     tau_from_phi,
 )
 from vacuumdata import radial, solver
@@ -65,36 +63,28 @@ def conformal_seed(grid, c, q):
 
 def helmholtz_layout(n, grid, potential):
     """The cached Helmholtz rows minus the potential on the diagonal (the
-    Robin entry kept) as a writeable gbsv layout, and its kl: the system
-    of one Lichnerowicz Newton step."""
+    Robin entry kept) as a writeable gbsv layout, and its kl."""
     rows = _helmholtz_operator(n, grid)
     npts, width = rows.shape
     kl = width - 1
-    band = _band_layout(kl, kl, npts, (np.arange(npts)[:, None], grid._window_index(width).T, rows))
+    columns = _window_starts(npts, width)[:, None] + np.arange(width)
+    band = _band_layout(kl, kl, npts, (np.arange(npts)[:, None], columns, rows))
     layout = band.copy(order="F")
     layout[2 * kl, :-1] -= potential[:-1]
     return layout, kl
 
 
 class TestHelmholtzSolve:
-    """The Helmholtz operator that each Lichnerowicz Newton step solves."""
-
-    def test_mixed_grids_rejected(self, work_grid):
-        other = build_grid(512, 10.0, 1.0)
-        tau = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        lw = RadialProfile(other, np.ones(len(other)))
-        with pytest.raises(InvalidArgumentError, match="grid"):
-            solve_lichnerowicz(DIM3, tau, lw)
+    """The Helmholtz operator of the Lichnerowicz rows."""
 
     def test_overflowing_tau_raises_typed_error_without_warning(self):
         # tau^2 overflows; the solve must end in the typed error, not a RuntimeWarning
         grid = build_grid(400, 50.0, 1.01)
         tau = RadialProfile(grid, np.full(len(grid), 1e300))
-        lw = RadialProfile(grid, np.zeros(len(grid)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError):
-                solve_lichnerowicz(DIM3, tau, lw)
+                fixed_point_solve(DIM3, tau)
 
     def test_harmonic_function_in_operator_kernel(self, work_grid):
         # 1/r is harmonic away from the origin; apply the assembled
@@ -305,17 +295,6 @@ def reference_fixed_point(dim, tau, damping=0.7, max_outer=200):
 
 
 class TestBitwiseAgainstPerStepAssembly:
-    @pytest.mark.parametrize("dim", [DIM3, DIM4], ids=["n3", "n4"])
-    def test_lichnerowicz(self, dim):
-        grid = build_grid(2000, 1e3, 1.01)
-        tau = conformal_seed(grid, 1.0, 1.5)
-        lw = RadialProfile(grid, 0.1 * (1.0 + grid.nodes**2) ** -1.0)
-        got = solve_lichnerowicz(dim, tau, lw)
-        expected, _ = reference_newton(
-            dim, grid, tau.values**2, lw.values**2, SolveControls(), np.ones(len(grid))
-        )
-        assert np.array_equal(got.values, expected)
-
     @pytest.mark.parametrize(
         "dim, q, r_max", [(DIM3, 1.5, 1e4), (DIM4, 2.2, 1e3)], ids=["n3", "n4"]
     )
@@ -484,30 +463,25 @@ class TestCoupledSystem:
 
     def test_converged_residual_recorded_without_jacobian_fill(self, work_grid, monkeypatch):
         tau = conformal_seed(work_grid, 1.0, 1.5)
-        real_newton = solver._newton
-        iterates, fills = [], []
-
-        def newton(*args):
-            iterates.append(real_newton(*args))
-            return iterates[-1]
+        calls, fills = [], []
 
         def system(*args):
             residual, jacobian = _coupled_system(*args)
+            calls.append((args, residual))
 
             def counted(work):
-                fills.append(work)
+                fills.append(len(calls) - 1)
                 return jacobian(work)
 
             return residual, counted
 
-        monkeypatch.setattr(solver, "_newton", newton)
         monkeypatch.setattr(solver, "_coupled_system", system)
-        _, trace = fixed_point_solve(DIM3, tau)
-        assert len(fills) == len(trace.outer_iterates) == len(trace.newton_residuals) - 1
-        (x,) = iterates
-        residual, _ = _coupled_system(
-            DIM3, work_grid, tau.values**2, differentiate(tau, 1).values, x[0::2], x[1::2]
-        )
+        sol, trace = fixed_point_solve(DIM3, tau)
+        assert len(calls) == len(trace.newton_residuals) == len(trace.outer_iterates) + 1
+        # every call but the last fills its Jacobian once
+        assert fills == list(range(len(calls) - 1))
+        (_, _, _, _, phi, _), residual = calls[-1]
+        assert np.array_equal(phi, sol.phi.values)
         assert trace.newton_residuals[-1] == float(np.max(np.abs(residual)))
 
     @settings(deadline=None, derandomize=True, max_examples=20)
@@ -538,30 +512,16 @@ class TestOperatorCache:
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
-    def test_lichnerowicz_solve_caches_no_band(self):
-        grid = build_grid(200, 50.0, 1.05)
-        tau = conformal_seed(grid, 1.0, 1.5)
-        solve_lichnerowicz(DIM3, tau, RadialProfile(grid, np.zeros(len(grid))))
-        assert grid._cache[("helmholtz", 3)].shape == (len(grid), 7)
-        # a (6, 6) gbsv layout has 19 rows
-        assert not [
-            value for value in grid._cache.values()
-            if isinstance(value, np.ndarray) and value.shape == (19, len(grid))
-        ]
-
     def test_dimension_switches_match_fresh_grids(self, monkeypatch):
         shared = build_grid(2000, 1e3, 1.01)
-        r = shared.nodes
         for dim in (DIM3, DIM4, DIM3):
             results = []
             # an empty operator cache, so the fresh grid shares none of shared's
             monkeypatch.setattr(radial, "_OPERATORS", collections.OrderedDict())
             for grid in (shared, RadialGrid(shared.nodes)):
                 tau = conformal_seed(grid, 1.0, 1.5)
-                lw = RadialProfile(grid, 0.1 * (1.0 + r * r) ** -1.0)
                 results.append(
                     (
-                        solve_lichnerowicz(dim, tau, lw).values,
                         fixed_point_solve(dim, tau)[0].phi.values,
                         _helmholtz_operator(dim.n, grid),
                         _coupled_operator(dim.n, grid).band,
@@ -583,49 +543,14 @@ class TestOperatorCache:
 
 
 class TestLichnerowiczSolve:
-    def manufactured_error(self, n_points):
-        # phi* = 1 + (1+r^2)^{-1/2}/10 with tau, |LW| chosen so phi* is the
-        # exact solution; the |LW|^2 bracket stays positive on this grid
-        grid = build_grid(n_points, 150.0, 1.0)
-        r = grid.nodes
-        exact = 1.0 + 0.1 * (1.0 + r * r) ** -0.5
-        lap = -0.3 * (1.0 + r * r) ** -2.5
-        tau_sq = (1.0 + r * r) ** -1.5
-        bracket = -12.0 * lap + tau_sq * exact**5
-        assert np.all(bracket > 0)
-        lw_sq = (2.0 / 3.0) * exact**7 * bracket
-        tau = RadialProfile(grid, np.sqrt(tau_sq))
-        lw = RadialProfile(grid, np.sqrt(lw_sq))
-        phi = solve_lichnerowicz(DIM3, tau, lw)
-        return float(np.max(np.abs(phi.values - exact)))
+    def test_manufactured_recovery(self, manufactured_error):
+        assert manufactured_error(3, 750) < 3e-5
 
-    def test_manufactured_recovery(self):
-        assert self.manufactured_error(750) < 3e-5
-
-    def test_scheme_order_at_least_three_and_a_half(self):
-        coarse = self.manufactured_error(750)
-        fine = self.manufactured_error(1500)
+    def test_scheme_order_at_least_three_and_a_half(self, manufactured_error):
+        # from 750 to 1500 nodes the order is 3.50, not yet asymptotic
+        coarse, fine = manufactured_error(3, 1500), manufactured_error(3, 3000)
         assert fine < 1e-6
         assert math.log2(coarse / fine) > 3.5
-
-    def test_flat_problem_returns_ones_bitwise(self, work_grid):
-        zero = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        phi = solve_lichnerowicz(DIM3, zero, zero)
-        assert np.all(phi.values == 1.0)
-
-    def test_start_independence(self, work_grid):
-        tau = conformal_seed(work_grid, 1.0, 1.5)
-        zero = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        a = solve_lichnerowicz(DIM3, tau, zero)
-        start = RadialProfile(work_grid, np.full(len(work_grid), 2.0))
-        b = solve_lichnerowicz(DIM3, tau, zero, phi0=start)
-        assert float(np.max(np.abs(a.values - b.values))) < 1e-9
-
-    def test_nonpositive_start_rejected(self, work_grid):
-        zero = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        start = RadialProfile(work_grid, np.zeros(len(work_grid)))
-        with pytest.raises(InvalidArgumentError, match="positive"):
-            solve_lichnerowicz(DIM3, zero, zero, phi0=start)
 
 
 class TestSolveControls:

@@ -36,7 +36,6 @@ from vacuumdata import (
     hamiltonian_residual,
     momentum_residual,
     smooth_schwarzschild_phi,
-    solve_lichnerowicz,
     tail_limit_check,
 )
 from vacuumdata import conformal, solver, verify
@@ -385,7 +384,7 @@ class TestCheckSolution:
             # repr tells every float apart bitwise, -0.0 from 0.0 too
             assert repr(getattr(memoised, field.name)) == repr(getattr(recomputed, field.name)), field.name
 
-    def test_solvers_and_checks_apply_one_rows_function(self, monkeypatch, work_grid, free_tau):
+    def test_solvers_and_checks_apply_one_rows_function(self, monkeypatch, free_tau):
         rows = conformal._lichnerowicz_rows
         assert solver._lichnerowicz_rows is rows and not hasattr(verify, "_lichnerowicz_rows")
         calls = []
@@ -397,12 +396,8 @@ class TestCheckSolution:
         for module in (conformal, solver):
             monkeypatch.setattr(module, "_lichnerowicz_rows", counted)
         sol, trace = free_tau
-        zero = RadialProfile(work_grid, np.zeros(len(work_grid)))
         _, refit = fixed_point_solve(DIM3, sol.tau)
         assert len(calls) == len(refit.newton_residuals) == len(trace.newton_residuals)
-        calls.clear()
-        solve_lichnerowicz(DIM3, sol.tau, zero)
-        assert len(calls) >= 2
         calls.clear()
         check_solution(sol)
         assert calls == []
