@@ -74,9 +74,6 @@ ZERO_MASS_GATE = 1e-2
 
 _SURFACE_FRACTIONS = (0.1, 0.2, 0.4)
 
-# dimensions at which mass and decay try a bundle that fails the identity
-_PROBED_DIMENSIONS = range(3, 11)
-
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
@@ -297,8 +294,26 @@ def _cmd_free_tau(config: ScenarioConfig) -> dict:
     return report
 
 
-def _cmd_verify(config: ScenarioConfig) -> dict:
+def _read_bundle(config: ScenarioConfig, gated: bool = True) -> tuple[ScenarioConfig, ConformalSolution]:
+    """The bundle at ``config.csv_path``, and ``config`` at the dimension it
+    records (``config.n`` serves a legacy bundle, which records none).
+    mass and decay read phi alone, so unless ``gated`` is false a bundle
+    that fails the mean-curvature identity, or raises one of its errors,
+    is refused."""
     sol = read_solution_csv(config.csv_path, config.dim)
+    if gated:
+        try:
+            residual = _identity_residual(sol.dim, sol.phi, sol.tau)
+        except (NotMonotoneError, NegativeRadicandError):
+            residual = math.inf
+        if not residual < IDENTITY_GATE:
+            raise SchemaError(f"bundle fails the mean-curvature identity at n={sol.dim.n}"
+                              f" (residual {residual:.3g})")
+    return dataclasses.replace(config, n=sol.dim.n), sol
+
+
+def _cmd_verify(config: ScenarioConfig) -> dict:
+    config, sol = _read_bundle(config, gated=False)
     return _report(
         config,
         residuals=_residuals_block(config, assemble_initial_data(sol)),
@@ -306,48 +321,13 @@ def _cmd_verify(config: ScenarioConfig) -> dict:
     )
 
 
-def _read_bundle_at_n(config: ScenarioConfig) -> ConformalSolution:
-    """The bundle read at ``config.n``, refused unless it passes the
-    mean-curvature identity there.  A bundle does not record its
-    dimension, and one read at another n fails the identity by orders of
-    magnitude while its mass may even change sign; a refusal names the
-    dimensions in _PROBED_DIMENSIONS at which the bundle does pass.  Only
-    the identity's own failures (a decreasing factor, a negative radicand)
-    count as failing it; an error that no n can cure, such as a bundle too
-    short to differentiate, propagates."""
-    sol = read_solution_csv(config.csv_path, config.dim)
-    try:
-        residual = _identity_residual(config.dim, sol.phi, sol.tau)
-    except (NotMonotoneError, NegativeRadicandError):
-        residual = math.inf
-    if not residual < IDENTITY_GATE:
-        passes = [n for n in _PROBED_DIMENSIONS if n != config.n and _passes_identity(Dimension(n), sol)]
-        if passes:
-            hint = f" but passes it at n={', '.join(map(str, passes))}; was it written with --n {passes[0]}?"
-        else:
-            hint = f" and at every other n from {_PROBED_DIMENSIONS[0]} to {_PROBED_DIMENSIONS[-1]}"
-        raise SchemaError(
-            f"bundle fails the mean-curvature identity at n={config.n} (residual {residual:.3g}){hint}"
-        )
-    return sol
-
-
-def _passes_identity(dim: Dimension, sol: ConformalSolution) -> bool:
-    """Whether the bundle passes the mean-curvature identity read at
-    ``dim``; a probe that raises does not."""
-    try:
-        return _identity_residual(dim, sol.phi, sol.tau) < IDENTITY_GATE
-    except (VacuumDataError, ArithmeticError):
-        return False
-
-
 def _cmd_mass(config: ScenarioConfig) -> dict:
-    sol = _read_bundle_at_n(config)
+    config, sol = _read_bundle(config)
     return _report(config, mass=_mass_block(config.dim, sol, assemble_initial_data(sol)))
 
 
 def _cmd_decay(config: ScenarioConfig) -> dict:
-    sol = _read_bundle_at_n(config)
+    config, sol = _read_bundle(config)
     return _report(config, decay=_decay_block(assemble_initial_data(sol)))
 
 
@@ -408,7 +388,8 @@ class _Command:
     """One subcommand: its --help line, its handler and its own options.
 
     Every command also takes --n and --out, and either the path of the
-    bundle it reads or --profiles to write one.
+    bundle it reads (whose header records n, so --n serves only a legacy
+    bundle) or --profiles to write one.
     """
 
     help: str
@@ -417,7 +398,8 @@ class _Command:
     reads_bundle: bool = False
 
     def all_options(self) -> tuple[_Option, ...]:
-        return (_DIMENSION, *self.options, _REPORT_OUT, _BUNDLE_IN if self.reads_bundle else _BUNDLE_OUT)
+        dimension, bundle = (_LEGACY_DIMENSION, _BUNDLE_IN) if self.reads_bundle else (_DIMENSION, _BUNDLE_OUT)
+        return (dimension, *self.options, _REPORT_OUT, bundle)
 
     def params(self, config: ScenarioConfig) -> dict:
         """The report's params block: the value of each option but --n,
@@ -432,6 +414,7 @@ class _Command:
 
 
 _DIMENSION = _Option("--n", "n", "spatial dimension", int)
+_LEGACY_DIMENSION = _Option("--n", "n", "spatial dimension of a legacy bundle, whose header records none", int)
 _REPORT_OUT = _Option("--out", "out_json", "also write the JSON report to this path")
 _BUNDLE_IN = _Option("csv", "csv_path", "solution bundle written by --profiles")
 _BUNDLE_OUT = _Option("--profiles", "out_csv", "write the solution bundle CSV to this path")

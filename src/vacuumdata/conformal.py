@@ -410,9 +410,10 @@ def assemble_initial_data(solution: ConformalSolution) -> InitialData:
 _BUNDLE_HEADER = "r,phi,dphi,tau,A,w,lw"
 
 
-def _read_csv_table(path, expected_header: str) -> np.ndarray:
-    """Parse a numeric CSV with a fixed header.  A byte outside ASCII is
-    a parse error on its line."""
+def _read_csv_table(path, expected_header: str) -> tuple[str, np.ndarray]:
+    """Parse a numeric CSV with a fixed header, which `` # `` and a record
+    may end.  Returns the record ('' where there is none) and the table.
+    A byte outside ASCII is a parse error on its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -423,7 +424,8 @@ def _read_csv_table(path, expected_header: str) -> np.ndarray:
         raise ProfileParseError(f"byte 0x{data[exc.start]:02x} is not ASCII", line=line) from None
     if not lines:
         raise SchemaError("empty CSV file")
-    if lines[0].strip() != expected_header:
+    header, _, record = lines[0].strip().partition(" # ")
+    if header != expected_header:
         raise SchemaError(f"expected header {expected_header!r}, got {lines[0]!r}")
     n_fields = expected_header.count(",") + 1
     rows = []
@@ -439,7 +441,7 @@ def _read_csv_table(path, expected_header: str) -> np.ndarray:
             raise ProfileParseError(str(exc), line=lineno) from None
     if not rows:
         raise SchemaError("CSV file has no data rows")
-    return np.asarray(rows, dtype=float)
+    return record, np.asarray(rows, dtype=float)
 
 
 def _write_csv_table(path, header: str, columns, first=None) -> None:
@@ -674,10 +676,10 @@ def _percent_g17(values: np.ndarray) -> np.ndarray:
 
 
 def write_solution_csv(solution: ConformalSolution, path) -> None:
-    """Write the solution bundle: header ``r,phi,dphi,tau,A,w,lw`` and one
-    row per grid node in the format of :func:`_write_csv_table`.  dphi
-    is the grid derivative of phi, for readers of the file; the reader
-    here ignores it.  The grid's operator cache keeps the text of r."""
+    """Write the solution bundle: header ``r,phi,dphi,tau,A,w,lw # n=<n>``,
+    which records the dimension, and one row per grid node in the format
+    of :func:`_write_csv_table`.  dphi, the grid derivative of phi, is for
+    other readers of the file.  The grid's operator cache keeps r's text."""
     grid = solution.grid
     radii = grid._cached("g17_radii", lambda: _g17_column(grid.nodes))
     dphi = differentiate(solution.phi, 1).values
@@ -689,16 +691,20 @@ def write_solution_csv(solution: ConformalSolution, path) -> None:
         solution.w.values,
         solution.lw_norm.values,
     )
-    _write_csv_table(path, _BUNDLE_HEADER, columns, radii)
+    _write_csv_table(path, f"{_BUNDLE_HEADER} # n={solution.dim.n}", columns, radii)
 
 
 def read_solution_csv(path, dim: Dimension) -> ConformalSolution:
-    """Read a bundle written by :func:`write_solution_csv`.
-
-    The dphi column is redundant (derivatives are recomputed from phi on
-    the reconstructed grid) and is ignored.
-    """
-    table = _read_csv_table(path, _BUNDLE_HEADER)
+    """Read a bundle written by :func:`write_solution_csv` at the dimension
+    its header records, or at ``dim`` for a legacy bundle that records
+    none.  The redundant dphi column is ignored: derivatives are
+    recomputed from phi on the reconstructed grid."""
+    record, table = _read_csv_table(path, _BUNDLE_HEADER)
+    if record:
+        key, _, n = record.partition("=")
+        if key != "n" or not n.isdigit() or len(n) > 9 or int(n) < 3:
+            raise SchemaError(f"expected the dimension record 'n=<3 to 999999999>', got {record!r}")
+        dim = Dimension(int(n))
     grid = RadialGrid(table[:, 0])
     phi = RadialProfile(grid, table[:, 1])
     tau, A, w, lw = (RadialProfile(grid, table[:, k]) for k in (3, 4, 5, 6))

@@ -59,8 +59,9 @@ class Dimension:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 3:
             raise InvalidArgumentError(f"spatial dimension must be an integer >= 3, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def N(self) -> Fraction:

@@ -40,6 +40,7 @@ from vacuumdata import (
     lw_norm,
     momentum_potential,
     read_solution_csv,
+    smooth_schwarzschild_phi,
     tau_from_phi,
     vector_potential,
     write_solution_csv,
@@ -431,7 +432,7 @@ def reference_solution_csv(solution, path):
         solution.lw_norm.values,
     )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(BUNDLE_HEADER + "\n")
+        fh.write(f"{BUNDLE_HEADER} # n={solution.dim.n}\n")
         for row in zip(*columns):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return columns
@@ -458,7 +459,8 @@ class TestSolutionBundleCsv:
         written = (tmp_path / "bundle.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert written.count(b"\n") == len(solution.grid) + 1 and b"\r" not in written
-        table = _read_csv_table(tmp_path / "bundle.csv", BUNDLE_HEADER)
+        record, table = _read_csv_table(tmp_path / "bundle.csv", BUNDLE_HEADER)
+        assert record == "n=3"
         for k, column in enumerate(columns):
             assert np.array_equal(table[:, k].view(np.int64), column.view(np.int64))
 
@@ -492,6 +494,20 @@ class TestSolutionBundleCsv:
             assert np.array_equal(
                 getattr(back, name).values, getattr(mass_like_solution, name).values
             )
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_roundtrip_reads_the_recorded_dimension(self, tmp_path, n):
+        dim = Dimension(n)
+        written = build_solution(dim, smooth_schwarzschild_phi(dim, 1.0, build_grid(200, 50.0, 1.02)))
+        path = tmp_path / "bundle.csv"
+        write_solution_csv(written, path)
+        assert path.read_text().split("\n", 1)[0] == f"{BUNDLE_HEADER} # n={n}"
+        back = read_solution_csv(path, DIM3)
+        assert back.dim.n == n
+        for name in ("phi", "tau", "A", "w", "lw_norm"):
+            assert np.array_equal(getattr(back, name).values.view(np.int64),
+                                  getattr(written, name).values.view(np.int64))
+        assert np.array_equal(back.grid.nodes.view(np.int64), written.grid.nodes.view(np.int64))
 
     def test_header_mismatch_rejected(self, tmp_path):
         # a wrong header, an empty file, and a header without data rows

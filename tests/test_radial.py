@@ -83,6 +83,13 @@ class TestDimension:
         with pytest.raises(InvalidArgumentError):
             Dimension(bad)
 
+    def test_numpy_integer_is_kept_as_int_and_bool_and_float_are_refused(self):
+        dim = Dimension(np.int64(4))
+        assert type(dim.n) is int and dim == Dimension(4)
+        for bad in (True, 4.0):
+            with pytest.raises(InvalidArgumentError, match=f"got {bad!r}"):
+                Dimension(bad)
+
 
 class TestBuildGrid:
     def test_stretch_one_is_uniform(self):
@@ -409,33 +416,32 @@ class TestStencilWeights:
 
     def test_no_command_loads_scipy(self, tmp_path):
         # the banded solve calls numpy's own LAPACK, so no command, the
-        # free-tau solve included, loads any scipy module
+        # free-tau solves included, loads any scipy module: with scipy
+        # blocked (a None entry makes every `import scipy` fail), each
+        # runs to its exit status and warns of nothing
         code = (
             "import contextlib, io, json, sys\n"
-            "import vacuumdata\n"
+            "sys.modules['scipy'] = None\n"
             "from vacuumdata import cli\n"
-            "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "seen, codes = {'import': loaded()}, {}\n"
+            "codes, iterations = [], []\n"
             "bundle = sys.argv[1]\n"
             "for argv in (['smooth-schwarzschild', '--m', '1', '--profiles', bundle],\n"
             "             ['verify', bundle], ['mass', bundle], ['decay', bundle],\n"
-            "             ['free-tau', '--c', '1', '--q', '1.5']):\n"
+            "             ['free-tau', '--c', '1', '--q', '1.5'],\n"
+            "             ['free-tau', '--n', '4', '--c', '1', '--q', '2.2', '--grid-max', '1e3']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "        codes[argv[0]] = cli.main(argv)\n"
-            "    seen[argv[0]] = loaded()\n"
-            "print(json.dumps({'seen': seen, 'codes': codes,\n"
-            "                  'iterations': json.loads(out.getvalue())['iterations']}))\n"
+            "        codes.append(cli.main(argv))\n"
+            "    iterations.append(json.loads(out.getvalue())['iterations'])\n"
+            "print(json.dumps({'codes': codes, 'iterations': iterations}))\n"
         )
         src = os.path.dirname(os.path.dirname(vacuumdata.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "bundle.csv")],
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "bundle.csv")],
                              env=env, capture_output=True, text=True, check=True)
         result = json.loads(out.stdout)
-        commands = ("smooth-schwarzschild", "verify", "mass", "decay", "free-tau")
-        assert result["seen"] == {name: [] for name in ("import", *commands)}
-        assert result["codes"] == {name: 0 for name in commands}
-        assert result["iterations"] > 0
+        # the n = 4 solve fails its divW check
+        assert result["codes"] == [0, 0, 0, 0, 0, 1]
+        assert result["iterations"][4] > 0 and result["iterations"][5] > 0
         assert out.stderr == ""
 
 
