@@ -18,9 +18,15 @@ the best of ``--repeat`` runs:
   time included, as a one-shot command-line run sees it.
 
 ``exit`` is the scenario's exit status; the script fails if the three ways
-disagree on it or a run writes to stderr.  ``layers`` holds the best of
-``--repeat`` in-process seconds of one call into each layer, with the
-operators of its grids already built (see ``time_layers``).
+disagree on it or a run writes to stderr.  ``import_s`` is the best of
+the fresh ``python -c "import vacuumdata.cli"`` interpreters started just
+before each subprocess run: the part of every ``subprocess_s`` that is
+start-up and import, not the run.  On a shared host the spread of one
+fresh interpreter is as wide as a scenario's own work, so the import takes
+the best of all those runs.
+``layers`` holds the best of ``--repeat`` in-process seconds of one call
+into each layer, with the operators of its grids already built (see
+``time_layers``).
 ``hostspeed_kernel_s`` is the median time of perfbench's host-speed kernel
 (``perfbench/hostspeed.py``, read without importing it as a module), which
 scales figures taken on different hosts or at different times.
@@ -74,6 +80,8 @@ SCENARIOS = (
     ("mass", ["mass", "{bundle}"]),
     ("decay", ["decay", "{bundle}"]),
 )
+# the interpreter start-up and import that every cold run pays
+IMPORT = ["-c", "import vacuumdata.cli"]
 
 
 def in_process(argv: list[str], cold: bool) -> tuple[float, int, str]:
@@ -90,10 +98,10 @@ def in_process(argv: list[str], cold: bool) -> tuple[float, int, str]:
 
 
 def in_subprocess(argv: list[str]) -> tuple[float, int, str]:
-    """Seconds, exit status and stderr of one ``python -m vacuumdata`` run,
-    under this interpreter's warning options."""
+    """Seconds, exit status and stderr of one fresh ``python *argv``, under
+    this interpreter's warning options."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, *(f"-W{option}" for option in sys.warnoptions), "-m", "vacuumdata", *argv]
+    command = [sys.executable, *(f"-W{option}" for option in sys.warnoptions), *argv]
     began = time.perf_counter()
     done = subprocess.run(command, capture_output=True, text=True, env=env)
     return time.perf_counter() - began, done.returncode, done.stderr
@@ -108,14 +116,27 @@ def best(runs: list[tuple[float, int, str]], argv: list[str]) -> tuple[float, in
     return min(seconds for seconds, _, _ in runs), codes.pop()
 
 
-def time_scenario(argv: list[str], repeat: int) -> dict:
+def time_scenario(argv: list[str], repeat: int, fresh: tuple[float, int]) -> dict:
+    """The in-process timings of one scenario, beside its subprocess ``fresh``."""
     cold = best([in_process(argv, cold=True) for _ in range(repeat)], argv)
     in_process(argv, cold=False)  # fills the cache the warm runs read
     warm = best([in_process(argv, cold=False) for _ in range(repeat)], argv)
-    fresh = best([in_subprocess(argv) for _ in range(repeat)], argv)
     if not cold[1] == warm[1] == fresh[1]:
         raise SystemExit(f"{' '.join(argv)}: exit {cold[1]} cold, {warm[1]} warm, {fresh[1]} in a subprocess")
     return {"exit": fresh[1], "in_process_cold_s": cold[0], "in_process_warm_s": warm[0], "subprocess_s": fresh[0]}
+
+
+def time_subprocesses(argvs: list[list[str]], repeat: int) -> tuple[float, list[tuple[float, int]]]:
+    """The best seconds of a fresh import, and the best-of-``repeat`` seconds
+    and exit status of each scenario in a fresh interpreter.  The runs go in
+    ``repeat`` rounds of one run per scenario, each just after an import, so
+    that a drift in host speed moves imports and runs alike."""
+    imports, runs = [], [[] for _ in argvs]
+    for _ in range(repeat):
+        for argv, timed in zip(argvs, runs):
+            imports.append(in_subprocess(IMPORT))
+            timed.append(in_subprocess(["-m", "vacuumdata", *argv]))
+    return best(imports, IMPORT)[0], [best(timed, argv) for timed, argv in zip(runs, argvs)]
 
 
 def time_layers(repeat: int, scratch: str) -> dict[str, float]:
@@ -182,8 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory() as scratch:
         paths = {"bundle": os.path.join(scratch, "b.csv"), "tau_bundle": os.path.join(scratch, "tau.csv")}
-        for name, template in SCENARIOS:
-            timed = time_scenario([arg.format(**paths) for arg in template], args.repeat)
+        argvs = [[arg.format(**paths) for arg in template] for _, template in SCENARIOS]
+        result["import_s"], fresh = time_subprocesses(argvs, args.repeat)
+        print(f"import_s: {result['import_s']:.4f}", flush=True)
+        for (name, template), argv, timed_fresh in zip(SCENARIOS, argvs, fresh):
+            timed = time_scenario(argv, args.repeat, timed_fresh)
             result["scenarios"][name] = {"command": " ".join(template), **timed}
             print(f"{name}: {json.dumps(timed)}", flush=True)
         result["layers"] = time_layers(args.repeat, scratch)

@@ -11,17 +11,18 @@ weights w:
 
     A_0 = 0,    A_i - A_{i-1} = sum_k w[i-1, k] (r^n phi^N tau')[idx[i-1, k]].
 
-Each Newton step solves its banded Jacobian by one LAPACK gbsv: the one
-in numpy's own OpenBLAS, called through ctypes, so no solve imports
-SciPy; SciPy's LAPACK only where numpy's BLAS does not export it.  The
-unknowns (phi_i, A_i) are interleaved, and so are their equations but for
-the last three node pairs: their three phi rows (the Robin row last) come
-before their three A rows.  Those phi rows reach six, five and four nodes
-inward; placed earlier, they fit a band of kl = 10 diagonals below the
-main one, and the interior rows need ku = 6 above it (the band is read
-off the stencils' nonzero pattern).  The band is cached on the grid, per
-dimension; a Newton step copies it and writes the iterate-dependent
-entries.
+A Newton step LU-factors its banded Jacobian by LAPACK gbtrf and solves by
+gbtrs; once the phi steps are at most sqrt(tol) and shrinking, a step only
+back-solves with the last factors (see ``fixed_point_solve``).  Both are
+numpy's own OpenBLAS, called through ctypes, so no solve imports SciPy;
+SciPy's LAPACK only where numpy's BLAS lacks them.  The unknowns (phi_i,
+A_i) are interleaved, and so are their equations but for the last three
+node pairs: their three phi rows (the Robin row last) come before their
+three A rows.  Those phi rows reach six, five and four nodes inward; placed
+earlier, they fit a band of kl = 10 diagonals below the main one, and the
+interior rows need ku = 6 above it (the band is read off the stencils'
+nonzero pattern).  The band is cached on the grid, per dimension; a Newton
+step copies it and writes the iterate-dependent entries.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class _CoupledOperator:
     Unknown 2i is phi_i and 2i + 1 is A_i.  Equation rows follow the same
     order but for the last three node pairs, whose phi rows come first:
     ``phi_rows[i]`` and ``a_rows[i]`` are the layout rows of the phi and A
-    equations of node i.  ``band`` (a read-only gbsv layout with ``kl``
+    equations of node i.  ``band`` (a read-only gbtrf layout with ``kl``
     diagonals below the main one) holds the -4(n-1)/(n-2) Helmholtz
     stencil rows of phi, the Robin row unscaled, and the +-1 of the A
     rows.  ``diag``, ``coupling`` and ``quad`` are the flat (Fortran-order)
@@ -114,7 +115,7 @@ class _CoupledOperator:
 
 
 def _band_layout(kl: int, ku: int, size: int, *entries) -> np.ndarray:
-    """Read-only gbsv layout of ``kl`` diagonals below the main one and
+    """Read-only gbtrf layout of ``kl`` diagonals below the main one and
     ``ku`` above, holding the (rows, columns, values) of ``entries``."""
     band = np.zeros((2 * kl + ku + 1, size), order="F")
     for rows, columns, values in entries:
@@ -169,37 +170,46 @@ def _coupled_operator(n: int, grid: RadialGrid) -> _CoupledOperator:
     return grid._cached(("coupled", n), build)
 
 
-def _openblas_gbsv():
-    """numpy's own LAPACK dgbsv, or None where numpy's BLAS lacks it.
+def _openblas_lapack():
+    """numpy's own LAPACK (dgbtrf, dgbtrs), called as ``_scipy_lapack``'s,
+    or None where numpy's BLAS lacks either.
 
-    numpy's wheels link an ILP64 OpenBLAS that exports ``scipy_dgbsv_64_``
-    (every integer argument 64 bits wide).  numpy's linalg extension has
-    loaded it already, and the loader's symbol search through that
-    extension's dependencies finds it without naming the file.  The
-    returned function takes a validated layout and a fresh right-hand side
-    (see ``_solve``), overwrites both, and returns the solution and info.
+    numpy's wheels link an ILP64 OpenBLAS that exports ``scipy_dgbtrf_64_``
+    and ``scipy_dgbtrs_64_`` (every integer argument 64 bits wide).  numpy's
+    linalg extension has loaded it already, and the loader's symbol search
+    through that extension's dependencies finds both without naming the file.
     """
     try:
         from numpy.linalg import _umath_linalg
 
-        dgbsv = ctypes.CDLL(_umath_linalg.__file__).scipy_dgbsv_64_
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        dgbtrf, dgbtrs = library.scipy_dgbtrf_64_, library.scipy_dgbtrs_64_
     except (ImportError, OSError, AttributeError):
         return None
-    # every argument is an address: _solve has checked the arrays, and the
-    # six integers (n, kl, ku, nrhs, ldab, info) are int64 slots of one array
-    dgbsv.argtypes = [ctypes.c_void_p] * 10
-    dgbsv.restype = None
+    # every argument but TRANS is the address of a checked array or of an
+    # int64 slot of one array; gfortran passes TRANS's length last, by value
+    dgbtrf.argtypes = [ctypes.c_void_p] * 8
+    dgbtrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+    dgbtrf.restype = dgbtrs.restype = None
 
-    def gbsv(layout, b, kl, ku):
+    def gbtrf(layout, kl, ku):
         rows, size = layout.shape
         pivots = np.empty(size, dtype=np.int64)
+        integers = np.array((size, kl, ku, rows, 0), dtype=np.int64)
+        start = _address(integers)
+        n, lower, upper, ldab, info = range(start, start + 40, 8)
+        dgbtrf(n, n, lower, upper, _address(layout), ldab, _address(pivots), info)
+        return layout, pivots, int(integers[4])
+
+    def gbtrs(lu, pivots, b, kl, ku):
+        rows, size = lu.shape
         integers = np.array((size, kl, ku, 1, rows, 0), dtype=np.int64)
         start = _address(integers)
         n, lower, upper, nrhs, ldab, info = range(start, start + 48, 8)
-        dgbsv(n, lower, upper, nrhs, _address(layout), ldab, _address(pivots), _address(b), n, info)
+        dgbtrs(b"N", n, lower, upper, nrhs, _address(lu), ldab, _address(pivots), _address(b), n, info, 1)
         return b, int(integers[5])
 
-    return gbsv
+    return gbtrf, gbtrs
 
 
 def _address(array: np.ndarray) -> int:
@@ -208,34 +218,35 @@ def _address(array: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(array.T))
 
 
-def _scipy_gbsv(layout, b, kl, ku):
-    """SciPy's LAPACK dgbsv, with the arguments and results of ``_openblas_gbsv``."""
-    from scipy.linalg.lapack import dgbsv
+def _scipy_lapack():
+    """SciPy's LAPACK (dgbtrf, dgbtrs), which overwrite a checked layout and
+    a fresh right-hand side and return (factors, pivots, info) and (solution, info)."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-    _, _, solution, info = dgbsv(kl, ku, layout, b, overwrite_ab=True)
-    return solution, info
+    return (
+        lambda layout, kl, ku: dgbtrf(layout, kl, ku, overwrite_ab=True),
+        lambda lu, pivots, b, kl, ku: dgbtrs(lu, kl, ku, b, pivots, overwrite_b=True),
+    )
 
 
 @functools.cache
-def _gbsv():
-    """The process's dgbsv: numpy's OpenBLAS where it exports one, else SciPy's."""
-    return _openblas_gbsv() or _scipy_gbsv
+def _lapack():
+    """The process's (dgbtrf, dgbtrs): numpy's OpenBLAS where it exports both, else SciPy's."""
+    return _openblas_lapack() or _scipy_lapack()
 
 
-def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
-    """Solve a banded system by one LAPACK gbsv.
+def _factor(layout: np.ndarray, kl: int) -> tuple:
+    """LU-factor a banded matrix by one LAPACK gbtrf, for ``_back_solve``.
 
-    ``layout`` is gbsv's band storage with ``kl`` diagonals below the main
+    ``layout`` is gbtrf's band storage with ``kl`` diagonals below the main
     one and ku above: a writeable, Fortran-ordered float64 array of
     2 kl + ku + 1 rows, the matrix in the last kl + ku + 1 in the
     diagonal-ordered form of ``scipy.linalg.solve_banded`` with
-    (l, u) = (kl, ku), which gives bitwise the same solution; the first kl
-    rows are workspace for the LU fill.  The layout is overwritten by the
-    LU factors; ``rhs`` is copied.  The solve calls numpy's own OpenBLAS,
-    so no run imports SciPy; only where numpy's BLAS lacks dgbsv does
-    SciPy's LAPACK load, on the first solve.  A layout or right-hand side
-    of another shape, order or type raises InvalidArgumentError before
-    any native call.
+    (l, u) = (kl, ku); the first kl rows are workspace for the LU fill.
+    The layout is overwritten by the factors.  gbsv is gbtrf then gbtrs, so
+    a back-solve gives bitwise ``solve_banded``'s solution.  A layout of
+    another shape, order or type raises InvalidArgumentError before any
+    native call, an exactly singular one SingularSystemError.
     """
     if not (
         isinstance(layout, np.ndarray)
@@ -245,16 +256,28 @@ def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
         and layout.flags.writeable
     ):
         raise InvalidArgumentError("band layout must be a writeable Fortran-ordered float64 matrix")
-    rows, size = layout.shape
-    ku = rows - 1 - 2 * kl
+    ku = layout.shape[0] - 1 - 2 * kl
     if kl < 0 or ku < 0:
-        raise InvalidArgumentError(f"a band layout of {rows} rows cannot hold kl = {kl} diagonals")
-    if np.shape(rhs) != (size,):
-        raise InvalidArgumentError(f"right-hand side must have shape ({size},), got {np.shape(rhs)}")
-    solution, info = _gbsv()(layout, np.array(rhs, dtype=np.float64), kl, ku)
+        raise InvalidArgumentError(f"a band layout of {layout.shape[0]} rows cannot hold kl = {kl} diagonals")
+    lu, pivots, info = _lapack()[0](layout, kl, ku)
     if info < 0:
-        raise RuntimeError(f"dgbsv rejected its argument {-info}")
-    if info > 0 or not np.all(np.isfinite(solution)):
+        raise RuntimeError(f"dgbtrf rejected its argument {-info}")
+    if info > 0:
+        raise SingularSystemError("radial system is singular or ill-posed")
+    return lu, pivots, kl, ku
+
+
+def _back_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve by one LAPACK gbtrs on the ``factors`` of ``_factor``; ``rhs`` is
+    copied.  One of another shape raises InvalidArgumentError before any
+    native call, and a solution that is not finite SingularSystemError."""
+    lu, pivots, kl, ku = factors
+    if np.shape(rhs) != lu.shape[1:]:
+        raise InvalidArgumentError(f"right-hand side must have shape {lu.shape[1:]}, got {np.shape(rhs)}")
+    solution, info = _lapack()[1](lu, pivots, np.array(rhs, dtype=np.float64), kl, ku)
+    if info < 0:
+        raise RuntimeError(f"dgbtrs rejected its argument {-info}")
+    if not np.all(np.isfinite(solution)):
         raise SingularSystemError("radial system is singular or ill-posed")
     return solution
 
@@ -262,7 +285,7 @@ def _solve(layout: np.ndarray, rhs: np.ndarray, kl: int) -> np.ndarray:
 def _coupled_system(dim: Dimension, grid: RadialGrid, tau_sq, dtau, phi, A):
     """Residual of the coupled (phi, A) system in the equation order of
     ``_CoupledOperator``, and a function that writes its Jacobian into a
-    gbsv layout ``work`` and returns it."""
+    gbtrf layout ``work`` and returns it."""
     nf = float(dim.N)
     operator = _coupled_operator(dim.n, grid)
     idx, weights = grid._quadrature()
@@ -298,7 +321,11 @@ def fixed_point_solve(
     Lichnerowicz equation at |LW|(A) and the quadrature of A at phi.  A
     step is halved until phi stays positive, and the iteration stops once
     the phi step is at most tol * max(1, sup |phi|); the residual at that
-    iterate is recorded, but its Jacobian is not filled.  A residual norm
+    iterate is recorded, but its Jacobian is not filled.  A step fills and
+    factors the Jacobian unless the previous relative phi step is at most
+    sqrt(tol) and smaller than the one before it, if any: then it
+    back-solves with the last factors (chord Newton), so a reused step
+    that fails to shrink makes the next factor afresh.  A residual norm
     that is not finite raises SingularSystemError.
     """
     controls = controls if controls is not None else SolveControls()
@@ -323,7 +350,10 @@ def fixed_point_solve(
             trace.newton_residuals.append(norm)
             if trace.converged:
                 break
-            delta = _solve(jacobian(work), -residual, operator.kl)
+            steps = trace.outer_iterates
+            if not steps or steps[-1] > controls.tol**0.5 or (len(steps) > 1 and steps[-1] >= steps[-2]):
+                factors = _factor(jacobian(work), operator.kl)
+            delta = _back_solve(factors, -residual)
             step = 1.0
             for _ in range(60):
                 if np.all(x[0::2] + step * delta[0::2] > 0.0):

@@ -43,8 +43,9 @@ from vacuumdata.radial import _apply_window, _window_starts, differentiate
 from vacuumdata.solver import (
     _band_layout,
     _coupled_operator,
+    _back_solve,
     _coupled_system,
-    _solve,
+    _factor,
 )
 
 DIM3 = Dimension(3)
@@ -63,7 +64,7 @@ def conformal_seed(grid, c, q):
 
 def helmholtz_layout(n, grid, potential):
     """The cached Helmholtz rows minus the potential on the diagonal (the
-    Robin entry kept) as a writeable gbsv layout, and its kl."""
+    Robin entry kept) as a writeable gbtrf layout, and its kl."""
     rows = _helmholtz_operator(n, grid)
     npts, width = rows.shape
     kl = width - 1
@@ -98,6 +99,21 @@ class TestHelmholtzSolve:
         assert abs(image[-1]) < 1e-15
 
 
+def banded_solve(layout, rhs, kl):
+    """One factor and one back-solve, as gbsv runs them."""
+    return _back_solve(_factor(layout, kl), rhs)
+
+
+def each_lapack(monkeypatch):
+    """Make the solver use each (dgbtrf, dgbtrs) pair in turn: numpy's
+    OpenBLAS, where it exports them, and SciPy's fallback, as on a numpy
+    whose BLAS lacks them."""
+    for pair in (solver._openblas_lapack(), solver._scipy_lapack()):
+        if pair is not None:
+            monkeypatch.setattr(solver, "_lapack", lambda: pair)
+            yield
+
+
 class TestBandedSolve:
     def test_matches_dense_solve(self):
         grid = build_grid(200, 50.0, 1.05)
@@ -112,12 +128,13 @@ class TestBandedSolve:
         rhs = np.exp(-r)
         expected = np.linalg.solve(dense, rhs)
         layout, kl = helmholtz_layout(3, grid, potential)
-        got = _solve(layout, rhs, kl)
+        got = banded_solve(layout, rhs, kl)
         assert float(np.max(np.abs(got - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
 
     def test_zero_rows_raise_singular(self):
+        # dgbtrf's info > 0: an exactly zero pivot
         with pytest.raises(SingularSystemError):
-            _solve(np.zeros((19, 64), order="F"), np.ones(64), 6)
+            _factor(np.zeros((19, 64), order="F"), 6)
 
     @pytest.mark.parametrize(
         "kl, ku, size",
@@ -132,10 +149,8 @@ class TestBandedSolve:
         layout = np.zeros((2 * kl + ku + 1, size), order="F")
         layout[kl:] = band
         expected = scipy.linalg.solve_banded((kl, ku), band, rhs, check_finite=False)
-        assert np.array_equal(_solve(layout.copy(order="F"), rhs, kl), expected)
-        # the SciPy fallback, as on a numpy whose BLAS lacks dgbsv
-        monkeypatch.setattr(solver, "_gbsv", lambda: solver._scipy_gbsv)
-        assert np.array_equal(_solve(layout, rhs, kl), expected)
+        for _ in each_lapack(monkeypatch):
+            assert np.array_equal(banded_solve(layout.copy(order="F"), rhs, kl), expected)
 
     def test_numpy_openblas_binding_is_used(self):
         # where numpy links an ILP64 scipy-openblas, as its manylinux wheels
@@ -145,16 +160,16 @@ class TestBandedSolve:
             "openblas configuration", ""
         ):
             pytest.skip(f"numpy links {blas.get('name')!r}, not an ILP64 scipy-openblas")
-        assert solver._gbsv() is not solver._scipy_gbsv
+        assert [f.__qualname__ for f in solver._lapack()] == [
+            "_openblas_lapack.<locals>.gbtrf",
+            "_openblas_lapack.<locals>.gbtrs",
+        ]
 
     # unlike the random bands above, the coupled Jacobian makes LU pivot
     @pytest.mark.parametrize("dim", [DIM3, DIM4], ids=["n3", "n4"])
-    def test_binding_equals_scipy_dgbsv_on_the_solver_layouts(self, dim, work_grid):
+    def test_binding_equals_scipy_dgbsv_on_the_solver_layouts(self, dim, work_grid, monkeypatch):
         from scipy.linalg.lapack import dgbsv
 
-        binding = solver._openblas_gbsv()
-        if binding is None:
-            pytest.skip("numpy's BLAS exports no dgbsv")
         r = work_grid.nodes
         tau = conformal_seed(work_grid, 1.0, 1.5)
         phi = 1.0 - 0.3 / (1.0 + r * r) ** 0.5
@@ -169,26 +184,30 @@ class TestBandedSolve:
             (jacobian(np.empty_like(coupled.band)), -residual, coupled.kl),
         ]
         assert [layout.shape[0] - 1 - kl for layout, _, kl in layouts] == [12, 16]
-        for layout, rhs, kl in layouts:
-            ku = layout.shape[0] - 1 - 2 * kl
-            expected = dgbsv(kl, ku, layout.copy(order="F"), rhs)[2]
-            got, info = binding(layout.copy(order="F"), rhs.copy(), kl, ku)
-            assert info == 0
-            assert np.array_equal(got, expected)
+        for _ in each_lapack(monkeypatch):
+            for layout, rhs, kl in layouts:
+                ku = layout.shape[0] - 1 - 2 * kl
+                factors = _factor(layout.copy(order="F"), kl)
+                # one factorization serves every later right-hand side
+                for b in (rhs, np.cos(np.arange(rhs.size))):
+                    expected = dgbsv(kl, ku, layout.copy(order="F"), b)[2]
+                    assert np.array_equal(_back_solve(factors, b), expected)
 
     @pytest.mark.parametrize("case", ["c-order", "short-rhs", "read-only", "float32", "kl-too-large"])
     def test_bad_layout_raises_before_native_code(self, case, monkeypatch):
         def native(*args):
-            raise AssertionError("reached the native solve")
+            raise AssertionError("reached native code")
 
-        monkeypatch.setattr(solver, "_gbsv", lambda: native)
+        monkeypatch.setattr(solver, "_lapack", lambda: (native, native))
         kl, size = 6, 64
         layout = np.zeros((3 * kl + 1, size), order="F")
-        rhs = np.ones(size)
+        if case == "short-rhs":
+            factors = (layout, np.zeros(size, dtype=np.int64), kl, kl)
+            with pytest.raises(InvalidArgumentError):
+                _back_solve(factors, np.ones(size - 1))
+            return
         if case == "c-order":
             layout = np.ascontiguousarray(layout)
-        elif case == "short-rhs":
-            rhs = rhs[:-1]
         elif case == "read-only":
             layout.setflags(write=False)
         elif case == "float32":
@@ -196,12 +215,23 @@ class TestBandedSolve:
         else:
             kl = 10
         with pytest.raises(InvalidArgumentError):
-            _solve(layout, rhs, kl)
+            _factor(layout, kl)
 
     def test_negative_info_is_a_programming_error(self, monkeypatch):
-        monkeypatch.setattr(solver, "_gbsv", lambda: lambda layout, b, kl, ku: (b, -4))
-        with pytest.raises(RuntimeError, match="argument 4"):
-            _solve(np.zeros((19, 64), order="F"), np.ones(64), 6)
+        layout = np.zeros((19, 64), order="F")
+        pivots = np.arange(1, 65)
+
+        def factor(layout, kl, ku):
+            return layout, pivots, -4
+
+        def back_solve(lu, pivots, b, kl, ku):
+            return b, -9
+
+        monkeypatch.setattr(solver, "_lapack", lambda: (factor, back_solve))
+        with pytest.raises(RuntimeError, match="dgbtrf rejected its argument 4"):
+            _factor(layout, 6)
+        with pytest.raises(RuntimeError, match="dgbtrs rejected its argument 9"):
+            _back_solve((layout, pivots, 6, 6), np.ones(64))
 
 
 # -- reference: per-step assembly, as before the operator was cached ---------
@@ -461,28 +491,104 @@ class TestCoupledSystem:
         assert float(np.max(np.abs(sol.phi.values - expected[0::2]))) <= 1e-12
         assert len(trace.outer_iterates) == steps
 
-    def test_converged_residual_recorded_without_jacobian_fill(self, work_grid, monkeypatch):
-        tau = conformal_seed(work_grid, 1.0, 1.5)
-        calls, fills = [], []
+    @staticmethod
+    def record_solve(monkeypatch, dim, tau, reused_delta=None):
+        """fixed_point_solve with each step's fills, factors and back-solves
+        recorded as (step, what) events, and each system call's arguments and
+        residual.  ``reused_delta(delta, phi, previous_phi)``, if given,
+        replaces the solution of every back-solve that reuses factors."""
+        calls, events = [], []
 
         def system(*args):
             residual, jacobian = _coupled_system(*args)
             calls.append((args, residual))
 
             def counted(work):
-                fills.append(len(calls) - 1)
+                events.append((len(calls) - 1, "fill"))
                 return jacobian(work)
 
             return residual, counted
 
+        def factor(*args):
+            events.append((len(calls) - 1, "factor"))
+            return _factor(*args)
+
+        def back_solve(*args):
+            step = len(calls) - 1
+            delta = _back_solve(*args)
+            if reused_delta is not None and (step, "factor") not in events:
+                delta = reused_delta(delta, calls[-1][0][4], calls[-2][0][4])
+            events.append((step, "back-solve"))
+            return delta
+
         monkeypatch.setattr(solver, "_coupled_system", system)
-        sol, trace = fixed_point_solve(DIM3, tau)
-        assert len(calls) == len(trace.newton_residuals) == len(trace.outer_iterates) + 1
-        # every call but the last fills its Jacobian once
-        assert fills == list(range(len(calls) - 1))
+        monkeypatch.setattr(solver, "_factor", factor)
+        monkeypatch.setattr(solver, "_back_solve", back_solve)
+        sol, trace = fixed_point_solve(dim, tau)
+        return sol, trace, calls, events
+
+    @staticmethod
+    def factoring_steps(trace, tol=SolveControls().tol):
+        """The steps the reuse rule factors: the first, and every one after a
+        relative phi step above sqrt(tol) or no smaller than the one before."""
+        steps = trace.outer_iterates
+        return [
+            k
+            for k in range(len(steps))
+            if k == 0 or steps[k - 1] > math.sqrt(tol) or (k > 1 and steps[k - 1] >= steps[k - 2])
+        ]
+
+    def test_converged_residual_recorded_without_jacobian_fill(self, work_grid, monkeypatch):
+        # and every other step fills and factors exactly where the reuse rule says
+        tau = conformal_seed(work_grid, 1.0, 1.5)
+        sol, trace, calls, events = self.record_solve(monkeypatch, DIM3, tau)
+        steps = len(trace.outer_iterates)
+        assert len(calls) == len(trace.newton_residuals) == steps + 1
+        # free-tau --c 1 --q 1.5: the fifth and last step reuses the fourth's factors
+        factored = self.factoring_steps(trace)
+        assert (factored, steps) == ([0, 1, 2, 3], 5)
+        expected = [(k, what) for k in range(steps) for what in ("fill", "factor", "back-solve")]
+        assert events == [event for event in expected if event[1] == "back-solve" or event[0] in factored]
+        # the converged iterate's residual is recorded, its Jacobian never filled
         (_, _, _, _, phi, _), residual = calls[-1]
         assert np.array_equal(phi, sol.phi.values)
         assert trace.newton_residuals[-1] == float(np.max(np.abs(residual)))
+
+    def test_reused_step_that_does_not_shrink_forces_a_factorization(self, work_grid, monkeypatch):
+        tau = conformal_seed(work_grid, 1.0, 1.5)
+        doctored = []
+
+        def grow(delta, phi, previous_phi):
+            # the first reused step becomes three times the step before it,
+            # still below sqrt(tol)
+            if doctored:
+                return delta
+            doctored.append(True)
+            previous = float(np.max(np.abs(phi - previous_phi)))
+            return delta * (3.0 * previous / float(np.max(np.abs(delta[0::2]))))
+
+        sol, trace, calls, events = self.record_solve(monkeypatch, DIM3, tau, reused_delta=grow)
+        assert trace.converged and doctored
+        steps = trace.outer_iterates
+        reused = min(k for k in range(len(steps)) if (k, "factor") not in events)
+        assert steps[reused - 1] < steps[reused] <= math.sqrt(SolveControls().tol)
+        assert (reused + 1, "factor") in events
+        factored = self.factoring_steps(trace)
+        assert [k for k, what in events if what == "factor"] == factored
+        assert [k for k, what in events if what == "fill"] == factored
+
+    def test_solves_do_not_depend_on_earlier_solves(self, work_grid):
+        # no factorization outlives its solve: A, then B, then A again gives
+        # A's bits, as a repeated benchmark op must
+        runs = [
+            fixed_point_solve(DIM3, conformal_seed(work_grid, c, q))
+            for c, q in ((1.0, 1.5), (3.0, 2.5), (1.0, 1.5))
+        ]
+        (first, first_trace), (other, _), (again, again_trace) = runs
+        assert not np.array_equal(first.phi.values, other.phi.values)
+        assert np.array_equal(first.phi.values, again.phi.values)
+        assert np.array_equal(first.A.values, again.A.values)
+        assert first_trace == again_trace
 
     @settings(deadline=None, derandomize=True, max_examples=20)
     @given(
@@ -537,7 +643,7 @@ class TestOperatorCache:
         potential[len(work_grid) // 2] = np.inf
         layout, kl = helmholtz_layout(3, work_grid, potential)
         with pytest.raises(SingularSystemError):
-            _solve(layout, np.ones(len(work_grid)), kl)
+            banded_solve(layout, np.ones(len(work_grid)), kl)
         assert _helmholtz_operator(3, work_grid) is rows
         assert np.array_equal(rows, before)
 
